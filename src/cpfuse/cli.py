@@ -24,8 +24,6 @@ from .degradation import (
     DegradationConfig,
     DegradationOperators,
     add_noise,
-    band_aggregation_matrix,
-    blur_downsample_matrix,
     build_operators,
     degrade,
 )
@@ -55,9 +53,6 @@ def _add_degradation_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sigma", type=float, default=2.0, help="blur width")
     parser.add_argument("--factor", type=int, default=4, help="spatial downsampling factor")
     parser.add_argument("--msi-bands", type=int, default=6, help="aggregated band count")
-    parser.add_argument(
-        "--spectral-matrix", default=None, help="matrix file overriding band aggregation"
-    )
 
 
 def _degradation_config(args, snr_hsi=math.inf, snr_msi=math.inf, seed=0) -> DegradationConfig:
@@ -114,24 +109,16 @@ def _fuse_operators(args, hsi, msi) -> DegradationOperators:
             spatial_2=read_matrix(args.p2),
             spectral=read_matrix(args.pm),
         )
-    i_dim, j_dim = msi.shape[0], msi.shape[1]
-    k_dim = hsi.shape[2]
-    factor = args.factor or round(i_dim / hsi.shape[0])
+    # Shape mismatches between these operators and the pair are reported by
+    # FusionProblem.validate.
     cfg = DegradationConfig(
-        kernel_size=args.kernel_size, sigma=args.sigma, factor=factor
+        kernel_size=args.kernel_size,
+        sigma=args.sigma,
+        factor=args.factor or round(msi.shape[0] / hsi.shape[0]),
+        num_msi_bands=msi.shape[2],
     )
-    p1 = blur_downsample_matrix(i_dim, cfg)
-    p2 = blur_downsample_matrix(j_dim, cfg)
-    if p1.shape[0] != hsi.shape[0] or p2.shape[0] != hsi.shape[1]:
-        raise ValueError(
-            f"downsampling factor {factor} maps scene {(i_dim, j_dim)} to "
-            f"{(p1.shape[0], p2.shape[0])}, but the HSI is {hsi.shape[:2]}"
-        )
-    if args.spectral_matrix:
-        spectral = read_matrix(args.spectral_matrix)
-    else:
-        spectral = band_aggregation_matrix(k_dim, msi.shape[2])
-    return DegradationOperators(p1, p2, spectral)
+    spectral = read_matrix(args.spectral_matrix) if args.spectral_matrix else None
+    return build_operators((msi.shape[0], msi.shape[1], hsi.shape[2]), cfg, spectral)
 
 
 def _cmd_fuse(args) -> int:
@@ -143,7 +130,6 @@ def _cmd_fuse(args) -> int:
         max_iters=args.max_iters,
         rel_f_tol=args.rel_f_tol,
         grad_tol=args.grad_tol,
-        rng_seed=args.seed,
     )
     if args.algorithm == "nn-nls":
         model, state, trace = solve(prob, init_latent(prob.sri_dims, args.rank, args.seed), solver_cfg)
@@ -251,6 +237,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-hsi", required=True)
     p.add_argument("--out-msi", required=True)
     _add_degradation_flags(p)
+    p.add_argument(
+        "--spectral-matrix", default=None, help="matrix file overriding band aggregation"
+    )
     p.add_argument("--snr-hsi", type=float, default=math.inf)
     p.add_argument("--snr-msi", type=float, default=math.inf)
     p.add_argument("--seed", type=int, default=0)

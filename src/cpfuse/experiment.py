@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .als import random_init, solve_als
-from .degradation import DegradationConfig, DegradationOperators, add_noise, build_operators, degrade
+from .degradation import DegradationConfig, add_noise, build_operators, degrade
 from .fileio import read_tensor
 from .metrics import metrics_report, spatial_smooth
 from .solver import (
@@ -149,22 +149,6 @@ class SummaryRow:
     median_sam: float
 
 
-def _validate_coupling(ops: DegradationOperators, dims: tuple[int, int, int]) -> None:
-    """Fail fast when degrading a CP tensor disagrees with projecting its factors."""
-    rng = np.random.default_rng(0)
-    a, b, c = (rng.uniform(0.1, 1.0, (int(d), 2)) for d in dims)
-    hsi, msi = degrade(cpd_reconstruct(a, b, c), ops)
-    hsi_direct = cpd_reconstruct(ops.spatial_1 @ a, ops.spatial_2 @ b, c)
-    msi_direct = cpd_reconstruct(a, b, ops.spectral @ c)
-    for got, want, name in ((hsi, hsi_direct, "HSI"), (msi, msi_direct, "MSI")):
-        err = np.linalg.norm((got - want).ravel()) / np.linalg.norm(want.ravel())
-        if not err <= 1e-12:
-            raise RuntimeError(
-                f"degradation operators violate the CP coupling identity on the "
-                f"{name} path (relative error {err:.3e})"
-            )
-
-
 def _run_replicate(payload) -> ResultRow:
     (
         algorithm,
@@ -251,7 +235,6 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[Summary
     else:
         sri = read_tensor(cfg.sri_path)
     ops = build_operators(sri.shape, cfg.degradation)
-    _validate_coupling(ops, sri.shape)
     hsi_clean, msi_clean = degrade(sri, ops)
 
     payloads = []

@@ -10,8 +10,9 @@ Matrix files: 4-byte magic ``DM2\\0``, two little-endian uint32 dimensions
 
 from __future__ import annotations
 
+import math
+import os
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -22,37 +23,36 @@ MATRIX_MAGIC = b"DM2\0"
 _UINT32_MAX = 2**32 - 1
 
 
-def _read_payload(path, magic: bytes, ndim: int) -> tuple[tuple[int, ...], np.ndarray]:
-    raw = Path(path).read_bytes()
+def _read_array(path, magic: bytes, ndim: int) -> np.ndarray:
+    """Validate the header against the file size, then read the payload once."""
     header = 4 + 4 * ndim
-    if len(raw) < header:
-        raise ValueError(f"{path}: file too short for a {magic[:3].decode()} header")
-    if raw[:4] != magic:
-        raise ValueError(
-            f"{path}: bad magic {raw[:4]!r}, expected {magic!r}"
-        )
-    dims = struct.unpack(f"<{ndim}I", raw[4:header])
-    if any(d == 0 for d in dims):
-        raise ValueError(f"{path}: zero dimension in header {dims}")
-    count = 1
-    for d in dims:
-        count *= d
-    expected = header + 8 * count
-    if len(raw) < expected:
-        raise ValueError(
-            f"{path}: truncated payload, need {expected} bytes for dims {dims} "
-            f"but file has {len(raw)}"
-        )
-    if len(raw) > expected:
-        raise ValueError(f"{path}: {len(raw) - expected} trailing bytes after payload")
-    data = np.frombuffer(raw[header:], dtype="<f8")
-    return dims, data
+    with open(path, "rb") as fh:
+        head = fh.read(header)
+        size = os.fstat(fh.fileno()).st_size
+        if len(head) < header:
+            raise ValueError(f"{path}: file too short for a {magic[:3].decode()} header")
+        if head[:4] != magic:
+            raise ValueError(f"{path}: bad magic {head[:4]!r}, expected {magic!r}")
+        dims = struct.unpack(f"<{ndim}I", head[4:])
+        if any(d == 0 for d in dims):
+            raise ValueError(f"{path}: zero dimension in header {dims}")
+        count = math.prod(dims)
+        expected = header + 8 * count
+        if size < expected:
+            raise ValueError(
+                f"{path}: truncated payload, need {expected} bytes for dims {dims} "
+                f"but file has {size}"
+            )
+        if size > expected:
+            raise ValueError(f"{path}: {size - expected} trailing bytes after payload")
+        data = np.fromfile(fh, dtype="<f8", count=count)
+    # A no-op on little-endian hosts; a byte swap elsewhere.
+    return data.astype(np.float64, copy=False).reshape(dims, order="F")
 
 
 def read_tensor(path) -> np.ndarray:
     """Read a third-order tensor file."""
-    dims, data = _read_payload(path, TENSOR_MAGIC, 3)
-    return data.reshape(dims, order="F").astype(np.float64)
+    return _read_array(path, TENSOR_MAGIC, 3)
 
 
 def write_tensor(path, t: np.ndarray) -> None:
@@ -70,8 +70,7 @@ def write_tensor(path, t: np.ndarray) -> None:
 
 def read_matrix(path) -> np.ndarray:
     """Read a matrix file."""
-    dims, data = _read_payload(path, MATRIX_MAGIC, 2)
-    return data.reshape(dims, order="F").astype(np.float64)
+    return _read_array(path, MATRIX_MAGIC, 2)
 
 
 def write_matrix(path, m: np.ndarray) -> None:

@@ -51,6 +51,17 @@ __all__ = [
 ]
 
 
+# Gain-ratio trust-region rule: a trial step is accepted when its ratio of
+# actual to predicted decrease is at least ACCEPT_RATIO; the radius shrinks by
+# SHRINK_FACTOR below SHRINK_THRESHOLD and grows by GROW_FACTOR (up to the
+# state's cap) above GROW_THRESHOLD when the step reached the boundary.
+ACCEPT_RATIO = 1e-4
+SHRINK_THRESHOLD = 0.25
+GROW_THRESHOLD = 0.75
+SHRINK_FACTOR = 0.25
+GROW_FACTOR = 2.0
+
+
 class SolverDivergenceError(RuntimeError):
     """Raised when the objective or gradient stops being finite."""
 
@@ -155,26 +166,14 @@ class FusionProblem:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Trust-region solver controls.
-
-    ``delta0`` and ``delta_max`` of ``None`` select the scale-aware defaults
-    ``max(0.3 * ||x0||, 1.0)`` and ``1e3 * delta0``.
-    """
+    """Trust-region solver controls: the outer budget and stopping tolerances,
+    and the inner PCG budget."""
 
     max_iters: int = 200
     rel_f_tol: float = 1e-8
     grad_tol: float = 1e-6
     cg_max_iters: int = 25
     cg_rel_tol: float = 1e-6
-    delta0: float | None = None
-    delta_max: float | None = None
-    accept_ratio: float = 1e-4
-    shrink_threshold: float = 0.25
-    grow_threshold: float = 0.75
-    shrink_factor: float = 0.25
-    grow_factor: float = 2.0
-    rng_seed: int = 0
-    use_squaring_curvature: bool = False
 
     def validate(self) -> None:
         if self.max_iters < 1:
@@ -184,12 +183,6 @@ class SolverConfig:
                 raise ValueError(f"{name} must be positive")
         if self.cg_max_iters < 1:
             raise ValueError("cg_max_iters must be >= 1")
-        if not 0.0 < self.accept_ratio < 0.25:
-            raise ValueError("accept_ratio must lie in (0, 0.25)")
-        if self.delta0 is not None and not self.delta0 > 0:
-            raise ValueError("delta0 must be positive")
-        if self.delta_max is not None and not self.delta_max > 0:
-            raise ValueError("delta_max must be positive")
 
 
 @dataclass
@@ -202,7 +195,6 @@ class SolverState:
     f_value: float
     gradient: np.ndarray
     iteration: int = 0
-    step: np.ndarray | None = None
     rho: float = math.nan
     converged: bool = False
     reason: str | None = None
@@ -238,8 +230,12 @@ def objective(latent: LatentTriple, prob: FusionProblem) -> float:
     return float(np.sum(res_h * res_h) + np.sum(res_m * res_m))
 
 
-def _factor_gradients(latent: LatentTriple, prob: FusionProblem) -> list[np.ndarray]:
-    """Gradients of the objective with respect to the squared factors."""
+def gradient(latent: LatentTriple, prob: FusionProblem) -> np.ndarray:
+    """Gradient with respect to the latent parameters, stacked column-major.
+
+    The chain rule through the entrywise square contributes a factor of twice
+    the latent entry, so any zero latent entry yields a zero gradient entry.
+    """
     model = square_params(latent)
     ops = prob.operators
     u, v = _projected_factors(model, ops)
@@ -251,20 +247,12 @@ def _factor_gradients(latent: LatentTriple, prob: FusionProblem) -> list[np.ndar
         o = [m for m in range(3) if m != n]
         gh.append(u[n] @ (gu[o[0]] * gu[o[1]]) - mttkrp(prob.hsi, u, n + 1))
         gm.append(v[n] @ (gv[o[0]] * gv[o[1]]) - mttkrp(prob.msi, v, n + 1))
-    return [
+    # gradients with respect to the squared factors
+    grads = [
         2.0 * (ops.spatial_1.T @ gh[0] + gm[0]),
         2.0 * (ops.spatial_2.T @ gh[1] + gm[1]),
         2.0 * (gh[2] + ops.spectral.T @ gm[2]),
     ]
-
-
-def gradient(latent: LatentTriple, prob: FusionProblem) -> np.ndarray:
-    """Gradient with respect to the latent parameters, stacked column-major.
-
-    The chain rule through the entrywise square contributes a factor of twice
-    the latent entry, so any zero latent entry yields a zero gradient entry.
-    """
-    grads = _factor_gradients(latent, prob)
     return _pack([2.0 * m * g for m, g in zip(latent.mats, grads)])
 
 
@@ -276,8 +264,7 @@ class GramianOperator:
     Jacobians of the two residual stacks with respect to the squared factors
     and ``s`` is the frozen chain scaling (twice the latent entries).  Only
     factor-sized intermediates are formed; the Gramian itself is never
-    materialized.  ``curvature_diag``, when set, adds the diagonal curvature
-    of the squaring map for an exact-Hessian experiment.
+    materialized.
     """
 
     lam_blocks: list[np.ndarray]
@@ -287,15 +274,9 @@ class GramianOperator:
     v_projections: list[np.ndarray | None]
     u_grams: list[np.ndarray]
     v_grams: list[np.ndarray]
-    curvature_diag: np.ndarray | None = None
 
     @classmethod
-    def from_latent(
-        cls,
-        latent: LatentTriple,
-        ops: DegradationOperators,
-        curvature_diag: np.ndarray | None = None,
-    ) -> "GramianOperator":
+    def from_latent(cls, latent: LatentTriple, ops: DegradationOperators) -> "GramianOperator":
         model = square_params(latent)
         u, v = _projected_factors(model, ops)
         return cls(
@@ -306,7 +287,6 @@ class GramianOperator:
             v_projections=[None, None, ops.spectral],
             u_grams=[f.T @ f for f in u],
             v_grams=[f.T @ f for f in v],
-            curvature_diag=curvature_diag,
         )
 
     @property
@@ -342,12 +322,7 @@ class GramianOperator:
         ]
         out_u = self._term(blocks, self.u_factors, self.u_projections, self.u_grams)
         out_v = self._term(blocks, self.v_factors, self.v_projections, self.v_grams)
-        result = _pack(
-            [lam * (x + y) for lam, x, y in zip(self.lam_blocks, out_u, out_v)]
-        )
-        if self.curvature_diag is not None:
-            result = result + self.curvature_diag * z
-        return result
+        return _pack([lam * (x + y) for lam, x, y in zip(self.lam_blocks, out_u, out_v)])
 
 
 def block_jacobi_preconditioner(gram: GramianOperator):
@@ -491,27 +466,27 @@ def trust_region_update(
     p_h_p: float,
     objective_fn,
     cfg: SolverConfig,
-) -> SolverState:
+) -> bool:
     """Evaluate a trial step, accept or reject it, rescale the trust radius.
 
     ``objective_fn`` maps a ``LatentTriple`` to the objective value.  The
-    state is updated in place: a nonpositive model reduction or a gain ratio
-    below ``cfg.accept_ratio`` rejects the step and shrinks the radius;
+    state is updated in place and the acceptance decision is returned: a
+    nonpositive model reduction, a non-finite trial objective or a gain ratio
+    below ``ACCEPT_RATIO`` rejects the step and shrinks the radius;
     convergence is flagged when an accepted step decreases the objective by
     less than ``cfg.rel_f_tol`` in relative terms.
     """
     model_decrease = -(g_dot_p + 0.5 * p_h_p)
-    state.step = p
     if model_decrease <= 0.0:
         state.rho = -math.inf
-        state.delta *= cfg.shrink_factor
-        return state
+        state.delta *= SHRINK_FACTOR
+        return False
     dims = state.latent.dims
     trial = LatentTriple.from_vector(state.latent.to_vector() + p, dims, state.latent.rank)
     f_trial = float(objective_fn(trial))
     rho = (state.f_value - f_trial) / model_decrease
     state.rho = rho
-    accepted = rho >= cfg.accept_ratio and math.isfinite(f_trial)
+    accepted = rho >= ACCEPT_RATIO and math.isfinite(f_trial)
     if accepted:
         previous = state.f_value
         state.latent = trial
@@ -519,11 +494,11 @@ def trust_region_update(
         if previous <= 0.0 or (previous - f_trial) / previous < cfg.rel_f_tol:
             state.converged = True
             state.reason = "objective decrease below rel_f_tol"
-    if rho < cfg.shrink_threshold:
-        state.delta *= cfg.shrink_factor
-    elif rho > cfg.grow_threshold and float(np.linalg.norm(p)) >= 0.99 * state.delta:
-        state.delta = min(cfg.grow_factor * state.delta, state.delta_max)
-    return state
+    if not accepted or rho < SHRINK_THRESHOLD:
+        state.delta *= SHRINK_FACTOR
+    elif rho > GROW_THRESHOLD and float(np.linalg.norm(p)) >= 0.99 * state.delta:
+        state.delta = min(GROW_FACTOR * state.delta, state.delta_max)
+    return accepted
 
 
 def _check_finite(value: float, vec: np.ndarray, iteration: int) -> None:
@@ -555,15 +530,13 @@ def solve(
         )
 
     latent = init.copy()
-    x = latent.to_vector()
-    delta0 = cfg.delta0 if cfg.delta0 is not None else max(0.3 * float(np.linalg.norm(x)), 1.0)
-    delta_max = cfg.delta_max if cfg.delta_max is not None else 1e3 * delta0
+    delta0 = max(0.3 * float(np.linalg.norm(latent.to_vector())), 1.0)
 
     f = objective(latent, prob)
     g = gradient(latent, prob)
     _check_finite(f, g, 0)
     state = SolverState(
-        latent=latent, delta=delta0, delta_max=delta_max, f_value=f, gradient=g
+        latent=latent, delta=delta0, delta_max=1e3 * delta0, f_value=f, gradient=g
     )
     trace: list[IterationRecord] = []
 
@@ -575,10 +548,7 @@ def solve(
             state.reason = "gradient norm below grad_tol"
             break
 
-        curvature_diag = None
-        if cfg.use_squaring_curvature:
-            curvature_diag = 2.0 * _pack(_factor_gradients(state.latent, prob))
-        gram = GramianOperator.from_latent(state.latent, prob.operators, curvature_diag)
+        gram = GramianOperator.from_latent(state.latent, prob.operators)
         # The misfit is a plain squared norm, so the model Hessian is twice the Gramian.
         hop = lambda z: 2.0 * gram.apply(z)  # noqa: E731
         precond = block_jacobi_preconditioner(gram)
@@ -590,8 +560,9 @@ def solve(
 
         g_dot_p = float(state.gradient @ p)
         p_h_p = float(p @ hop(p))
-        trust_region_update(state, p, g_dot_p, p_h_p, lambda t: objective(t, prob), cfg)
-        accepted = bool(state.rho >= cfg.accept_ratio and math.isfinite(state.rho))
+        accepted = trust_region_update(
+            state, p, g_dot_p, p_h_p, lambda t: objective(t, prob), cfg
+        )
         if accepted:
             state.gradient = gradient(state.latent, prob)
             _check_finite(state.f_value, state.gradient, it)

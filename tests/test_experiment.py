@@ -16,7 +16,7 @@ from cpfuse.experiment import (
     run_experiment,
     simulate_scene,
 )
-from cpfuse.fileio import read_matrix, read_tensor, write_tensor
+from cpfuse.fileio import read_matrix, read_tensor, write_matrix, write_tensor
 from cpfuse.solver import SolverConfig, SolverDivergenceError
 
 
@@ -164,17 +164,6 @@ class TestRunExperiment:
         assert math.isnan(rows[0].rmse)
         assert math.isnan(summary[0].median_rmse)
 
-    def test_broken_degradation_fails_coupling_check(self, monkeypatch):
-        real = cpfuse.experiment.degrade
-
-        def lossy(t, ops):
-            hsi, msi = real(t, ops)
-            return hsi + 1.0, msi
-
-        monkeypatch.setattr(cpfuse.experiment, "degrade", lossy)
-        with pytest.raises(RuntimeError, match="coupling"):
-            run_experiment(small_config())
-
     @pytest.mark.parametrize(
         "overrides",
         [
@@ -317,6 +306,27 @@ class TestCliPipeline:
               "--out", str(from_flags), "--kernel-size", "3", "--factor", "2"])
         np.testing.assert_array_equal(read_tensor(from_files), read_tensor(from_flags))
 
+    def test_fuse_rejects_invalid_spectral_matrix(self, tmp_path, capsys):
+        sri = self.simulate(tmp_path)
+        hsi, msi = self.degrade(tmp_path, sri)
+        bad = tmp_path / "bad.dm2"
+        write_matrix(bad, np.full((4, 8), 5.0))  # right shape, rows sum to 40
+        rc = main(["fuse", "--hsi", str(hsi), "--msi", str(msi), "--rank", "2",
+                   "--out", str(tmp_path / "x.dt3"), "--kernel-size", "3",
+                   "--factor", "2", "--spectral-matrix", str(bad)])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "x.dt3").exists()
+
+    def test_fuse_flag_route_reports_factor_mismatch(self, tmp_path, capsys):
+        sri = self.simulate(tmp_path)
+        hsi, msi = self.degrade(tmp_path, sri)
+        rc = main(["fuse", "--hsi", str(hsi), "--msi", str(msi), "--rank", "2",
+                   "--out", str(tmp_path / "x.dt3"), "--kernel-size", "3",
+                   "--factor", "3"])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_fuse_partial_operator_files_fail(self, tmp_path, capsys):
         sri = self.simulate(tmp_path)
         hsi, msi = self.degrade(tmp_path, sri)
@@ -408,6 +418,12 @@ class TestCliPipeline:
         monkeypatch.delenv("CPFUSE_WORKERS")
         assert main(self.sweep_args(serial)) == 0
         assert (out / "results.csv").read_bytes() == (serial / "results.csv").read_bytes()
+
+    def test_sweep_rejects_spectral_matrix_flag(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(self.sweep_args(tmp_path / "x", extra=("--spectral-matrix", "x")))
+        assert exc.value.code != 0
+        assert not (tmp_path / "x").exists()
 
     def test_sweep_requires_exactly_one_scene_source(self, tmp_path, capsys):
         rc = main([

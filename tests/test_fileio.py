@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,6 +40,20 @@ class TestTensorRoundTrip:
         back = read_tensor(path)
         np.testing.assert_array_equal(back, t)
         assert np.signbit(back[1, 1, 1])
+
+    def test_read_holds_one_payload_copy(self, tmp_path):
+        t = np.random.default_rng(2).standard_normal((64, 64, 128))  # 4 MiB
+        path = tmp_path / "t.dt3"
+        write_tensor(path, t)
+        tracemalloc.start()
+        try:
+            back = read_tensor(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(back, t)
+        assert back.flags.writeable and back.flags.f_contiguous
+        assert peak < 1.5 * t.nbytes
 
     def test_header_layout(self, tmp_path):
         t = np.arange(6.0).reshape((1, 2, 3), order="F")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cpfuse.solver as solver_module
 from cpfuse.degradation import DegradationConfig, build_operators, degrade
 from cpfuse.solver import (
     FusionProblem,
@@ -271,17 +273,6 @@ class TestGramianOperator:
             np.testing.assert_allclose(block, expected, rtol=1e-12)
             offset += size
 
-    def test_curvature_diagonal_is_additive(self):
-        prob, _, _ = make_problem(dims=(4, 3, 3), rank=2, seed=6)
-        latent = init_latent(prob.sri_dims, prob.rank, rng_seed=2)
-        plain = GramianOperator.from_latent(latent, prob.operators)
-        diag = np.arange(1.0, plain.size + 1.0)
-        shifted = GramianOperator.from_latent(latent, prob.operators, curvature_diag=diag)
-        z = np.random.default_rng(0).standard_normal(plain.size)
-        np.testing.assert_allclose(
-            shifted.apply(z), plain.apply(z) + diag * z, rtol=1e-13
-        )
-
     def test_wrong_vector_shape_raises(self):
         prob, _, _ = make_problem()
         latent = init_latent(prob.sri_dims, prob.rank, rng_seed=0)
@@ -484,7 +475,9 @@ class TestTrustRegionUpdate:
         p = -state.latent.to_vector()
         g_dot_p = float(state.gradient @ p)
         p_h_p = float(2.0 * p @ p)
-        trust_region_update(state, p, g_dot_p, p_h_p, quadratic_objective, SolverConfig())
+        assert trust_region_update(
+            state, p, g_dot_p, p_h_p, quadratic_objective, SolverConfig()
+        )
         np.testing.assert_allclose(state.rho, 1.0, rtol=1e-12)
         assert state.f_value < 1e-20
         np.testing.assert_allclose(state.delta, 2.0 * delta, rtol=1e-12)
@@ -496,7 +489,9 @@ class TestTrustRegionUpdate:
         p = x0.copy()  # ascent direction
         g_dot_p = float(state.gradient @ p)
         p_h_p = float(2.0 * p @ p)
-        trust_region_update(state, p, g_dot_p, p_h_p, quadratic_objective, SolverConfig())
+        assert not trust_region_update(
+            state, p, g_dot_p, p_h_p, quadratic_objective, SolverConfig()
+        )
         assert state.rho == -math.inf
         assert state.delta == 0.25
         np.testing.assert_array_equal(state.latent.to_vector(), x0)
@@ -509,13 +504,39 @@ class TestTrustRegionUpdate:
         g_dot_p = float(state.gradient @ p)
         p_h_p = float(2.0 * p @ p)
         # the trial "objective" goes up even though the model predicts descent
-        trust_region_update(
+        assert not trust_region_update(
             state, p, g_dot_p, p_h_p, lambda t: f0 + 5.0, SolverConfig()
         )
         assert state.rho < 0.0
         assert state.delta == 0.25
         np.testing.assert_array_equal(state.latent.to_vector(), x0)
         assert state.f_value == f0
+
+    def test_non_finite_trial_rejects_and_shrinks(self):
+        x0 = np.ones(6)
+        state = make_state(x0, delta=1.0)
+        p = -0.1 * x0
+        g_dot_p = float(state.gradient @ p)
+        p_h_p = float(2.0 * p @ p)
+        assert not trust_region_update(
+            state, p, g_dot_p, p_h_p, lambda t: math.nan, SolverConfig()
+        )
+        assert state.delta == 0.25
+        np.testing.assert_array_equal(state.latent.to_vector(), x0)
+
+    def test_infinite_ratio_is_accepted(self):
+        # a predicted decrease that underflows makes rho = +inf; the trial is
+        # finite and lower, so the step is taken
+        x0 = np.ones(6)
+        state = make_state(x0, delta=1.0)
+        f_trial = state.f_value - 1.0
+        p = np.full(6, 1e-3)
+        assert trust_region_update(
+            state, p, -1e-320, 0.0, lambda t: f_trial, SolverConfig()
+        )
+        assert state.rho == math.inf
+        assert state.f_value == f_trial
+        np.testing.assert_array_equal(state.latent.to_vector(), x0 + p)
 
     def test_small_accepted_decrease_flags_convergence(self):
         x0 = np.ones(6)
@@ -524,7 +545,7 @@ class TestTrustRegionUpdate:
         f_trial = f0 * (1.0 - 1e-12)
         p = np.full(6, 1e-9)
         g_dot_p = -(f0 - f_trial)
-        trust_region_update(
+        assert trust_region_update(
             state, p, g_dot_p, 0.0, lambda t: f_trial, SolverConfig()
         )
         assert state.converged
@@ -584,6 +605,26 @@ class TestSolve:
         for prev, nxt in zip(values, values[1:]):
             assert nxt <= prev * (1.0 + 1e-12)
 
+    def test_trace_records_the_update_decision(self, monkeypatch):
+        # solve must log and act on the flag trust_region_update returns, even
+        # when the ratio it leaves behind is not finite
+        real = solver_module.trust_region_update
+        decisions = []
+
+        def forced(state, *args):
+            accepted = real(state, *args)
+            state.rho = math.inf
+            decisions.append(accepted)
+            return accepted
+
+        monkeypatch.setattr(solver_module, "trust_region_update", forced)
+        prob, _, _ = make_problem()
+        init = init_latent(prob.sri_dims, prob.rank, rng_seed=1)
+        _, state, trace = solve(prob, init, SolverConfig(max_iters=5))
+        assert [r.accepted for r in trace] == decisions
+        assert any(decisions)
+        np.testing.assert_array_equal(state.gradient, gradient(state.latent, prob))
+
     def test_mismatched_init_raises(self):
         prob, _, _ = make_problem()
         bad = init_latent((3, 3, 3), prob.rank, rng_seed=0)
@@ -634,6 +675,11 @@ class TestSolverConfig:
     def test_defaults_validate(self):
         SolverConfig().validate()
 
+    def test_only_caller_facing_fields(self):
+        assert [f.name for f in dataclasses.fields(SolverConfig)] == [
+            "max_iters", "rel_f_tol", "grad_tol", "cg_max_iters", "cg_rel_tol"
+        ]
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -642,10 +688,6 @@ class TestSolverConfig:
             {"grad_tol": -1.0},
             {"cg_max_iters": 0},
             {"cg_rel_tol": 0.0},
-            {"accept_ratio": 0.3},
-            {"accept_ratio": 0.0},
-            {"delta0": -1.0},
-            {"delta_max": 0.0},
         ],
     )
     def test_invalid_values_raise(self, kwargs):
