@@ -12,11 +12,13 @@ from .degradation import (
 )
 from .experiment import (
     ExperimentConfig,
+    FuseResult,
     ResultRow,
     SceneConfig,
     SummaryRow,
     emit_results,
     emit_summary,
+    fuse,
     read_results,
     run_experiment,
     simulate_scene,

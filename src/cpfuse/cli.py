@@ -6,20 +6,19 @@ observed pair from a scene), ``fuse`` (reconstruct a scene from the pair),
 Carlo sweeps over SNR or rank, written as CSV).
 
 ``sweep`` rows carry zero wall times unless ``--record-timing`` is given, so
-repeated runs with the same master seed are byte-identical.  The environment
-variable ``CPFUSE_WORKERS``, when set, overrides the worker count.
+repeated runs with the same master seed are byte-identical, with any
+``--workers`` count.  ``sweep`` also prints the median R-SNR of each sweep
+point.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .als import random_init, solve_als
 from .degradation import (
     DegradationConfig,
     DegradationOperators,
@@ -32,18 +31,13 @@ from .experiment import (
     SceneConfig,
     emit_results,
     emit_summary,
+    fuse,
     run_experiment,
     simulate_scene,
 )
 from .fileio import read_matrix, read_tensor, write_matrix, write_tensor
-from .metrics import metrics_report, sam, spatial_smooth
-from .solver import (
-    FusionProblem,
-    SolverConfig,
-    init_latent,
-    reconstruct_sri,
-    solve,
-)
+from .metrics import check_smooth_window, metrics_report, sam, spatial_smooth
+from .solver import FusionProblem, SolverConfig, reconstruct_sri
 
 __all__ = ["main"]
 
@@ -100,28 +94,36 @@ def _cmd_degrade(args) -> int:
     return 0
 
 
+# Degradation-model flags of ``fuse``; they describe the operators, so they
+# conflict with operator files.
+_FUSE_MODEL_FLAGS = ("kernel_size", "sigma", "factor", "spectral_matrix")
+
+
 def _fuse_operators(args, hsi, msi) -> DegradationOperators:
+    given = {n: getattr(args, n) for n in _FUSE_MODEL_FLAGS if getattr(args, n) is not None}
     if args.p1 or args.p2 or args.pm:
         if not (args.p1 and args.p2 and args.pm):
             raise ValueError("--p1, --p2 and --pm must be given together")
+        if given:
+            flags = ", ".join("--" + name.replace("_", "-") for name in given)
+            raise ValueError(f"{flags} cannot be combined with --p1/--p2/--pm")
         return DegradationOperators(
             spatial_1=read_matrix(args.p1),
             spatial_2=read_matrix(args.p2),
             spectral=read_matrix(args.pm),
         )
-    # Shape mismatches between these operators and the pair are reported by
-    # FusionProblem.validate.
-    cfg = DegradationConfig(
-        kernel_size=args.kernel_size,
-        sigma=args.sigma,
-        factor=args.factor or round(msi.shape[0] / hsi.shape[0]),
-        num_msi_bands=msi.shape[2],
-    )
-    spectral = read_matrix(args.spectral_matrix) if args.spectral_matrix else None
+    # Unset flags take the DegradationConfig defaults, except the factor, which
+    # is inferred from the shapes.  Shape mismatches between these operators
+    # and the pair are reported by FusionProblem.validate.
+    spectral_path = given.pop("spectral_matrix", None)
+    given.setdefault("factor", round(msi.shape[0] / hsi.shape[0]))
+    cfg = DegradationConfig(**given, num_msi_bands=msi.shape[2])
+    spectral = read_matrix(spectral_path) if spectral_path else None
     return build_operators((msi.shape[0], msi.shape[1], hsi.shape[2]), cfg, spectral)
 
 
 def _cmd_fuse(args) -> int:
+    check_smooth_window(args.smooth_window)
     hsi = read_tensor(args.hsi)
     msi = read_tensor(args.msi)
     ops = _fuse_operators(args, hsi, msi)
@@ -131,25 +133,14 @@ def _cmd_fuse(args) -> int:
         rel_f_tol=args.rel_f_tol,
         grad_tol=args.grad_tol,
     )
-    if args.algorithm == "nn-nls":
-        model, state, trace = solve(prob, init_latent(prob.sri_dims, args.rank, args.seed), solver_cfg)
-        iterations, converged, final_f = len(trace), state.converged, state.f_value
-    else:
-        model, als_trace = solve_als(
-            prob,
-            random_init(prob.sri_dims, args.rank, args.seed),
-            max_iters=solver_cfg.max_iters,
-            rel_f_tol=solver_cfg.rel_f_tol,
-        )
-        iterations, converged = als_trace.sweeps, als_trace.converged
-        final_f = als_trace.objectives[-1]
-    est = reconstruct_sri(model)
-    if args.smooth_window > 1:
+    result = fuse(prob, args.algorithm, args.seed, solver_cfg)
+    est = reconstruct_sri(result.model)
+    if args.smooth_window != 1:
         est = spatial_smooth(est, args.smooth_window)
     write_tensor(args.out, est)
     print(
-        f"wrote {args.out} converged={'true' if converged else 'false'} "
-        f"iterations={iterations} objective={final_f!r}"
+        f"wrote {args.out} converged={'true' if result.converged else 'false'} "
+        f"iterations={result.iterations} objective={result.objective!r}"
     )
     return 0
 
@@ -157,7 +148,7 @@ def _cmd_fuse(args) -> int:
 def _cmd_evaluate(args) -> int:
     est = read_tensor(args.estimate)
     truth = read_tensor(args.truth)
-    if args.smooth_window > 1:
+    if args.smooth_window != 1:
         est = spatial_smooth(est, args.smooth_window)
     report = metrics_report(est, truth)
     angle = sam(est, truth, degrees=True) if args.degrees else report.sam_radians
@@ -173,10 +164,6 @@ def _cmd_sweep(args) -> int:
         raise ValueError("exactly one of --dims and --sri must be given")
     if (args.snr_db is None) == (args.ranks is None):
         raise ValueError("exactly one of --snr-db and --ranks must be given")
-    workers = args.workers
-    env_workers = os.environ.get("CPFUSE_WORKERS")
-    if env_workers is not None:
-        workers = int(env_workers)
 
     scene = None
     if args.dims is not None:
@@ -203,7 +190,7 @@ def _cmd_sweep(args) -> int:
         sweep_axis=sweep_axis,
         sweep_values=sweep_values,
         smooth_window=args.smooth_window,
-        workers=workers,
+        workers=args.workers,
         master_seed=args.master_seed,
     )
     rows, summary = run_experiment(cfg)
@@ -214,6 +201,11 @@ def _cmd_sweep(args) -> int:
     emit_results(rows, out_dir / "results.csv")
     emit_summary(summary, out_dir / "summary.csv")
     print(f"wrote {out_dir / 'results.csv'} and {out_dir / 'summary.csv'}")
+    for point in summary:
+        print(
+            f"{point.algorithm} snr_db={point.snr_db!r} rank={point.rank} "
+            f"median_rsnr_db={point.median_rsnr_db:.2f}"
+        )
     return 0
 
 
@@ -254,8 +246,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--algorithm", choices=("nn-nls", "als"), default="nn-nls")
     p.add_argument("--out", required=True)
-    p.add_argument("--kernel-size", type=int, default=9)
-    p.add_argument("--sigma", type=float, default=2.0)
+    p.add_argument("--kernel-size", type=int, default=None)
+    p.add_argument("--sigma", type=float, default=None)
     p.add_argument("--factor", type=int, default=None, help="default: inferred from shapes")
     p.add_argument("--spectral-matrix", default=None)
     p.add_argument("--p1", default=None, help="matrix file for the first spatial operator")

@@ -10,7 +10,7 @@ projecting its factor matrices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,9 +51,6 @@ class DegradationConfig:
             raise ValueError(f"downsampling factor must be >= 1, got {self.factor}")
         if self.num_msi_bands < 1:
             raise ValueError(f"num_msi_bands must be >= 1, got {self.num_msi_bands}")
-
-    def with_snr(self, snr_hsi_db: float, snr_msi_db: float) -> "DegradationConfig":
-        return replace(self, snr_hsi_db=snr_hsi_db, snr_msi_db=snr_msi_db)
 
 
 @dataclass(eq=False)

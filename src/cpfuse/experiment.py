@@ -13,15 +13,22 @@ import math
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .als import random_init, solve_als
-from .degradation import DegradationConfig, add_noise, build_operators, degrade
+from .degradation import (
+    DegradationConfig,
+    DegradationOperators,
+    add_noise,
+    build_operators,
+    degrade,
+)
 from .fileio import read_tensor
-from .metrics import metrics_report, spatial_smooth
+from .metrics import check_smooth_window, metrics_report, spatial_smooth
 from .solver import (
     FusionProblem,
     SolverConfig,
@@ -30,13 +37,15 @@ from .solver import (
     reconstruct_sri,
     solve,
 )
-from .tensors import cpd_reconstruct
+from .tensors import CpdModel, cpd_reconstruct
 
 __all__ = [
     "SceneConfig",
     "ExperimentConfig",
     "ResultRow",
     "SummaryRow",
+    "FuseResult",
+    "fuse",
     "simulate_scene",
     "run_experiment",
     "emit_results",
@@ -118,6 +127,7 @@ class ExperimentConfig:
             raise ValueError("rank must be >= 1")
         if self.sweep_axis == "rank" and any(int(v) < 1 for v in self.sweep_values):
             raise ValueError("rank sweep values must be positive integers")
+        check_smooth_window(self.smooth_window)
         self.degradation.validate()
         self.solver.validate()
 
@@ -149,49 +159,78 @@ class SummaryRow:
     median_sam: float
 
 
-def _run_replicate(payload) -> ResultRow:
-    (
-        algorithm,
-        sri,
-        hsi_clean,
-        msi_clean,
-        ops,
-        solver_cfg,
-        rank,
-        snr_hsi,
-        snr_msi,
-        base_seed,
-        smooth_window,
-        replicate,
-        snr_label,
-    ) = payload
-    hsi = add_noise(hsi_clean, snr_hsi, base_seed)
-    msi = add_noise(msi_clean, snr_msi, base_seed + _MSI_NOISE_OFFSET)
-    prob = FusionProblem(hsi, msi, ops, rank)
-    init_seed = base_seed + _INIT_SEED_OFFSET
+@dataclass(frozen=True)
+class FuseResult:
+    """One fusion's model and how its solver stopped.
+
+    ``iterations`` counts trust-region iterations for nn-nls and sweeps for
+    ALS; ``objective`` is the final coupled least-squares objective.
+    """
+
+    model: CpdModel
+    iterations: int
+    converged: bool
+    objective: float
+
+
+def fuse(prob: FusionProblem, algorithm: str, init_seed: int, cfg: SolverConfig) -> FuseResult:
+    """Fuse ``prob`` with ``algorithm`` from the random start drawn with ``init_seed``.
+
+    nn-nls starts from :func:`init_latent`, ALS from :func:`random_init`;
+    ALS reads only ``max_iters`` and ``rel_f_tol`` from ``cfg``.
+    """
+    if algorithm == "nn-nls":
+        model, state, trace = solve(prob, init_latent(prob.sri_dims, prob.rank, init_seed), cfg)
+        return FuseResult(model, len(trace), state.converged, state.f_value)
+    if algorithm == "als":
+        model, trace = solve_als(
+            prob,
+            random_init(prob.sri_dims, prob.rank, init_seed),
+            max_iters=cfg.max_iters,
+            rel_f_tol=cfg.rel_f_tol,
+        )
+        return FuseResult(model, trace.sweeps, trace.converged, trace.objectives[-1])
+    raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
+
+
+@dataclass(frozen=True, eq=False)
+class _SweepData:
+    """What every replicate of one sweep shares."""
+
+    cfg: ExperimentConfig
+    sri: np.ndarray
+    hsi_clean: np.ndarray
+    msi_clean: np.ndarray
+    ops: DegradationOperators
+
+
+@dataclass(frozen=True)
+class _Job:
+    """One replicate at one sweep point."""
+
+    snr_hsi: float
+    snr_msi: float
+    rank: int
+    replicate: int
+
+
+def _run_replicate(data: _SweepData, job: _Job) -> ResultRow:
+    cfg = data.cfg
+    base_seed = cfg.master_seed + job.replicate
+    hsi = add_noise(data.hsi_clean, job.snr_hsi, base_seed)
+    msi = add_noise(data.msi_clean, job.snr_msi, base_seed + _MSI_NOISE_OFFSET)
+    prob = FusionProblem(hsi, msi, data.ops, job.rank)
+    # Rows are labelled with the HSI SNR; on the SNR axis both SNRs are equal.
+    point = dict(
+        algorithm=cfg.algorithm, snr_db=job.snr_hsi, rank=job.rank, replicate=job.replicate
+    )
 
     start = time.perf_counter()
     try:
-        if algorithm == "nn-nls":
-            model, state, trace = solve(prob, init_latent(prob.sri_dims, rank, init_seed), solver_cfg)
-            iterations = len(trace)
-            converged = state.converged
-        else:
-            model, als_trace = solve_als(
-                prob,
-                random_init(prob.sri_dims, rank, init_seed),
-                max_iters=solver_cfg.max_iters,
-                rel_f_tol=solver_cfg.rel_f_tol,
-            )
-            iterations = als_trace.sweeps
-            converged = als_trace.converged
-        wall = time.perf_counter() - start
+        result = fuse(prob, cfg.algorithm, base_seed + _INIT_SEED_OFFSET, cfg.solver)
     except SolverDivergenceError:
         return ResultRow(
-            algorithm=algorithm,
-            snr_db=snr_label,
-            rank=rank,
-            replicate=replicate,
+            **point,
             rmse=math.nan,
             cc=math.nan,
             rsnr_db=math.nan,
@@ -200,23 +239,21 @@ def _run_replicate(payload) -> ResultRow:
             wall_time_seconds=time.perf_counter() - start,
             converged=False,
         )
+    wall = time.perf_counter() - start
 
-    est = reconstruct_sri(model)
-    if smooth_window > 1:
-        est = spatial_smooth(est, smooth_window)
-    report = metrics_report(est, sri)
+    est = reconstruct_sri(result.model)
+    if cfg.smooth_window != 1:
+        est = spatial_smooth(est, cfg.smooth_window)
+    report = metrics_report(est, data.sri)
     return ResultRow(
-        algorithm=algorithm,
-        snr_db=snr_label,
-        rank=rank,
-        replicate=replicate,
+        **point,
         rmse=report.rmse,
         cc=report.cc,
         rsnr_db=report.rsnr_db,
         sam=report.sam_radians,
-        iterations=iterations,
+        iterations=result.iterations,
         wall_time_seconds=wall,
-        converged=converged,
+        converged=result.converged,
     )
 
 
@@ -237,40 +274,23 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[Summary
     ops = build_operators(sri.shape, cfg.degradation)
     hsi_clean, msi_clean = degrade(sri, ops)
 
-    payloads = []
-    for s_idx, value in enumerate(cfg.sweep_values):
+    data = _SweepData(cfg, sri, hsi_clean, msi_clean, ops)
+    jobs = []
+    for value in cfg.sweep_values:
         if cfg.sweep_axis == "snr":
-            snr_hsi = snr_msi = snr_label = float(value)
+            snr_hsi = snr_msi = float(value)
             rank = cfg.rank
         else:
-            snr_hsi = cfg.degradation.snr_hsi_db
-            snr_msi = cfg.degradation.snr_msi_db
-            snr_label = snr_hsi
+            snr_hsi, snr_msi = cfg.degradation.snr_hsi_db, cfg.degradation.snr_msi_db
             rank = int(value)
-        for replicate in range(cfg.replicates):
-            payloads.append(
-                (
-                    cfg.algorithm,
-                    sri,
-                    hsi_clean,
-                    msi_clean,
-                    ops,
-                    cfg.solver,
-                    rank,
-                    snr_hsi,
-                    snr_msi,
-                    cfg.master_seed + replicate,
-                    cfg.smooth_window,
-                    replicate,
-                    snr_label,
-                )
-            )
+        jobs.extend(_Job(snr_hsi, snr_msi, rank, r) for r in range(cfg.replicates))
 
+    run = partial(_run_replicate, data)
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            rows = list(pool.map(_run_replicate, payloads))
+            rows = list(pool.map(run, jobs))
     else:
-        rows = [_run_replicate(p) for p in payloads]
+        rows = [run(job) for job in jobs]
 
     summary = []
     per_point = cfg.replicates
@@ -291,32 +311,6 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[Summary
     return rows, summary
 
 
-_RESULT_COLUMNS = (
-    "algorithm",
-    "snr_db",
-    "rank",
-    "replicate",
-    "rmse",
-    "cc",
-    "rsnr_db",
-    "sam",
-    "iterations",
-    "wall_time_seconds",
-    "converged",
-)
-
-_SUMMARY_COLUMNS = (
-    "algorithm",
-    "snr_db",
-    "rank",
-    "replicates",
-    "median_rmse",
-    "median_cc",
-    "median_rsnr_db",
-    "median_sam",
-)
-
-
 def _format_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -325,49 +319,41 @@ def _format_value(value) -> str:
     return str(value)
 
 
+# Parsers keyed by the (string) field annotations of the row dataclasses.
+_PARSERS = {"str": str, "int": int, "float": float, "bool": "true".__eq__}
+
+
+def _emit(rows, row_type, path) -> None:
+    columns = [f.name for f in fields(row_type)]
+    lines = [",".join(columns)]
+    lines.extend(",".join(_format_value(getattr(row, c)) for c in columns) for row in rows)
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
 def emit_results(rows, path) -> None:
-    """Write replicate rows as CSV with a fixed column order.
+    """Write replicate rows as CSV, one column per :class:`ResultRow` field.
 
     Floats are serialized with full round-trip precision and infinities as
     ``inf``, so identical rows always produce identical bytes.
     """
-    lines = [",".join(_RESULT_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_format_value(getattr(row, col)) for col in _RESULT_COLUMNS))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _emit(rows, ResultRow, path)
 
 
 def emit_summary(rows, path) -> None:
-    """Write per-sweep-point medians as CSV."""
-    lines = [",".join(_SUMMARY_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_format_value(getattr(row, col)) for col in _SUMMARY_COLUMNS))
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write per-sweep-point medians as CSV, one column per :class:`SummaryRow` field."""
+    _emit(rows, SummaryRow, path)
 
 
 def read_results(path) -> list[ResultRow]:
     """Parse a results CSV back into rows (round trip of :func:`emit_results`)."""
+    columns = fields(ResultRow)
     lines = Path(path).read_text().strip().split("\n")
-    if lines[0] != ",".join(_RESULT_COLUMNS):
+    if lines[0] != ",".join(f.name for f in columns):
         raise ValueError(f"{path}: unexpected header {lines[0]!r}")
     rows = []
     for line in lines[1:]:
         parts = line.split(",")
-        if len(parts) != len(_RESULT_COLUMNS):
+        if len(parts) != len(columns):
             raise ValueError(f"{path}: malformed row {line!r}")
-        rows.append(
-            ResultRow(
-                algorithm=parts[0],
-                snr_db=float(parts[1]),
-                rank=int(parts[2]),
-                replicate=int(parts[3]),
-                rmse=float(parts[4]),
-                cc=float(parts[5]),
-                rsnr_db=float(parts[6]),
-                sam=float(parts[7]),
-                iterations=int(parts[8]),
-                wall_time_seconds=float(parts[9]),
-                converged=parts[10] == "true",
-            )
-        )
+        rows.append(ResultRow(*(_PARSERS[f.type](p) for f, p in zip(columns, parts))))
     return rows

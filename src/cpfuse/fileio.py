@@ -50,6 +50,20 @@ def _read_array(path, magic: bytes, ndim: int) -> np.ndarray:
     return data.astype(np.float64, copy=False).reshape(dims, order="F")
 
 
+def _write_array(path, magic: bytes, arr, ndim: int) -> None:
+    """Write the header, then the column-major payload without a byte-string copy."""
+    arr = np.asarray(arr, dtype="<f8")
+    if arr.ndim != ndim:
+        raise ValueError(f"expected a {ndim}-dimensional array, got ndim={arr.ndim}")
+    if any(d > _UINT32_MAX for d in arr.shape):
+        raise ValueError(f"dimensions {arr.shape} exceed the uint32 header range")
+    with open(path, "wb") as fh:
+        fh.write(magic)
+        fh.write(struct.pack(f"<{ndim}I", *arr.shape))
+        # A view for Fortran-ordered little-endian input, one copy otherwise.
+        fh.write(arr.ravel(order="F"))
+
+
 def read_tensor(path) -> np.ndarray:
     """Read a third-order tensor file."""
     return _read_array(path, TENSOR_MAGIC, 3)
@@ -57,15 +71,7 @@ def read_tensor(path) -> np.ndarray:
 
 def write_tensor(path, t: np.ndarray) -> None:
     """Write a third-order tensor file."""
-    t = np.asarray(t, dtype=np.float64)
-    if t.ndim != 3:
-        raise ValueError(f"expected a third-order tensor, got ndim={t.ndim}")
-    if any(d > _UINT32_MAX for d in t.shape):
-        raise ValueError(f"dimensions {t.shape} exceed the uint32 header range")
-    with open(path, "wb") as fh:
-        fh.write(TENSOR_MAGIC)
-        fh.write(struct.pack("<3I", *t.shape))
-        fh.write(np.asfortranarray(t).astype("<f8").tobytes(order="F"))
+    _write_array(path, TENSOR_MAGIC, t, 3)
 
 
 def read_matrix(path) -> np.ndarray:
@@ -75,12 +81,4 @@ def read_matrix(path) -> np.ndarray:
 
 def write_matrix(path, m: np.ndarray) -> None:
     """Write a matrix file."""
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"expected a matrix, got ndim={m.ndim}")
-    if any(d > _UINT32_MAX for d in m.shape):
-        raise ValueError(f"dimensions {m.shape} exceed the uint32 header range")
-    with open(path, "wb") as fh:
-        fh.write(MATRIX_MAGIC)
-        fh.write(struct.pack("<2I", *m.shape))
-        fh.write(np.asfortranarray(m).astype("<f8").tobytes(order="F"))
+    _write_array(path, MATRIX_MAGIC, m, 2)

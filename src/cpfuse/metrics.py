@@ -128,6 +128,12 @@ def sam(est: np.ndarray, truth: np.ndarray, degrees: bool = False) -> float:
     return math.degrees(value) if degrees else value
 
 
+def check_smooth_window(window: int) -> None:
+    """Reject a smoothing window that is not odd and positive."""
+    if window < 1 or window % 2 == 0:
+        raise ValueError(f"window must be odd and positive, got {window}")
+
+
 def spatial_smooth(t: np.ndarray, window: int) -> np.ndarray:
     """Per-band moving average over a ``window x window`` spatial box.
 
@@ -138,8 +144,7 @@ def spatial_smooth(t: np.ndarray, window: int) -> np.ndarray:
     t = np.asarray(t, dtype=np.float64)
     if t.ndim != 3:
         raise ValueError("spatial_smooth expects a third-order tensor")
-    if window < 1 or window % 2 == 0:
-        raise ValueError(f"window must be odd and positive, got {window}")
+    check_smooth_window(window)
     if window == 1:
         return t.copy()
     size = (window, window, 1)

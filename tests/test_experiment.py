@@ -6,18 +6,19 @@ import pytest
 
 import cpfuse.experiment
 from cpfuse.cli import main
-from cpfuse.degradation import DegradationConfig
+from cpfuse.degradation import DegradationConfig, build_operators, degrade
 from cpfuse.experiment import (
     ExperimentConfig,
     ResultRow,
     SceneConfig,
     emit_results,
+    fuse,
     read_results,
     run_experiment,
     simulate_scene,
 )
 from cpfuse.fileio import read_matrix, read_tensor, write_matrix, write_tensor
-from cpfuse.solver import SolverConfig, SolverDivergenceError
+from cpfuse.solver import FusionProblem, SolverConfig, SolverDivergenceError
 
 
 def small_config(**overrides):
@@ -164,6 +165,12 @@ class TestRunExperiment:
         assert math.isnan(rows[0].rmse)
         assert math.isnan(summary[0].median_rmse)
 
+    def test_fuse_rejects_unknown_algorithm(self):
+        ops = build_operators((4, 4, 2), DegradationConfig(kernel_size=1, factor=2, num_msi_bands=1))
+        prob = FusionProblem(*degrade(np.ones((4, 4, 2)), ops), ops, rank=1)
+        with pytest.raises(ValueError, match="algorithm"):
+            fuse(prob, "newton", 0, SolverConfig())
+
     @pytest.mark.parametrize(
         "overrides",
         [
@@ -175,6 +182,7 @@ class TestRunExperiment:
             {"workers": 0},
             {"rank": 0},
             {"sweep_axis": "rank", "sweep_values": (0,)},
+            {"smooth_window": 0},
         ],
     )
     def test_invalid_config_raises(self, overrides):
@@ -327,6 +335,42 @@ class TestCliPipeline:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_fuse_rejects_zero_factor(self, tmp_path, capsys):
+        sri = self.simulate(tmp_path)
+        hsi, msi = self.degrade(tmp_path, sri)
+        rc = main(["fuse", "--hsi", str(hsi), "--msi", str(msi), "--rank", "2",
+                   "--out", str(tmp_path / "x.dt3"), "--kernel-size", "3",
+                   "--factor", "0"])
+        assert rc == 1
+        assert "factor" in capsys.readouterr().err
+        assert not (tmp_path / "x.dt3").exists()
+
+    @pytest.mark.parametrize(
+        "extra",
+        [("--factor", "7"), ("--spectral-matrix", "absent.dm2"), ("--kernel-size", "3")],
+    )
+    def test_fuse_operator_files_reject_model_flags(self, tmp_path, capsys, extra):
+        sri = self.simulate(tmp_path)
+        hsi, msi = self.degrade(tmp_path, sri)
+        rc = main(["fuse", "--hsi", str(hsi), "--msi", str(msi), "--rank", "2",
+                   "--out", str(tmp_path / "x.dt3"),
+                   "--p1", str(tmp_path / "p1.dm2"), "--p2", str(tmp_path / "p2.dm2"),
+                   "--pm", str(tmp_path / "pm.dm2"), *extra])
+        assert rc == 1
+        assert extra[0] in capsys.readouterr().err
+        assert not (tmp_path / "x.dt3").exists()
+
+    @pytest.mark.parametrize("window", ["0", "-3", "2"])
+    def test_fuse_rejects_bad_smooth_window(self, tmp_path, capsys, window):
+        sri = self.simulate(tmp_path)
+        hsi, msi = self.degrade(tmp_path, sri)
+        rc = main(["fuse", "--hsi", str(hsi), "--msi", str(msi), "--rank", "2",
+                   "--out", str(tmp_path / "x.dt3"), "--kernel-size", "3",
+                   "--smooth-window", window])
+        assert rc == 1
+        assert "window" in capsys.readouterr().err
+        assert not (tmp_path / "x.dt3").exists()
+
     def test_fuse_partial_operator_files_fail(self, tmp_path, capsys):
         sri = self.simulate(tmp_path)
         hsi, msi = self.degrade(tmp_path, sri)
@@ -354,6 +398,14 @@ class TestCliPipeline:
         assert float(parsed["cc"]) == 1.0
         assert parsed["rsnr_db"] == "inf"
         assert float(parsed["sam"]) < 1e-7
+
+    @pytest.mark.parametrize("window", ["0", "-3"])
+    def test_evaluate_rejects_bad_smooth_window(self, tmp_path, capsys, window):
+        sri = self.simulate(tmp_path)
+        rc = main(["evaluate", "--estimate", str(sri), "--truth", str(sri),
+                   "--smooth-window", window])
+        assert rc == 1
+        assert "window" in capsys.readouterr().err
 
     def test_evaluate_degrees_flag(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
@@ -395,7 +447,7 @@ class TestCliPipeline:
         rows = read_results(out / "results.csv")
         assert any(r.wall_time_seconds > 0.0 for r in rows)
 
-    def test_sweep_rank_axis(self, tmp_path):
+    def test_sweep_rank_axis(self, tmp_path, capsys):
         out = tmp_path / "ranks"
         rc = main([
             "sweep", "--dims", "10", "10", "6", "--true-rank", "2",
@@ -405,19 +457,21 @@ class TestCliPipeline:
         ])
         assert rc == 0
         assert [r.rank for r in read_results(out / "results.csv")] == [1, 2]
+        medians = [line for line in capsys.readouterr().out.splitlines() if "median" in line]
+        assert [line.split()[2] for line in medians] == ["rank=1", "rank=2"]
 
-    def test_sweep_workers_env_override(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("CPFUSE_WORKERS", "not-a-number")
-        assert main(self.sweep_args(tmp_path / "x")) == 1
-        assert "error:" in capsys.readouterr().err
-
-        monkeypatch.setenv("CPFUSE_WORKERS", "2")
-        out = tmp_path / "pooled"
-        assert main(self.sweep_args(out)) == 0
-        serial = tmp_path / "serial"
-        monkeypatch.delenv("CPFUSE_WORKERS")
+    def test_sweep_worker_pool_matches_serial(self, tmp_path):
+        pooled, serial = tmp_path / "pooled", tmp_path / "serial"
+        assert main(self.sweep_args(pooled, extra=("--workers", "2"))) == 0
         assert main(self.sweep_args(serial)) == 0
-        assert (out / "results.csv").read_bytes() == (serial / "results.csv").read_bytes()
+        for name in ("results.csv", "summary.csv"):
+            assert (pooled / name).read_bytes() == (serial / name).read_bytes()
+
+    def test_sweep_rejects_bad_smooth_window(self, tmp_path, capsys):
+        rc = main(self.sweep_args(tmp_path / "x", extra=("--smooth-window", "0")))
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_sweep_rejects_spectral_matrix_flag(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

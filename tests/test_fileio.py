@@ -55,6 +55,19 @@ class TestTensorRoundTrip:
         assert back.flags.writeable and back.flags.f_contiguous
         assert peak < 1.5 * t.nbytes
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_write_holds_at_most_one_payload_copy(self, tmp_path, order):
+        t = np.asarray(np.random.default_rng(3).standard_normal((64, 64, 128)), order=order)
+        path = tmp_path / "t.dt3"
+        tracemalloc.start()
+        try:
+            write_tensor(path, t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(read_tensor(path), t)
+        assert peak < 1.1 * t.nbytes
+
     def test_header_layout(self, tmp_path):
         t = np.arange(6.0).reshape((1, 2, 3), order="F")
         path = tmp_path / "t.dt3"

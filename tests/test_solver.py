@@ -182,6 +182,24 @@ class TestObjective:
             objective(latent, prob), objective(flipped, prob), rtol=1e-14
         )
 
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_rank_column_permutation(self, seed, data):
+        # Relabelling the rank-one terms leaves f unchanged and permutes the
+        # columns of each latent block of the gradient the same way.
+        rank = data.draw(st.integers(min_value=1, max_value=4), label="rank")
+        perm = list(data.draw(st.permutations(range(rank)), label="perm"))
+        prob, _, _ = make_problem(dims=(6, 5, 4), rank=rank, seed=seed)
+        latent = init_latent(prob.sri_dims, rank, rng_seed=seed)
+        permuted = LatentTriple(tuple(m[:, perm] for m in latent.mats))
+        np.testing.assert_allclose(
+            objective(permuted, prob), objective(latent, prob), rtol=1e-12
+        )
+        blocks = LatentTriple.from_vector(gradient(latent, prob), prob.sri_dims, rank)
+        want = LatentTriple(tuple(m[:, perm] for m in blocks.mats)).to_vector()
+        got = gradient(permuted, prob)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
 
 class TestGradient:
     def test_zero_at_exact_model(self):
