@@ -67,8 +67,10 @@ class DegradationOperators:
     spectral: np.ndarray
 
     def __post_init__(self) -> None:
+        # One memory order whatever the source (``read_matrix`` returns
+        # Fortran order), so equal operators give bit-identical products.
         for name in ("spatial_1", "spatial_2", "spectral"):
-            m = np.asarray(getattr(self, name), dtype=np.float64)
+            m = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
             if m.ndim != 2:
                 raise ValueError(f"{name} must be a matrix")
             setattr(self, name, m)

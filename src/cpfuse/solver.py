@@ -14,7 +14,11 @@ spectrally degraded tensor, with a Gauss-Newton trust-region iteration:
 
 The latent-to-factor chain scaling is frozen per outer iteration, so the
 Gramian operator is rebuilt once per iteration and reused by every CG
-application inside it.
+application inside it.  What depends only on the point is formed once with
+it: the packed chain scaling, the Hadamard products of the Grams, and, in the
+preconditioner, the symmetrized inverses of the ridged R x R block systems
+and the packed inverse scaling.  The applies that PCG repeats do only the
+products that involve the vector.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .degradation import DegradationOperators
 from .tensors import CpdModel, cpd_reconstruct, mttkrp
@@ -256,6 +259,10 @@ def gradient(latent: LatentTriple, prob: FusionProblem) -> np.ndarray:
     return _pack([2.0 * m * g for m, g in zip(latent.mats, grads)])
 
 
+# The two other modes of each mode, in the order the Hadamard products use them.
+_OTHER_MODES = ((1, 2), (0, 2), (0, 1))
+
+
 @dataclass(eq=False)
 class GramianOperator:
     """Matrix-free Gauss-Newton Gramian of the coupled residuals.
@@ -265,6 +272,16 @@ class GramianOperator:
     and ``s`` is the frozen chain scaling (twice the latent entries).  Only
     factor-sized intermediates are formed; the Gramian itself is never
     materialized.
+
+    For each residual stack with factors ``F_n``, projections ``Q_n`` (the
+    identity where ``None``) and Grams ``G_n``, the construction forms what
+    depends only on the point: the packed scaling ``s`` and the Hadamard
+    products ``H_n = G_a * G_b`` of the two other modes' Grams.  An apply to
+    ``z`` with ``B = s * z`` then forms, per stack, the projected blocks
+    ``P_n = Q_n B_n``, one R x R cross Gram ``W_m = P_m^T F_m`` per block,
+    ``S_n = W_a * G_b + W_b * G_a`` and ``Q_n^T (P_n H_n + F_n S_n)``, and sums
+    the stacks under the scaling.  The operator is frozen at construction:
+    later changes to its fields are not seen.
     """
 
     lam_blocks: list[np.ndarray]
@@ -274,6 +291,19 @@ class GramianOperator:
     v_projections: list[np.ndarray | None]
     u_grams: list[np.ndarray]
     v_grams: list[np.ndarray]
+
+    def __post_init__(self) -> None:
+        self.scale = _pack(self.lam_blocks)
+        self.block_shapes = [m.shape for m in self.lam_blocks]
+        self.size = self.scale.size
+        stacks = (
+            (self.u_factors, self.u_projections, self.u_grams),
+            (self.v_factors, self.v_projections, self.v_grams),
+        )
+        self.hadamards = [
+            [grams[a] * grams[b] for a, b in _OTHER_MODES] for _, _, grams in stacks
+        ]
+        self._stacks = [stack + (h,) for stack, h in zip(stacks, self.hadamards)]
 
     @classmethod
     def from_latent(cls, latent: LatentTriple, ops: DegradationOperators) -> "GramianOperator":
@@ -289,40 +319,22 @@ class GramianOperator:
             v_grams=[f.T @ f for f in v],
         )
 
-    @property
-    def block_shapes(self) -> list[tuple[int, int]]:
-        return [m.shape for m in self.lam_blocks]
-
-    @property
-    def size(self) -> int:
-        return sum(s[0] * s[1] for s in self.block_shapes)
-
-    @staticmethod
-    def _term(blocks, factors, projections, grams) -> list[np.ndarray]:
-        projected = [
-            b if q is None else q @ b for q, b in zip(projections, blocks)
-        ]
-        out = []
-        for n1 in range(3):
-            o = [m for m in range(3) if m != n1]
-            acc = projected[n1] @ (grams[o[0]] * grams[o[1]])
-            for n2 in o:
-                n3 = 3 - n1 - n2
-                acc = acc + factors[n1] @ ((projected[n2].T @ factors[n2]) * grams[n3])
-            q = projections[n1]
-            out.append(acc if q is None else q.T @ acc)
-        return out
-
     def apply(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=np.float64)
         if z.shape != (self.size,):
             raise ValueError(f"vector has shape {z.shape}, expected ({self.size},)")
-        blocks = [
-            lam * t for lam, t in zip(self.lam_blocks, _unpack(z, self.block_shapes))
-        ]
-        out_u = self._term(blocks, self.u_factors, self.u_projections, self.u_grams)
-        out_v = self._term(blocks, self.v_factors, self.v_projections, self.v_grams)
-        return _pack([lam * (x + y) for lam, x, y in zip(self.lam_blocks, out_u, out_v)])
+        blocks = _unpack(self.scale * z, self.block_shapes)
+        terms = []
+        for factors, projections, grams, hadamard in self._stacks:
+            proj = [b if q is None else q @ b for b, q in zip(blocks, projections)]
+            w = [p.T @ f for p, f in zip(proj, factors)]
+            stack = []
+            for n, (a, b) in enumerate(_OTHER_MODES):
+                acc = proj[n] @ hadamard[n] + factors[n] @ (w[a] * grams[b] + w[b] * grams[a])
+                q = projections[n]
+                stack.append(acc if q is None else q.T @ acc)
+            terms.append(stack)
+        return self.scale * _pack([x + y for x, y in zip(*terms)])
 
 
 def block_jacobi_preconditioner(gram: GramianOperator):
@@ -332,37 +344,29 @@ def block_jacobi_preconditioner(gram: GramianOperator):
     sandwiching the R x R sum of the two coupled Gram products, which is made
     strictly definite by a trace-scaled ridge.  The scaling is applied
     symmetrically (square roots on both sides), so the returned map is linear
-    and symmetric positive definite even where latent entries vanish.
+    and symmetric positive definite even where latent entries vanish.  The
+    symmetrized block inverses and the packed inverse scaling are formed here,
+    so an apply costs one ``(d x R)(R x R)`` product per block.
     """
-    rank = gram.lam_blocks[0].shape[1]
-    factorizations = []
-    for n in range(3):
-        o = [m for m in range(3) if m != n]
-        g = gram.u_grams[o[0]] * gram.u_grams[o[1]] + gram.v_grams[o[0]] * gram.v_grams[o[1]]
-        eps = 1e-12 * float(np.trace(g))
-        if eps <= 0.0:
-            eps = 1.0
-        factorizations.append(cho_factor(g + eps * np.eye(rank)))
+    g = np.stack([hu + hv for hu, hv in zip(*gram.hadamards)])
+    eps = 1e-12 * np.trace(g, axis1=1, axis2=2)
+    eps[eps <= 0.0] = 1.0
+    inv = np.linalg.inv(g + eps[:, None, None] * np.eye(g.shape[1]))
+    inverses = 0.5 * (inv + inv.transpose(0, 2, 1))
 
-    lam_sq = [lam * lam for lam in gram.lam_blocks]
-    mean_sq = float(np.mean(np.concatenate([s.ravel() for s in lam_sq])))
-    eps_lam = 1e-8 * mean_sq
+    lam_sq = gram.scale * gram.scale
+    eps_lam = 1e-8 * float(np.mean(lam_sq))
     if eps_lam <= 0.0:
         eps_lam = 1.0
-    scales = [np.sqrt(np.maximum(s, eps_lam)) for s in lam_sq]
+    inv_scale = 1.0 / np.sqrt(np.maximum(lam_sq, eps_lam))
     shapes = gram.block_shapes
-    total = gram.size
 
     def apply(vec: np.ndarray) -> np.ndarray:
         vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != (total,):
-            raise ValueError(f"vector has shape {vec.shape}, expected ({total},)")
-        out = []
-        for block, scale, cho in zip(_unpack(vec, shapes), scales, factorizations):
-            w = block / scale
-            w = cho_solve(cho, w.T).T
-            out.append(w / scale)
-        return _pack(out)
+        if vec.shape != inv_scale.shape:
+            raise ValueError(f"vector has shape {vec.shape}, expected {inv_scale.shape}")
+        blocks = _unpack(inv_scale * vec, shapes)
+        return inv_scale * _pack([b @ m for b, m in zip(blocks, inverses)])
 
     return apply
 

@@ -255,7 +255,7 @@ class TestCliPipeline:
         assert rc == 0
         return sri
 
-    def degrade(self, tmp_path, sri):
+    def degrade(self, tmp_path, sri, extra=()):
         args = [
             "degrade", "--sri", str(sri),
             "--out-hsi", str(tmp_path / "hsi.dt3"),
@@ -264,6 +264,7 @@ class TestCliPipeline:
             "--out-p1", str(tmp_path / "p1.dm2"),
             "--out-p2", str(tmp_path / "p2.dm2"),
             "--out-pm", str(tmp_path / "pm.dm2"),
+            *extra,
         ]
         assert main(args) == 0
         return tmp_path / "hsi.dt3", tmp_path / "msi.dt3"
@@ -313,6 +314,22 @@ class TestCliPipeline:
         main(["fuse", "--hsi", str(hsi), "--msi", str(msi), "--rank", "2",
               "--out", str(from_flags), "--kernel-size", "3", "--factor", "2"])
         np.testing.assert_array_equal(read_tensor(from_files), read_tensor(from_flags))
+
+    def test_fuse_operator_routes_agree_on_noisy_data(self, tmp_path):
+        # A noisy solve that stops on its budget amplifies any rounding
+        # difference between the two routes' operators.
+        sri = self.simulate(tmp_path, dims=(16, 16, 10), rank=3)
+        hsi, msi = self.degrade(tmp_path, sri, ["--snr-hsi", "20", "--snr-msi", "20"])
+        common = ["fuse", "--hsi", str(hsi), "--msi", str(msi), "--rank", "3",
+                  "--max-iters", "80"]
+        from_files = tmp_path / "a.dt3"
+        from_flags = tmp_path / "b.dt3"
+        assert main([*common, "--out", str(from_files),
+                     "--p1", str(tmp_path / "p1.dm2"), "--p2", str(tmp_path / "p2.dm2"),
+                     "--pm", str(tmp_path / "pm.dm2")]) == 0
+        assert main([*common, "--out", str(from_flags),
+                     "--kernel-size", "3", "--factor", "2"]) == 0
+        assert from_files.read_bytes() == from_flags.read_bytes()
 
     def test_fuse_rejects_invalid_spectral_matrix(self, tmp_path, capsys):
         sri = self.simulate(tmp_path)

@@ -5,9 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
 
 import cpfuse.solver as solver_module
-from cpfuse.degradation import DegradationConfig, build_operators, degrade
+from cpfuse.degradation import (
+    DegradationConfig,
+    DegradationOperators,
+    build_operators,
+    degrade,
+)
 from cpfuse.solver import (
     FusionProblem,
     GramianOperator,
@@ -97,6 +103,110 @@ def fd_jacobian(x, prob, dims, rank, h=1e-3):
 def dense_operator(apply_fn, size):
     cols = [apply_fn(np.eye(size)[:, i]) for i in range(size)]
     return np.column_stack(cols)
+
+
+def _blocks(vec, gram):
+    dims = tuple(shape[0] for shape in gram.block_shapes)
+    return LatentTriple.from_vector(vec, dims, gram.block_shapes[0][1]).mats
+
+
+def _reference_term(blocks, factors, projections, grams):
+    """Per-call Gramian term of one residual stack: the Hadamard products and
+    each cross Gram (twice) are recomputed on every call."""
+    projected = [b if q is None else q @ b for q, b in zip(projections, blocks)]
+    out = []
+    for n1 in range(3):
+        o = [m for m in range(3) if m != n1]
+        acc = projected[n1] @ (grams[o[0]] * grams[o[1]])
+        for n2 in o:
+            n3 = 3 - n1 - n2
+            acc = acc + factors[n1] @ ((projected[n2].T @ factors[n2]) * grams[n3])
+        q = projections[n1]
+        out.append(acc if q is None else q.T @ acc)
+    return out
+
+
+def reference_gramian_apply(gram, z):
+    """Oracle for ``GramianOperator.apply`` built from its fields alone."""
+    blocks = [lam * t for lam, t in zip(gram.lam_blocks, _blocks(z, gram))]
+    out_u = _reference_term(blocks, gram.u_factors, gram.u_projections, gram.u_grams)
+    out_v = _reference_term(blocks, gram.v_factors, gram.v_projections, gram.v_grams)
+    return LatentTriple(
+        tuple(lam * (x + y) for lam, x, y in zip(gram.lam_blocks, out_u, out_v))
+    ).to_vector()
+
+
+def ridged_block_systems(gram):
+    """The preconditioner's R x R block systems, with their trace-scaled ridge."""
+    rank = gram.lam_blocks[0].shape[1]
+    systems = []
+    for n in range(3):
+        o = [m for m in range(3) if m != n]
+        g = gram.u_grams[o[0]] * gram.u_grams[o[1]] + gram.v_grams[o[0]] * gram.v_grams[o[1]]
+        eps = 1e-12 * float(np.trace(g))
+        systems.append(g + (eps if eps > 0.0 else 1.0) * np.eye(rank))
+    return systems
+
+
+def reference_preconditioner(gram):
+    """Oracle for ``block_jacobi_preconditioner``: Cholesky solves per apply."""
+    factorizations = [cho_factor(m) for m in ridged_block_systems(gram)]
+    lam_sq = [lam * lam for lam in gram.lam_blocks]
+    eps_lam = 1e-8 * float(np.mean(np.concatenate([s.ravel() for s in lam_sq])))
+    scales = [np.sqrt(np.maximum(s, eps_lam if eps_lam > 0.0 else 1.0)) for s in lam_sq]
+
+    def apply(vec):
+        out = [
+            cho_solve(cho, (block / scale).T).T / scale
+            for block, scale, cho in zip(_blocks(vec, gram), scales, factorizations)
+        ]
+        return LatentTriple(tuple(out)).to_vector()
+
+    return apply
+
+
+def random_gramian(seed, rank, dims, zero_frac, direct):
+    """A Gramian at a random point whose latent has zeroed entries.
+
+    ``direct`` builds the operator from its fields with no projections;
+    otherwise it comes from ``from_latent`` with random dense operators.
+    """
+    rng = np.random.default_rng(seed)
+    mats = []
+    for d in dims:
+        m = rng.uniform(-1.0, 1.0, (d, rank))
+        m[rng.random((d, rank)) < zero_frac] = 0.0
+        mats.append(m)
+    latent = LatentTriple(tuple(mats))
+    if not direct:
+        i, j, k = dims
+        ops = DegradationOperators(
+            spatial_1=rng.uniform(0.0, 1.0, (max(i - 1, 1), i)),
+            spatial_2=rng.uniform(0.0, 1.0, (max(j - 2, 1), j)),
+            spectral=rng.uniform(0.0, 1.0, (max(k - 1, 1), k)),
+        )
+        return GramianOperator.from_latent(latent, ops)
+    u = [rng.uniform(0.0, 1.0, (d, rank)) for d in dims]
+    v = [rng.uniform(0.0, 1.0, (d, rank)) for d in dims]
+    return GramianOperator(
+        lam_blocks=[2.0 * m for m in latent.mats],
+        u_factors=u,
+        v_factors=v,
+        u_projections=[None, None, None],
+        v_projections=[None, None, None],
+        u_grams=[f.T @ f for f in u],
+        v_grams=[f.T @ f for f in v],
+    )
+
+
+random_gramians = st.builds(
+    random_gramian,
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    rank=st.integers(1, 4),
+    dims=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)),
+    zero_frac=st.sampled_from([0.0, 0.3, 0.7]),
+    direct=st.booleans(),
+)
 
 
 class TestLatentTriple:
@@ -298,6 +408,25 @@ class TestGramianOperator:
         with pytest.raises(ValueError):
             gram.apply(np.zeros(gram.size + 1))
 
+    @given(gram=random_gramians, seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_call_reference_formula(self, gram, seed):
+        z = np.random.default_rng(seed).standard_normal(gram.size)
+        expected = reference_gramian_apply(gram, z)
+        got = gram.apply(z)
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_leaves_input_alone_and_returns_fresh_arrays(self):
+        gram = random_gramian(3, 3, (5, 4, 3), 0.3, direct=False)
+        z = np.random.default_rng(0).standard_normal(gram.size)
+        before = z.copy()
+        first = gram.apply(z)
+        second = gram.apply(z)
+        np.testing.assert_array_equal(z, before)
+        np.testing.assert_array_equal(first, second)
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, z)
+
 
 class TestBlockJacobiPreconditioner:
     def test_isotropic_case_is_scalar_inverse(self):
@@ -343,6 +472,38 @@ class TestBlockJacobiPreconditioner:
         for _ in range(5):
             v = rng.standard_normal(20)
             assert v @ precond(v) > 0.0
+
+    @given(gram=random_gramians, seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_cholesky_reference(self, gram, seed):
+        v = np.random.default_rng(seed).standard_normal(gram.size)
+        expected = reference_preconditioner(gram)(v)
+        got = block_jacobi_preconditioner(gram)(v)
+        # Two stable solvers agree to about cond * eps; a block whose Grams are
+        # singular (fewer rows than the rank, or a zero latent column) is
+        # conditioned by the 1e-12 ridge alone.
+        cond = max(np.linalg.cond(m) for m in ridged_block_systems(gram))
+        tol = 1e-10 + 1e-14 * cond
+        assert np.linalg.norm(got - expected) <= tol * np.linalg.norm(expected)
+
+    @given(gram=random_gramians, seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_symmetric(self, gram, seed):
+        precond = block_jacobi_preconditioner(gram)
+        rng = np.random.default_rng(seed)
+        x, y = rng.standard_normal(gram.size), rng.standard_normal(gram.size)
+        np.testing.assert_allclose(x @ precond(y), y @ precond(x), rtol=1e-12)
+
+    def test_leaves_input_alone_and_returns_fresh_arrays(self):
+        precond = block_jacobi_preconditioner(random_gramian(4, 3, (5, 4, 3), 0.3, direct=False))
+        v = np.random.default_rng(1).standard_normal(3 * 12)
+        before = v.copy()
+        first = precond(v)
+        second = precond(v)
+        np.testing.assert_array_equal(v, before)
+        np.testing.assert_array_equal(first, second)
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, v)
 
     def test_reduces_pcg_iterations(self):
         # identity degradation operators keep the comparison well conditioned
