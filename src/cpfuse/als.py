@@ -6,9 +6,11 @@ per-factor system is a generalized Sylvester equation
 
     L @ X @ G_s + X @ G_p = rhs
 
-with a symmetric left operator ``L`` (a projected Gram or the identity) and
-two R x R Gram products on the right.  It is solved exactly by
-eigendecomposing ``L`` once and solving an R x R system per row.
+where ``L = Q^T Q`` for the operator ``Q`` that degrades that mode in one of
+the two images (``DegradationOperators.stacks``), ``G_s`` is that image's
+Hadamard product of the other modes' Grams and ``G_p`` the other image's.  It
+is solved exactly by eigendecomposing ``L`` once per solve and solving an
+R x R system per row.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh
 
-from .solver import FusionProblem
+from .solver import _OTHER_MODES, FusionProblem
 from .tensors import CpdModel, cpd_reconstruct, mttkrp
 
 __all__ = ["AlsTrace", "random_init", "solve_als"]
@@ -59,11 +61,12 @@ def _sylvester_rows(evals, evecs, gamma_scaled, gamma_plain, rhs):
     return evecs @ xt
 
 
-def _coupled_objective(a, b, c, prob: FusionProblem) -> float:
-    ops = prob.operators
-    res_h = prob.hsi - cpd_reconstruct(ops.spatial_1 @ a, ops.spatial_2 @ b, c)
-    res_m = prob.msi - cpd_reconstruct(a, b, ops.spectral @ c)
-    return float(np.sum(res_h * res_h) + np.sum(res_m * res_m))
+def _coupled_objective(projected, prob: FusionProblem) -> float:
+    total = 0.0
+    for image, factors in zip(prob.images, projected):
+        res = image - cpd_reconstruct(*factors)
+        total += np.sum(res * res)
+    return float(total)
 
 
 def solve_als(
@@ -87,43 +90,35 @@ def solve_als(
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
 
-    ops = prob.operators
-    p1, p2, pm = ops.spatial_1, ops.spatial_2, ops.spectral
-    ev1, vecs1 = eigh(p1.T @ p1)
-    ev2, vecs2 = eigh(p2.T @ p2)
-    evm, vecsm = eigh(pm.T @ pm)
+    stacks = prob.operators.stacks
+    # Each mode is degraded in exactly one image.  That image's operator Q
+    # gives the mode's left operator Q^T Q, and its Hadamard product of the
+    # other modes' Grams scales the Sylvester system.
+    degraded_in = [next(s for s, st in enumerate(stacks) if st[n] is not None) for n in range(3)]
+    bases = [eigh(stacks[s][n].T @ stacks[s][n]) for n, s in enumerate(degraded_in)]
 
-    a, b, c = (f.copy() for f in init.factors)
-    objectives = [_coupled_objective(a, b, c, prob)]
+    factors = [f.copy() for f in init.factors]
+    # Each image's CP factors, kept current as the scene factors change.
+    projected = prob.operators.project(factors)
+    objectives = [_coupled_objective(projected, prob)]
     converged = False
     sweeps = 0
     for _ in range(max_iters):
-        u2, u3 = p2 @ b, c
-        v2, v3 = b, pm @ c
-        rhs = p1.T @ mttkrp(prob.hsi, [a, u2, u3], 1) + mttkrp(prob.msi, [a, v2, v3], 1)
-        a = _sylvester_rows(
-            ev1, vecs1, (u2.T @ u2) * (u3.T @ u3), (v2.T @ v2) * (v3.T @ v3), rhs
-        )
-
-        u1, u3 = p1 @ a, c
-        v1, v3 = a, pm @ c
-        rhs = p2.T @ mttkrp(prob.hsi, [u1, b, u3], 2) + mttkrp(prob.msi, [v1, b, v3], 2)
-        b = _sylvester_rows(
-            ev2, vecs2, (u1.T @ u1) * (u3.T @ u3), (v1.T @ v1) * (v3.T @ v3), rhs
-        )
-
-        u1, u2 = p1 @ a, p2 @ b
-        v1, v2 = a, b
-        rhs = mttkrp(prob.hsi, [u1, u2, c], 3) + pm.T @ mttkrp(prob.msi, [v1, v2, c], 3)
-        # Spectral projection sits on the MSI side, so its Gram scales that term.
-        c = _sylvester_rows(
-            evm, vecsm, (v1.T @ v1) * (v2.T @ v2), (u1.T @ u1) * (u2.T @ u2), rhs
-        )
+        for n, (a, b) in enumerate(_OTHER_MODES):
+            rhs, gammas = [], []
+            for image, stack, proj in zip(prob.images, stacks, projected):
+                term = mttkrp(image, proj, n + 1)
+                rhs.append(term if stack[n] is None else stack[n].T @ term)
+                gammas.append((proj[a].T @ proj[a]) * (proj[b].T @ proj[b]))
+            s = degraded_in[n]
+            factors[n] = _sylvester_rows(*bases[n], gammas[s], gammas[1 - s], rhs[0] + rhs[1])
+            for stack, proj in zip(stacks, projected):
+                proj[n] = factors[n] if stack[n] is None else stack[n] @ factors[n]
 
         sweeps += 1
-        objectives.append(_coupled_objective(a, b, c, prob))
+        objectives.append(_coupled_objective(projected, prob))
         previous, current = objectives[-2], objectives[-1]
         if previous <= 0.0 or (previous - current) / previous < rel_f_tol:
             converged = True
             break
-    return CpdModel((a, b, c)), AlsTrace(tuple(objectives), converged, sweeps)
+    return CpdModel(tuple(factors)), AlsTrace(tuple(objectives), converged, sweeps)

@@ -36,7 +36,7 @@ from .experiment import (
     simulate_scene,
 )
 from .fileio import read_matrix, read_tensor, write_matrix, write_tensor
-from .metrics import check_smooth_window, metrics_report, sam, spatial_smooth
+from .metrics import check_smooth_window, metrics_report, spatial_smooth
 from .solver import FusionProblem, SolverConfig, reconstruct_sri
 
 __all__ = ["main"]
@@ -94,19 +94,23 @@ def _cmd_degrade(args) -> int:
     return 0
 
 
+def _reject_flags(args, names, context: str) -> None:
+    """Raise if any of the flags ``names`` (default ``None``) was given."""
+    given = ["--" + n.replace("_", "-") for n in names if getattr(args, n) is not None]
+    if given:
+        raise ValueError(f"{', '.join(given)} cannot be combined with {context}")
+
+
 # Degradation-model flags of ``fuse``; they describe the operators, so they
 # conflict with operator files.
 _FUSE_MODEL_FLAGS = ("kernel_size", "sigma", "factor", "spectral_matrix")
 
 
 def _fuse_operators(args, hsi, msi) -> DegradationOperators:
-    given = {n: getattr(args, n) for n in _FUSE_MODEL_FLAGS if getattr(args, n) is not None}
     if args.p1 or args.p2 or args.pm:
         if not (args.p1 and args.p2 and args.pm):
             raise ValueError("--p1, --p2 and --pm must be given together")
-        if given:
-            flags = ", ".join("--" + name.replace("_", "-") for name in given)
-            raise ValueError(f"{flags} cannot be combined with --p1/--p2/--pm")
+        _reject_flags(args, _FUSE_MODEL_FLAGS, "--p1/--p2/--pm")
         return DegradationOperators(
             spatial_1=read_matrix(args.p1),
             spatial_2=read_matrix(args.p2),
@@ -115,6 +119,7 @@ def _fuse_operators(args, hsi, msi) -> DegradationOperators:
     # Unset flags take the DegradationConfig defaults, except the factor, which
     # is inferred from the shapes.  Shape mismatches between these operators
     # and the pair are reported by FusionProblem.validate.
+    given = {n: getattr(args, n) for n in _FUSE_MODEL_FLAGS if getattr(args, n) is not None}
     spectral_path = given.pop("spectral_matrix", None)
     given.setdefault("factor", round(msi.shape[0] / hsi.shape[0]))
     cfg = DegradationConfig(**given, num_msi_bands=msi.shape[2])
@@ -124,6 +129,8 @@ def _fuse_operators(args, hsi, msi) -> DegradationOperators:
 
 def _cmd_fuse(args) -> int:
     check_smooth_window(args.smooth_window)
+    if args.algorithm == "als":
+        _reject_flags(args, ("grad_tol",), "--algorithm als")
     hsi = read_tensor(args.hsi)
     msi = read_tensor(args.msi)
     ops = _fuse_operators(args, hsi, msi)
@@ -131,7 +138,7 @@ def _cmd_fuse(args) -> int:
     solver_cfg = SolverConfig(
         max_iters=args.max_iters,
         rel_f_tol=args.rel_f_tol,
-        grad_tol=args.grad_tol,
+        grad_tol=SolverConfig.grad_tol if args.grad_tol is None else args.grad_tol,
     )
     result = fuse(prob, args.algorithm, args.seed, solver_cfg)
     est = reconstruct_sri(result.model)
@@ -151,7 +158,7 @@ def _cmd_evaluate(args) -> int:
     if args.smooth_window != 1:
         est = spatial_smooth(est, args.smooth_window)
     report = metrics_report(est, truth)
-    angle = sam(est, truth, degrees=True) if args.degrees else report.sam_radians
+    angle = math.degrees(report.sam_radians) if args.degrees else report.sam_radians
     print(f"rmse={report.rmse!r}")
     print(f"cc={report.cc!r}")
     print(f"rsnr_db={report.rsnr_db!r}")
@@ -169,23 +176,27 @@ def _cmd_sweep(args) -> int:
     if args.dims is not None:
         scene = SceneConfig(
             dims=tuple(args.dims),
-            rank=args.true_rank,
-            seed=args.scene_seed,
-            background_amplitude=args.background,
+            rank=3 if args.true_rank is None else args.true_rank,
+            seed=0 if args.scene_seed is None else args.scene_seed,
+            background_amplitude=0.0 if args.background is None else args.background,
         )
+    else:
+        _reject_flags(args, ("true_rank", "scene_seed", "background"), "--sri")
     if args.snr_db is not None:
+        _reject_flags(args, ("noise_snr_db",), "--snr-db")
         sweep_axis, sweep_values = "snr", tuple(float(v) for v in args.snr_db)
         base_snr = math.inf
     else:
+        _reject_flags(args, ("rank",), "--ranks")
         sweep_axis, sweep_values = "rank", tuple(int(v) for v in args.ranks)
-        base_snr = args.noise_snr_db
+        base_snr = math.inf if args.noise_snr_db is None else args.noise_snr_db
     cfg = ExperimentConfig(
         degradation=_degradation_config(args, base_snr, base_snr),
         solver=SolverConfig(max_iters=args.max_iters),
         scene=scene,
         sri_path=args.sri,
         algorithm=args.algorithm,
-        rank=args.rank,
+        rank=3 if args.rank is None else args.rank,
         replicates=args.replicates,
         sweep_axis=sweep_axis,
         sweep_values=sweep_values,
@@ -255,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pm", default=None, help="matrix file for the spectral operator")
     p.add_argument("--max-iters", type=int, default=200)
     p.add_argument("--rel-f-tol", type=float, default=1e-8)
-    p.add_argument("--grad-tol", type=float, default=1e-6)
+    p.add_argument("--grad-tol", type=float, help="nn-nls only (default 1e-6)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--smooth-window", type=int, default=1)
     p.set_defaults(func=_cmd_fuse)
@@ -270,16 +281,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="Monte Carlo sweep over SNR or rank")
     p.add_argument("--dims", type=int, nargs=3, default=None, metavar=("I", "J", "K"))
     p.add_argument("--sri", default=None, help="scene tensor file instead of --dims")
-    p.add_argument("--true-rank", type=int, default=3, help="rank of the synthetic scene")
-    p.add_argument("--scene-seed", type=int, default=0)
-    p.add_argument("--background", type=float, default=0.0)
-    p.add_argument("--rank", type=int, default=3, help="solver rank for SNR sweeps")
+    p.add_argument("--true-rank", type=int, help="rank of the synthetic scene (default 3)")
+    p.add_argument("--scene-seed", type=int, help="default 0")
+    p.add_argument("--background", type=float, help="default 0.0")
+    p.add_argument("--rank", type=int, help="solver rank for SNR sweeps (default 3)")
     p.add_argument("--algorithm", choices=("nn-nls", "als"), default="nn-nls")
     p.add_argument("--snr-db", type=float, nargs="+", default=None)
     p.add_argument("--ranks", type=int, nargs="+", default=None)
-    p.add_argument(
-        "--noise-snr-db", type=float, default=math.inf, help="noise level for rank sweeps"
-    )
+    p.add_argument("--noise-snr-db", type=float, help="noise level for rank sweeps (default inf)")
     p.add_argument("--replicates", type=int, default=1)
     p.add_argument("--master-seed", type=int, required=True)
     p.add_argument("--out-dir", required=True)

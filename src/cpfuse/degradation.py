@@ -1,10 +1,11 @@
-"""Spatial and spectral degradation operators.
+"""Spatial and spectral degradation operators, and the HSI/MSI coupling.
 
 The high-resolution scene is degraded along two paths: a hyperspectral image
 obtained by blurring and downsampling both spatial modes, and a multispectral
 image obtained by aggregating spectral bands.  Both paths are plain matrix
 mode products, so they commute with CP structure: degrading a CP model equals
-projecting its factor matrices.
+projecting its factor matrices.  ``DegradationOperators.stacks`` states which
+operator degrades which mode of which image; the rest of the package reads it.
 """
 
 from __future__ import annotations
@@ -74,6 +75,18 @@ class DegradationOperators:
             if m.ndim != 2:
                 raise ValueError(f"{name} must be a matrix")
             setattr(self, name, m)
+
+    @property
+    def stacks(self) -> tuple[tuple[np.ndarray | None, ...], ...]:
+        """Per image (HSI, then MSI), the operator degrading each scene mode, or
+        ``None``: the HSI's CP factors are ``[P1 A, P2 B, C]``, the MSI's
+        ``[A, B, Pm C]``."""
+        return ((self.spatial_1, self.spatial_2, None), (None, None, self.spectral))
+
+    def project(self, factors) -> tuple[list[np.ndarray], ...]:
+        """Each image's CP factors for the scene's ``factors``: one list per
+        image, in ``stacks`` order."""
+        return tuple([f if q is None else q @ f for f, q in zip(factors, s)] for s in self.stacks)
 
 
 def blur_downsample_matrix(full_dim: int, cfg: DegradationConfig) -> np.ndarray:
@@ -164,23 +177,26 @@ def build_operators(
 def degrade(sri: np.ndarray, ops: DegradationOperators) -> tuple[np.ndarray, np.ndarray]:
     """Apply both degradation paths to a scene.
 
-    Returns ``(hsi, msi)`` where the HSI is the scene contracted with the two
-    spatial operators and the MSI is the scene contracted with the spectral
-    operator.
+    Returns ``(hsi, msi)``: the scene multiplied, mode by mode, by each image's
+    operators in ``ops.stacks``.
     """
     sri = np.asarray(sri, dtype=np.float64)
     if sri.ndim != 3:
         raise ValueError("degrade expects a third-order tensor")
-    for name, mode in (("spatial_1", 1), ("spatial_2", 2), ("spectral", 3)):
-        m = getattr(ops, name)
-        if m.shape[1] != sri.shape[mode - 1]:
-            raise ValueError(
-                f"{name} has {m.shape[1]} columns but scene mode {mode} has "
-                f"size {sri.shape[mode - 1]}"
-            )
-    hsi = mode_n_product(mode_n_product(sri, ops.spatial_1, 1), ops.spatial_2, 2)
-    msi = mode_n_product(sri, ops.spectral, 3)
-    return hsi, msi
+    images = []
+    for stack in ops.stacks:
+        image = sri
+        for n, q in enumerate(stack):
+            if q is None:
+                continue
+            if q.shape[1] != sri.shape[n]:
+                raise ValueError(
+                    f"the mode-{n + 1} operator has {q.shape[1]} columns but scene "
+                    f"mode {n + 1} has size {sri.shape[n]}"
+                )
+            image = mode_n_product(image, q, n + 1)
+        images.append(image)
+    return images[0], images[1]
 
 
 def add_noise(t: np.ndarray, snr_db: float, rng_seed: int) -> np.ndarray:

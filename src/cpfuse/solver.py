@@ -3,14 +3,16 @@
 Each factor matrix of the rank-R model is parametrized as the entrywise
 square of an unconstrained latent matrix, which enforces nonnegativity by
 construction.  The solver minimizes the sum of two coupled least-squares
-misfits, one against the spatially degraded tensor and one against the
-spectrally degraded tensor, with a Gauss-Newton trust-region iteration:
+misfits, one per observed image, with a Gauss-Newton trust-region iteration:
 
 * the Gauss-Newton normal system is solved matrix-free by preconditioned
   conjugate gradients with a block-Jacobi preconditioner,
 * trial steps combine the Cauchy point and the (truncated) Newton point
   along a single dogleg segment,
 * the trust radius follows the classical gain-ratio update.
+
+Which operator projects which factor of which image comes from
+``DegradationOperators.stacks`` and ``project``.
 
 The latent-to-factor chain scaling is frozen per outer iteration, so the
 Gramian operator is rebuilt once per iteration and reused by every CG
@@ -144,11 +146,16 @@ class FusionProblem:
         self.validate()
 
     @property
+    def images(self) -> tuple[np.ndarray, np.ndarray]:
+        """The observed tensors in the order of ``DegradationOperators.stacks``."""
+        return self.hsi, self.msi
+
+    @property
     def sri_dims(self) -> tuple[int, int, int]:
-        return (
-            self.operators.spatial_1.shape[1],
-            self.operators.spatial_2.shape[1],
-            self.hsi.shape[2],
+        # The HSI's operators give the sizes of the modes they degrade.
+        return tuple(  # type: ignore[return-value]
+            self.hsi.shape[n] if q is None else q.shape[1]
+            for n, q in enumerate(self.operators.stacks[0])
         )
 
     def validate(self) -> None:
@@ -156,15 +163,15 @@ class FusionProblem:
             raise ValueError("observed tensors must be third-order")
         if self.rank < 1:
             raise ValueError(f"rank must be positive, got {self.rank}")
-        p1, p2, pm = self.operators.spatial_1, self.operators.spatial_2, self.operators.spectral
-        if p1.shape[0] != self.hsi.shape[0] or p2.shape[0] != self.hsi.shape[1]:
-            raise ValueError("spatial operator row counts do not match the HSI")
-        if p1.shape[1] != self.msi.shape[0] or p2.shape[1] != self.msi.shape[1]:
-            raise ValueError("spatial operator column counts do not match the MSI")
-        if pm.shape[0] != self.msi.shape[2]:
-            raise ValueError("spectral operator row count does not match the MSI")
-        if pm.shape[1] != self.hsi.shape[2]:
-            raise ValueError("spectral operator column count does not match the HSI")
+        dims = self.sri_dims
+        for name, image, stack in zip(("HSI", "MSI"), self.images, self.operators.stacks):
+            for n, (q, size) in enumerate(zip(stack, image.shape)):
+                # An undegraded mode keeps the scene's size; an operator maps it.
+                if (size != dims[n]) if q is None else (q.shape != (size, dims[n])):
+                    raise ValueError(
+                        f"the {name} has shape {image.shape}, which does not match mode "
+                        f"{n + 1} of a {dims} scene and its operators"
+                    )
 
 
 @dataclass(frozen=True)
@@ -217,20 +224,18 @@ class IterationRecord:
     accepted: bool
 
 
-def _projected_factors(model: CpdModel, ops: DegradationOperators):
-    a, b, c = model.factors
-    u = [ops.spatial_1 @ a, ops.spatial_2 @ b, c]
-    v = [a, b, ops.spectral @ c]
-    return u, v
+# The two other modes of each mode, in the order the Hadamard products use them.
+_OTHER_MODES = ((1, 2), (0, 2), (0, 1))
 
 
 def objective(latent: LatentTriple, prob: FusionProblem) -> float:
     """Coupled squared-misfit objective at the squared-latent point."""
     model = square_params(latent)
-    u, v = _projected_factors(model, prob.operators)
-    res_h = prob.hsi - cpd_reconstruct(*u)
-    res_m = prob.msi - cpd_reconstruct(*v)
-    return float(np.sum(res_h * res_h) + np.sum(res_m * res_m))
+    total = 0.0
+    for image, factors in zip(prob.images, prob.operators.project(model.factors)):
+        res = image - cpd_reconstruct(*factors)
+        total += np.sum(res * res)
+    return float(total)
 
 
 def gradient(latent: LatentTriple, prob: FusionProblem) -> np.ndarray:
@@ -241,26 +246,18 @@ def gradient(latent: LatentTriple, prob: FusionProblem) -> np.ndarray:
     """
     model = square_params(latent)
     ops = prob.operators
-    u, v = _projected_factors(model, ops)
-    gu = [f.T @ f for f in u]
-    gv = [f.T @ f for f in v]
-    gh = []
-    gm = []
-    for n in range(3):
-        o = [m for m in range(3) if m != n]
-        gh.append(u[n] @ (gu[o[0]] * gu[o[1]]) - mttkrp(prob.hsi, u, n + 1))
-        gm.append(v[n] @ (gv[o[0]] * gv[o[1]]) - mttkrp(prob.msi, v, n + 1))
+    terms = []
+    for image, factors, stack in zip(prob.images, ops.project(model.factors), ops.stacks):
+        grams = [f.T @ f for f in factors]
+        term = []
+        for n, (a, b) in enumerate(_OTHER_MODES):
+            g = factors[n] @ (grams[a] * grams[b]) - mttkrp(image, factors, n + 1)
+            # back through the operator that degrades this mode of this image
+            term.append(g if stack[n] is None else stack[n].T @ g)
+        terms.append(term)
     # gradients with respect to the squared factors
-    grads = [
-        2.0 * (ops.spatial_1.T @ gh[0] + gm[0]),
-        2.0 * (ops.spatial_2.T @ gh[1] + gm[1]),
-        2.0 * (gh[2] + ops.spectral.T @ gm[2]),
-    ]
+    grads = [2.0 * (x + y) for x, y in zip(*terms)]
     return _pack([2.0 * m * g for m, g in zip(latent.mats, grads)])
-
-
-# The two other modes of each mode, in the order the Hadamard products use them.
-_OTHER_MODES = ((1, 2), (0, 2), (0, 1))
 
 
 @dataclass(eq=False)
@@ -308,13 +305,13 @@ class GramianOperator:
     @classmethod
     def from_latent(cls, latent: LatentTriple, ops: DegradationOperators) -> "GramianOperator":
         model = square_params(latent)
-        u, v = _projected_factors(model, ops)
+        u, v = ops.project(model.factors)
         return cls(
             lam_blocks=[2.0 * m for m in latent.mats],
             u_factors=u,
             v_factors=v,
-            u_projections=[ops.spatial_1, ops.spatial_2, None],
-            v_projections=[None, None, ops.spectral],
+            u_projections=list(ops.stacks[0]),
+            v_projections=list(ops.stacks[1]),
             u_grams=[f.T @ f for f in u],
             v_grams=[f.T @ f for f in v],
         )

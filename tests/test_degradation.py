@@ -156,10 +156,12 @@ class TestDegrade:
         hsi, msi = degrade(RNG.uniform(size=(6, 6, 4)), ops)
         assert np.all(hsi >= 0) and np.all(msi >= 0)
 
-    def test_wrong_operator_shape_raises(self):
-        ops = DegradationOperators(np.eye(3), np.eye(5), np.eye(6))
-        with pytest.raises(ValueError):
-            degrade(np.zeros((4, 5, 6)), ops)
+    @pytest.mark.parametrize("mode", [1, 2, 3])
+    def test_wrong_operator_shape_raises(self, mode):
+        # The scene is 4 x 5 x 6; the operator of ``mode`` has one column too few.
+        mats = [np.eye(d - (n + 1 == mode)) for n, d in enumerate((4, 5, 6))]
+        with pytest.raises(ValueError, match=f"mode-{mode} operator"):
+            degrade(np.zeros((4, 5, 6)), DegradationOperators(*mats))
 
     def test_mode_product_consistency(self):
         cfg = DegradationConfig(kernel_size=3, sigma=1.0, factor=2, num_msi_bands=2)
@@ -170,6 +172,29 @@ class TestDegrade:
             hsi, mode_n_product(mode_n_product(sri, ops.spatial_1, 1), ops.spatial_2, 2)
         )
         np.testing.assert_array_equal(msi, mode_n_product(sri, ops.spectral, 3))
+
+
+class TestProject:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        dims=st.tuples(*(st.integers(1, 7) for _ in range(3))),
+        rows=st.tuples(*(st.integers(1, 7) for _ in range(3))),
+        rank=st.integers(1, 4),
+        seed=st.integers(0, 2**31),
+    )
+    def test_matches_hand_written_coupling(self, dims, rows, rank, seed):
+        rng = np.random.default_rng(seed)
+        ops = DegradationOperators(*(rng.standard_normal((r, d)) for r, d in zip(rows, dims)))
+        a, b, c = (rng.standard_normal((d, rank)) for d in dims)
+        hsi_factors, msi_factors = ops.project([a, b, c])
+        expected = (
+            [ops.spatial_1 @ a, ops.spatial_2 @ b, c],
+            [a, b, ops.spectral @ c],
+        )
+        for got, want in zip((hsi_factors, msi_factors), expected):
+            assert len(got) == 3
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w)
 
 
 class TestBuildOperators:

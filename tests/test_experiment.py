@@ -438,7 +438,8 @@ class TestCliPipeline:
         degrees = float(dict(
             line.split("=", 1) for line in capsys.readouterr().out.splitlines()
         )["sam"])
-        np.testing.assert_allclose(degrees, math.degrees(radians), rtol=1e-12)
+        # The same angle, converted: not recomputed to a nearby value.
+        assert degrees == math.degrees(radians)
 
     def sweep_args(self, out_dir, extra=()):
         return [
@@ -495,6 +496,42 @@ class TestCliPipeline:
             main(self.sweep_args(tmp_path / "x", extra=("--spectral-matrix", "x")))
         assert exc.value.code != 0
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "source, axis, extra",
+        [
+            ("dims", ("--snr-db", "inf"), ("--noise-snr-db", "5")),
+            ("dims", ("--ranks", "1", "2"), ("--rank", "2")),
+            ("sri", ("--snr-db", "inf"), ("--true-rank", "2")),
+            ("sri", ("--snr-db", "inf"), ("--scene-seed", "1")),
+            ("sri", ("--snr-db", "inf"), ("--background", "0.5")),
+        ],
+    )
+    def test_sweep_rejects_flags_it_would_ignore(self, tmp_path, capsys, source, axis, extra):
+        if source == "sri":
+            write_tensor(tmp_path / "sri.dt3", np.random.default_rng(0).uniform(size=(10, 10, 6)))
+            scene = ("--sri", str(tmp_path / "sri.dt3"))
+        else:
+            scene = ("--dims", "10", "10", "6")
+        rc = main([
+            "sweep", *scene, *axis, *extra, "--replicates", "1", "--master-seed", "0",
+            "--kernel-size", "3", "--factor", "2", "--msi-bands", "3",
+            "--max-iters", "5", "--out-dir", str(tmp_path / "x"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and extra[0] in err
+        assert not (tmp_path / "x").exists()
+
+    def test_fuse_als_rejects_grad_tol(self, tmp_path, capsys):
+        sri = self.simulate(tmp_path)
+        hsi, msi = self.degrade(tmp_path, sri)
+        rc = main(["fuse", "--hsi", str(hsi), "--msi", str(msi), "--rank", "2",
+                   "--out", str(tmp_path / "x.dt3"), "--kernel-size", "3",
+                   "--algorithm", "als", "--grad-tol", "1e-3"])
+        assert rc == 1
+        assert "error: --grad-tol" in capsys.readouterr().err
+        assert not (tmp_path / "x.dt3").exists()
 
     def test_sweep_requires_exactly_one_scene_source(self, tmp_path, capsys):
         rc = main([

@@ -879,12 +879,27 @@ class TestFusionProblem:
         prob, _, _ = make_problem(dims=(6, 5, 4))
         assert prob.sri_dims == (6, 5, 4)
 
-    def test_mismatched_operator_raises(self):
+    # One slice per operator/image size condition: the three operators' row
+    # counts against their own image, and the three scene sizes the two images
+    # must agree on.
+    @pytest.mark.parametrize(
+        "image, cut",
+        [
+            ("hsi", np.s_[:-1]),
+            ("hsi", np.s_[:, :-1]),
+            ("msi", np.s_[:, :, :-1]),
+            ("msi", np.s_[:-1]),
+            ("msi", np.s_[:, :-1]),
+            ("hsi", np.s_[:, :, :-1]),
+        ],
+        ids=["p1-rows", "p2-rows", "pm-rows", "p1-cols", "p2-cols", "pm-cols"],
+    )
+    def test_mismatched_operator_raises(self, image, cut):
         prob, _, _ = make_problem()
+        images = {"hsi": prob.hsi, "msi": prob.msi}
+        images[image] = images[image][cut]
         with pytest.raises(ValueError):
-            FusionProblem(
-                hsi=prob.hsi[:-1], msi=prob.msi, operators=prob.operators, rank=2
-            )
+            FusionProblem(**images, operators=prob.operators, rank=2)
 
     def test_invalid_rank_raises(self):
         prob, _, _ = make_problem()
