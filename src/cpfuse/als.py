@@ -6,11 +6,12 @@ per-factor system is a generalized Sylvester equation
 
     L @ X @ G_s + X @ G_p = rhs
 
-where ``L = Q^T Q`` for the operator ``Q`` that degrades that mode in one of
-the two images (``DegradationOperators.stacks``), ``G_s`` is that image's
-Hadamard product of the other modes' Grams and ``G_p`` the other image's.  It
-is solved exactly by eigendecomposing ``L`` once per solve and solving an
-R x R system per row.
+where ``L = Q^T Q`` for the operator ``Q`` of that mode, ``G_s`` is the
+Hadamard product of the other modes' Grams in the image that degrades the mode
+(``DEGRADED_IN``), ``G_p`` the other image's, and ``rhs`` the two images'
+MTTKRPs mapped back by ``DegradationOperators.back_project``.  It is solved
+exactly by eigendecomposing ``L`` once per solve and solving an R x R system
+per row.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh
 
+from .degradation import DEGRADED_IN
 from .solver import _OTHER_MODES, FusionProblem
 from .tensors import CpdModel, cpd_reconstruct, mttkrp
 
@@ -90,29 +92,24 @@ def solve_als(
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
 
-    stacks = prob.operators.stacks
-    # Each mode is degraded in exactly one image.  That image's operator Q
-    # gives the mode's left operator Q^T Q, and its Hadamard product of the
-    # other modes' Grams scales the Sylvester system.
-    degraded_in = [next(s for s, st in enumerate(stacks) if st[n] is not None) for n in range(3)]
-    bases = [eigh(stacks[s][n].T @ stacks[s][n]) for n, s in enumerate(degraded_in)]
+    ops = prob.operators
+    bases = [eigh(q.T @ q) for q in ops.matrices]
 
     factors = [f.copy() for f in init.factors]
     # Each image's CP factors, kept current as the scene factors change.
-    projected = prob.operators.project(factors)
+    projected = ops.project(factors)
     objectives = [_coupled_objective(projected, prob)]
     converged = False
     sweeps = 0
     for _ in range(max_iters):
         for n, (a, b) in enumerate(_OTHER_MODES):
-            rhs, gammas = [], []
-            for image, stack, proj in zip(prob.images, stacks, projected):
-                term = mttkrp(image, proj, n + 1)
-                rhs.append(term if stack[n] is None else stack[n].T @ term)
-                gammas.append((proj[a].T @ proj[a]) * (proj[b].T @ proj[b]))
-            s = degraded_in[n]
-            factors[n] = _sylvester_rows(*bases[n], gammas[s], gammas[1 - s], rhs[0] + rhs[1])
-            for stack, proj in zip(stacks, projected):
+            terms = [mttkrp(image, proj, n + 1) for image, proj in zip(prob.images, projected)]
+            gammas = [(proj[a].T @ proj[a]) * (proj[b].T @ proj[b]) for proj in projected]
+            # The image that degrades mode n scales the Sylvester system.
+            s = DEGRADED_IN[n]
+            rhs = ops.back_project(n, terms)
+            factors[n] = _sylvester_rows(*bases[n], gammas[s], gammas[1 - s], rhs)
+            for stack, proj in zip(ops.stacks, projected):
                 proj[n] = factors[n] if stack[n] is None else stack[n] @ factors[n]
 
         sweeps += 1

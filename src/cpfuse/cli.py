@@ -25,6 +25,8 @@ from .degradation import (
     add_noise,
     build_operators,
     degrade,
+    operator_shapes,
+    scene_shape,
 )
 from .experiment import (
     ExperimentConfig,
@@ -49,7 +51,7 @@ def _add_degradation_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--msi-bands", type=int, default=6, help="aggregated band count")
 
 
-def _degradation_config(args, snr_hsi=math.inf, snr_msi=math.inf, seed=0) -> DegradationConfig:
+def _degradation_config(args, snr_hsi=math.inf, snr_msi=math.inf) -> DegradationConfig:
     return DegradationConfig(
         kernel_size=args.kernel_size,
         sigma=args.sigma,
@@ -57,7 +59,6 @@ def _degradation_config(args, snr_hsi=math.inf, snr_msi=math.inf, seed=0) -> Deg
         num_msi_bands=args.msi_bands,
         snr_hsi_db=snr_hsi,
         snr_msi_db=snr_msi,
-        rng_seed=seed,
     )
 
 
@@ -76,11 +77,11 @@ def _cmd_simulate(args) -> int:
 def _cmd_degrade(args) -> int:
     sri = read_tensor(args.sri)
     spectral = read_matrix(args.spectral_matrix) if args.spectral_matrix else None
-    cfg = _degradation_config(args, args.snr_hsi, args.snr_msi, args.seed)
+    cfg = _degradation_config(args, args.snr_hsi, args.snr_msi)
     ops = build_operators(sri.shape, cfg, spectral)
     hsi, msi = degrade(sri, ops)
-    hsi = add_noise(hsi, cfg.snr_hsi_db, cfg.rng_seed)
-    msi = add_noise(msi, cfg.snr_msi_db, cfg.rng_seed + 1)
+    hsi = add_noise(hsi, cfg.snr_hsi_db, args.seed)
+    msi = add_noise(msi, cfg.snr_msi_db, args.seed + 1)
     write_tensor(args.out_hsi, hsi)
     write_tensor(args.out_msi, msi)
     for path, matrix in (
@@ -119,12 +120,23 @@ def _fuse_operators(args, hsi, msi) -> DegradationOperators:
     # Unset flags take the DegradationConfig defaults, except the factor, which
     # is inferred from the shapes.  Shape mismatches between these operators
     # and the pair are reported by FusionProblem.validate.
+    shapes = operator_shapes((hsi, msi))
     given = {n: getattr(args, n) for n in _FUSE_MODEL_FLAGS if getattr(args, n) is not None}
     spectral_path = given.pop("spectral_matrix", None)
-    given.setdefault("factor", round(msi.shape[0] / hsi.shape[0]))
-    cfg = DegradationConfig(**given, num_msi_bands=msi.shape[2])
+    if "factor" not in given:
+        given["factor"] = _infer_factor(shapes[:2])
+    cfg = DegradationConfig(**given, num_msi_bands=shapes[2][0])
     spectral = read_matrix(spectral_path) if spectral_path else None
-    return build_operators((msi.shape[0], msi.shape[1], hsi.shape[2]), cfg, spectral)
+    return build_operators(scene_shape((hsi, msi)), cfg, spectral)
+
+
+def _infer_factor(spatial_shapes) -> int:
+    """The smallest factor at which ``blur_downsample_matrix`` keeps the
+    operator's row count, ``ceil(cols / factor)``, on both spatial modes."""
+    for factor in range(1, max(cols for _, cols in spatial_shapes) + 1):
+        if all(-(-cols // factor) == rows for rows, cols in spatial_shapes):
+            return factor
+    raise ValueError(f"cannot infer --factor for spatial operator shapes {spatial_shapes}")
 
 
 def _cmd_fuse(args) -> int:

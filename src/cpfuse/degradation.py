@@ -4,8 +4,10 @@ The high-resolution scene is degraded along two paths: a hyperspectral image
 obtained by blurring and downsampling both spatial modes, and a multispectral
 image obtained by aggregating spectral bands.  Both paths are plain matrix
 mode products, so they commute with CP structure: degrading a CP model equals
-projecting its factor matrices.  ``DegradationOperators.stacks`` states which
-operator degrades which mode of which image; the rest of the package reads it.
+projecting its factor matrices.  ``DEGRADED_IN`` states which image degrades
+which scene mode.  ``DegradationOperators`` derives the coupling from it, forward
+(``stacks``, ``project``) and back (``back_project``, the adjoint), and
+``operator_shapes``/``scene_shape`` the sizes an observed pair implies.
 """
 
 from __future__ import annotations
@@ -17,12 +19,19 @@ import numpy as np
 
 from .tensors import frobenius_norm, mode_n_product
 
+# The image (0: HSI, 1: MSI) that degrades each scene mode, by blur-downsampling
+# or band aggregation; the other image keeps that mode at the scene's size.
+DEGRADED_IN = (0, 0, 1)
+
 __all__ = [
+    "DEGRADED_IN",
     "DegradationConfig",
     "DegradationOperators",
     "blur_downsample_matrix",
     "band_aggregation_matrix",
     "build_operators",
+    "operator_shapes",
+    "scene_shape",
     "degrade",
     "add_noise",
 ]
@@ -41,7 +50,6 @@ class DegradationConfig:
     num_msi_bands: int = 6
     snr_hsi_db: float = math.inf
     snr_msi_db: float = math.inf
-    rng_seed: int = 0
 
     def validate(self) -> None:
         if self.kernel_size < 1 or self.kernel_size % 2 == 0:
@@ -61,6 +69,8 @@ class DegradationOperators:
     spatial_1 : (I_H, I) blur-downsample matrix for the first spatial mode
     spatial_2 : (J_H, J) blur-downsample matrix for the second spatial mode
     spectral  : (K_M, K) band aggregation matrix for the spectral mode
+
+    ``matrices`` and ``stacks`` are resolved at construction.
     """
 
     spatial_1: np.ndarray
@@ -75,18 +85,36 @@ class DegradationOperators:
             if m.ndim != 2:
                 raise ValueError(f"{name} must be a matrix")
             setattr(self, name, m)
-
-    @property
-    def stacks(self) -> tuple[tuple[np.ndarray | None, ...], ...]:
-        """Per image (HSI, then MSI), the operator degrading each scene mode, or
-        ``None``: the HSI's CP factors are ``[P1 A, P2 B, C]``, the MSI's
-        ``[A, B, Pm C]``."""
-        return ((self.spatial_1, self.spatial_2, None), (None, None, self.spectral))
+        self.matrices = (self.spatial_1, self.spatial_2, self.spectral)
+        # Per image, each scene mode's operator or ``None``: the HSI's CP
+        # factors are ``[P1 A, P2 B, C]``, the MSI's ``[A, B, Pm C]``.
+        self.stacks = tuple(
+            tuple(q if DEGRADED_IN[n] == s else None for n, q in enumerate(self.matrices))
+            for s in range(2)
+        )
 
     def project(self, factors) -> tuple[list[np.ndarray], ...]:
         """Each image's CP factors for the scene's ``factors``: one list per
         image, in ``stacks`` order."""
         return tuple([f if q is None else q @ f for f, q in zip(factors, s)] for s in self.stacks)
+
+    def back_project(self, n: int, terms) -> np.ndarray:
+        """Adjoint of ``project`` on scene mode ``n``: the sum of the images'
+        mode-``n`` ``terms``, each mapped back through its operator, if any."""
+        s = DEGRADED_IN[n]
+        return self.matrices[n].T @ terms[s] + terms[1 - s]
+
+
+def operator_shapes(images) -> tuple[tuple[int, int], ...]:
+    """Each mode's operator shape for the observed ``images`` (HSI, MSI): its
+    size in the image that degrades it by its size in the image that keeps it."""
+    return tuple((images[s].shape[n], images[1 - s].shape[n]) for n, s in enumerate(DEGRADED_IN))
+
+
+def scene_shape(images) -> tuple[int, int, int]:
+    """The scene shape the observed ``images`` (HSI, MSI) imply: each mode at
+    its size in the image that leaves it undegraded."""
+    return tuple(cols for _, cols in operator_shapes(images))  # type: ignore[return-value]
 
 
 def blur_downsample_matrix(full_dim: int, cfg: DegradationConfig) -> np.ndarray:
@@ -177,25 +205,20 @@ def build_operators(
 def degrade(sri: np.ndarray, ops: DegradationOperators) -> tuple[np.ndarray, np.ndarray]:
     """Apply both degradation paths to a scene.
 
-    Returns ``(hsi, msi)``: the scene multiplied, mode by mode, by each image's
-    operators in ``ops.stacks``.
+    Returns ``(hsi, msi)``: the scene multiplied, mode by mode, by the operator
+    of each mode in the image that ``DEGRADED_IN`` names.
     """
     sri = np.asarray(sri, dtype=np.float64)
     if sri.ndim != 3:
         raise ValueError("degrade expects a third-order tensor")
-    images = []
-    for stack in ops.stacks:
-        image = sri
-        for n, q in enumerate(stack):
-            if q is None:
-                continue
-            if q.shape[1] != sri.shape[n]:
-                raise ValueError(
-                    f"the mode-{n + 1} operator has {q.shape[1]} columns but scene "
-                    f"mode {n + 1} has size {sri.shape[n]}"
-                )
-            image = mode_n_product(image, q, n + 1)
-        images.append(image)
+    images = [sri, sri]
+    for n, (s, q) in enumerate(zip(DEGRADED_IN, ops.matrices)):
+        if q.shape[1] != sri.shape[n]:
+            raise ValueError(
+                f"the mode-{n + 1} operator has {q.shape[1]} columns but scene "
+                f"mode {n + 1} has size {sri.shape[n]}"
+            )
+        images[s] = mode_n_product(images[s], q, n + 1)
     return images[0], images[1]
 
 

@@ -125,6 +125,9 @@ class ExperimentConfig:
             raise ValueError("workers must be >= 1")
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
+        snrs = (self.degradation.snr_hsi_db, self.degradation.snr_msi_db)
+        if self.sweep_axis == "snr" and snrs != (math.inf, math.inf):
+            raise ValueError(f"an SNR sweep sets the noise itself, so {snrs} must be inf")
         if self.sweep_axis == "rank" and any(int(v) < 1 for v in self.sweep_values):
             raise ValueError("rank sweep values must be positive integers")
         check_smooth_window(self.smooth_window)

@@ -11,8 +11,8 @@ misfits, one per observed image, with a Gauss-Newton trust-region iteration:
   along a single dogleg segment,
 * the trust radius follows the classical gain-ratio update.
 
-Which operator projects which factor of which image comes from
-``DegradationOperators.stacks`` and ``project``.
+The coupling comes from ``DegradationOperators``: the gradient and the Gramian
+go forward through ``project`` and back through its adjoint ``back_project``.
 
 The latent-to-factor chain scaling is frozen per outer iteration, so the
 Gramian operator is rebuilt once per iteration and reused by every CG
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .degradation import DegradationOperators
+from .degradation import DegradationOperators, operator_shapes, scene_shape
 from .tensors import CpdModel, cpd_reconstruct, mttkrp
 
 __all__ = [
@@ -152,26 +152,20 @@ class FusionProblem:
 
     @property
     def sri_dims(self) -> tuple[int, int, int]:
-        # The HSI's operators give the sizes of the modes they degrade.
-        return tuple(  # type: ignore[return-value]
-            self.hsi.shape[n] if q is None else q.shape[1]
-            for n, q in enumerate(self.operators.stacks[0])
-        )
+        return scene_shape(self.images)
 
     def validate(self) -> None:
         if self.hsi.ndim != 3 or self.msi.ndim != 3:
             raise ValueError("observed tensors must be third-order")
         if self.rank < 1:
             raise ValueError(f"rank must be positive, got {self.rank}")
-        dims = self.sri_dims
-        for name, image, stack in zip(("HSI", "MSI"), self.images, self.operators.stacks):
-            for n, (q, size) in enumerate(zip(stack, image.shape)):
-                # An undegraded mode keeps the scene's size; an operator maps it.
-                if (size != dims[n]) if q is None else (q.shape != (size, dims[n])):
-                    raise ValueError(
-                        f"the {name} has shape {image.shape}, which does not match mode "
-                        f"{n + 1} of a {dims} scene and its operators"
-                    )
+        shapes = operator_shapes(self.images)
+        for n, (q, shape) in enumerate(zip(self.operators.matrices, shapes)):
+            if q.shape != shape:
+                raise ValueError(
+                    f"the mode-{n + 1} operator has shape {q.shape}, but an HSI of shape "
+                    f"{self.hsi.shape} and an MSI of shape {self.msi.shape} need {shape}"
+                )
 
 
 @dataclass(frozen=True)
@@ -204,7 +198,6 @@ class SolverState:
     delta_max: float
     f_value: float
     gradient: np.ndarray
-    iteration: int = 0
     rho: float = math.nan
     converged: bool = False
     reason: str | None = None
@@ -247,16 +240,12 @@ def gradient(latent: LatentTriple, prob: FusionProblem) -> np.ndarray:
     model = square_params(latent)
     ops = prob.operators
     terms = []
-    for image, factors, stack in zip(prob.images, ops.project(model.factors), ops.stacks):
+    for image, factors in zip(prob.images, ops.project(model.factors)):
         grams = [f.T @ f for f in factors]
-        term = []
-        for n, (a, b) in enumerate(_OTHER_MODES):
-            g = factors[n] @ (grams[a] * grams[b]) - mttkrp(image, factors, n + 1)
-            # back through the operator that degrades this mode of this image
-            term.append(g if stack[n] is None else stack[n].T @ g)
-        terms.append(term)
+        terms.append([factors[n] @ (grams[a] * grams[b]) - mttkrp(image, factors, n + 1)
+                      for n, (a, b) in enumerate(_OTHER_MODES)])
     # gradients with respect to the squared factors
-    grads = [2.0 * (x + y) for x, y in zip(*terms)]
+    grads = [2.0 * ops.back_project(n, t) for n, t in enumerate(zip(*terms))]
     return _pack([2.0 * m * g for m, g in zip(latent.mats, grads)])
 
 
@@ -270,68 +259,47 @@ class GramianOperator:
     factor-sized intermediates are formed; the Gramian itself is never
     materialized.
 
-    For each residual stack with factors ``F_n``, projections ``Q_n`` (the
-    identity where ``None``) and Grams ``G_n``, the construction forms what
-    depends only on the point: the packed scaling ``s`` and the Hadamard
-    products ``H_n = G_a * G_b`` of the two other modes' Grams.  An apply to
-    ``z`` with ``B = s * z`` then forms, per stack, the projected blocks
-    ``P_n = Q_n B_n``, one R x R cross Gram ``W_m = P_m^T F_m`` per block,
-    ``S_n = W_a * G_b + W_b * G_a`` and ``Q_n^T (P_n H_n + F_n S_n)``, and sums
-    the stacks under the scaling.  The operator is frozen at construction:
-    later changes to its fields are not seen.
+    For each image's CP factors ``F_n`` (in ``DegradationOperators.stacks``
+    order), the construction forms what depends only on the point: the packed
+    scaling ``s``, the Grams ``G_n`` and the Hadamard products
+    ``H_n = G_a * G_b`` of the two other modes' Grams.  An apply to ``z`` with
+    ``B = s * z`` then forms, per image, the projected blocks ``P_n`` of
+    ``operators.project(B)``, one R x R cross Gram ``W_m = P_m^T F_m`` per
+    block, ``S_n = W_a * G_b + W_b * G_a`` and ``P_n H_n + F_n S_n``, maps
+    these back with ``operators.back_project`` and scales.  The operator is
+    frozen at construction: later changes to its fields are not seen.
     """
 
     lam_blocks: list[np.ndarray]
-    u_factors: list[np.ndarray]
-    v_factors: list[np.ndarray]
-    u_projections: list[np.ndarray | None]
-    v_projections: list[np.ndarray | None]
-    u_grams: list[np.ndarray]
-    v_grams: list[np.ndarray]
+    factors: tuple[list[np.ndarray], ...]
+    operators: DegradationOperators
 
     def __post_init__(self) -> None:
         self.scale = _pack(self.lam_blocks)
         self.block_shapes = [m.shape for m in self.lam_blocks]
         self.size = self.scale.size
-        stacks = (
-            (self.u_factors, self.u_projections, self.u_grams),
-            (self.v_factors, self.v_projections, self.v_grams),
-        )
-        self.hadamards = [
-            [grams[a] * grams[b] for a, b in _OTHER_MODES] for _, _, grams in stacks
-        ]
-        self._stacks = [stack + (h,) for stack, h in zip(stacks, self.hadamards)]
+        self.grams = [[f.T @ f for f in image] for image in self.factors]
+        self.hadamards = [[grams[a] * grams[b] for a, b in _OTHER_MODES] for grams in self.grams]
 
     @classmethod
     def from_latent(cls, latent: LatentTriple, ops: DegradationOperators) -> "GramianOperator":
         model = square_params(latent)
-        u, v = ops.project(model.factors)
-        return cls(
-            lam_blocks=[2.0 * m for m in latent.mats],
-            u_factors=u,
-            v_factors=v,
-            u_projections=list(ops.stacks[0]),
-            v_projections=list(ops.stacks[1]),
-            u_grams=[f.T @ f for f in u],
-            v_grams=[f.T @ f for f in v],
-        )
+        return cls([2.0 * m for m in latent.mats], ops.project(model.factors), ops)
 
     def apply(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=np.float64)
         if z.shape != (self.size,):
             raise ValueError(f"vector has shape {z.shape}, expected ({self.size},)")
+        ops = self.operators
         blocks = _unpack(self.scale * z, self.block_shapes)
         terms = []
-        for factors, projections, grams, hadamard in self._stacks:
-            proj = [b if q is None else q @ b for b, q in zip(blocks, projections)]
+        for proj, factors, grams, hadamard in zip(
+            ops.project(blocks), self.factors, self.grams, self.hadamards
+        ):
             w = [p.T @ f for p, f in zip(proj, factors)]
-            stack = []
-            for n, (a, b) in enumerate(_OTHER_MODES):
-                acc = proj[n] @ hadamard[n] + factors[n] @ (w[a] * grams[b] + w[b] * grams[a])
-                q = projections[n]
-                stack.append(acc if q is None else q.T @ acc)
-            terms.append(stack)
-        return self.scale * _pack([x + y for x, y in zip(*terms)])
+            terms.append([proj[n] @ hadamard[n] + factors[n] @ (w[a] * grams[b] + w[b] * grams[a])
+                          for n, (a, b) in enumerate(_OTHER_MODES)])
+        return self.scale * _pack([ops.back_project(n, t) for n, t in enumerate(zip(*terms))])
 
 
 def block_jacobi_preconditioner(gram: GramianOperator):
@@ -390,10 +358,7 @@ def pcg(hop, g: np.ndarray, precond, cfg: SolverConfig) -> PcgResult:
     g_norm = float(np.linalg.norm(g))
     if g_norm == 0.0:
         return PcgResult(p, 0, 0.0, False)
-    if precond is None:
-        y = r.copy()
-    else:
-        y = precond(r)
+    y = precond(r)
     d = y.copy()
     rz = float(r @ y)
     tol = cfg.cg_rel_tol * g_norm
@@ -409,7 +374,7 @@ def pcg(hop, g: np.ndarray, precond, cfg: SolverConfig) -> PcgResult:
         res_norm = float(np.linalg.norm(r))
         if res_norm <= tol:
             return PcgResult(p, k, res_norm, False)
-        y = r.copy() if precond is None else precond(r)
+        y = precond(r)
         rz_new = float(r @ y)
         d = y + (rz_new / rz) * d
         rz = rz_new
@@ -542,7 +507,6 @@ def solve(
     trace: list[IterationRecord] = []
 
     for it in range(cfg.max_iters):
-        state.iteration = it
         grad_inf = float(np.max(np.abs(state.gradient))) if state.gradient.size else 0.0
         if grad_inf < cfg.grad_tol:
             state.converged = True

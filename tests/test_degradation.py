@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,8 @@ from cpfuse.degradation import (
     blur_downsample_matrix,
     build_operators,
     degrade,
+    operator_shapes,
+    scene_shape,
 )
 from cpfuse.tensors import cpd_reconstruct, frobenius_norm, mode_n_product
 
@@ -197,6 +200,46 @@ class TestProject:
                 np.testing.assert_array_equal(g, w)
 
 
+class TestBackProject:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dims=st.tuples(*(st.integers(1, 7) for _ in range(3))),
+        rows=st.tuples(*(st.integers(1, 7) for _ in range(3))),
+        rank=st.integers(1, 4),
+        seed=st.integers(0, 2**31),
+    )
+    def test_is_adjoint_of_project(self, dims, rows, rank, seed):
+        # <project(X), T> summed over both images equals, summed over the
+        # modes, <X_n, back_project(n, T)>.  Nonnegative draws keep the sums
+        # free of cancellation.
+        rng = np.random.default_rng(seed)
+        ops = DegradationOperators(*(rng.uniform(0.0, 1.0, (r, d)) for r, d in zip(rows, dims)))
+        x = [rng.uniform(0.0, 1.0, (d, rank)) for d in dims]
+        projected = ops.project(x)
+        t = [[rng.uniform(0.0, 1.0, f.shape) for f in image] for image in projected]
+        lhs = sum(np.sum(f * g) for pf, tf in zip(projected, t) for f, g in zip(pf, tf))
+        rhs = sum(np.sum(x[n] * ops.back_project(n, (t[0][n], t[1][n]))) for n in range(3))
+        np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
+
+
+class TestSceneShape:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        dims=st.tuples(st.integers(3, 13), st.integers(3, 13), st.integers(1, 9)),
+        factor=st.integers(1, 5),
+        data=st.data(),
+    )
+    def test_inverts_degrade(self, dims, factor, data):
+        # Sizes that are not multiples of the factor included: the spatial
+        # operators keep ceil(size / factor) rows.
+        bands = data.draw(st.integers(1, dims[2]), label="bands")
+        cfg = DegradationConfig(kernel_size=3, factor=factor, num_msi_bands=bands)
+        ops = build_operators(dims, cfg)
+        images = degrade(RNG.uniform(0.0, 1.0, dims), ops)
+        assert scene_shape(images) == dims
+        assert operator_shapes(images) == tuple(q.shape for q in ops.matrices)
+
+
 class TestBuildOperators:
     def test_custom_spectral_matrix_accepted(self):
         custom = band_aggregation_matrix(6, 3)
@@ -251,6 +294,13 @@ class TestAddNoise:
 class TestDegradationConfig:
     def test_defaults_are_valid(self):
         DegradationConfig().validate()
+
+    def test_field_list(self):
+        # Every field acts on the operators or the noise; the noise seed is an
+        # argument of add_noise, not a setting.
+        assert [f.name for f in dataclasses.fields(DegradationConfig)] == [
+            "kernel_size", "sigma", "factor", "num_msi_bands", "snr_hsi_db", "snr_msi_db",
+        ]
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -183,6 +183,9 @@ class TestRunExperiment:
             {"rank": 0},
             {"sweep_axis": "rank", "sweep_values": (0,)},
             {"smooth_window": 0},
+            # an SNR sweep replaces the degradation SNRs with its own values
+            {"degradation": DegradationConfig(kernel_size=3, factor=2, num_msi_bands=3,
+                                              snr_hsi_db=5.0)},
         ],
     )
     def test_invalid_config_raises(self, overrides):
@@ -395,6 +398,29 @@ class TestCliPipeline:
                    "--out", str(tmp_path / "x.dt3"), "--p1", str(tmp_path / "p1.dm2")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_fuse_infers_factor_for_sizes_not_a_multiple_of_it(self, tmp_path):
+        # 10 rows at factor 4 keep ceil(10 / 4) = 3; 10 / 3 rounds to 3.
+        sri = self.simulate(tmp_path, dims=(10, 10, 8))
+        hsi, msi = self.degrade(tmp_path, sri, ["--factor", "4", "--msi-bands", "3"])
+        common = ["fuse", "--hsi", str(hsi), "--msi", str(msi), "--rank", "2",
+                  "--max-iters", "20", "--kernel-size", "3"]
+        inferred, given = tmp_path / "a.dt3", tmp_path / "b.dt3"
+        assert main([*common, "--out", str(inferred)]) == 0
+        assert main([*common, "--out", str(given), "--factor", "4"]) == 0
+        assert inferred.read_bytes() == given.read_bytes()
+
+    def test_fuse_rejects_shapes_no_factor_fits(self, tmp_path, capsys):
+        # The first spatial mode needs factor 4 (10 -> 3), the second 2 (10 -> 5).
+        rng = np.random.default_rng(0)
+        write_tensor(tmp_path / "hsi.dt3", rng.uniform(size=(3, 5, 8)))
+        write_tensor(tmp_path / "msi.dt3", rng.uniform(size=(10, 10, 3)))
+        rc = main(["fuse", "--hsi", str(tmp_path / "hsi.dt3"), "--msi", str(tmp_path / "msi.dt3"),
+                   "--rank", "2", "--out", str(tmp_path / "x.dt3"), "--kernel-size", "3"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "--factor" in err
+        assert not (tmp_path / "x.dt3").exists()
 
     def test_fuse_als_backend_runs(self, tmp_path, capsys):
         sri = self.simulate(tmp_path)

