@@ -22,7 +22,7 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .degradation import DEGRADED_IN
-from .solver import _OTHER_MODES, FusionProblem
+from .solver import _OTHER_MODES, FusionProblem, _squared_misfit
 from .tensors import CpdModel, cpd_reconstruct, mttkrp
 
 __all__ = ["AlsTrace", "random_init", "solve_als"]
@@ -64,11 +64,10 @@ def _sylvester_rows(evals, evecs, gamma_scaled, gamma_plain, rhs):
 
 
 def _coupled_objective(projected, prob: FusionProblem) -> float:
-    total = 0.0
-    for image, factors in zip(prob.images, projected):
-        res = image - cpd_reconstruct(*factors)
-        total += np.sum(res * res)
-    return float(total)
+    return sum(
+        _squared_misfit(cpd_reconstruct(*factors), image)
+        for image, factors in zip(prob.images, projected)
+    )
 
 
 def solve_als(

@@ -22,7 +22,6 @@ from pathlib import Path
 from .degradation import (
     DegradationConfig,
     DegradationOperators,
-    add_noise,
     build_operators,
     degrade,
     operator_shapes,
@@ -31,6 +30,7 @@ from .degradation import (
 from .experiment import (
     ExperimentConfig,
     SceneConfig,
+    _add_pair_noise,
     emit_results,
     emit_summary,
     fuse,
@@ -80,8 +80,7 @@ def _cmd_degrade(args) -> int:
     cfg = _degradation_config(args, args.snr_hsi, args.snr_msi)
     ops = build_operators(sri.shape, cfg, spectral)
     hsi, msi = degrade(sri, ops)
-    hsi = add_noise(hsi, cfg.snr_hsi_db, args.seed)
-    msi = add_noise(msi, cfg.snr_msi_db, args.seed + 1)
+    hsi, msi = _add_pair_noise(hsi, msi, cfg.snr_hsi_db, cfg.snr_msi_db, args.seed)
     write_tensor(args.out_hsi, hsi)
     write_tensor(args.out_msi, msi)
     for path, matrix in (

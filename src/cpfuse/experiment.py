@@ -89,7 +89,7 @@ def simulate_scene(cfg: SceneConfig) -> np.ndarray:
         i_dim, j_dim, _ = cfg.dims
         bump_i = np.sin(np.pi * (np.arange(i_dim) + 0.5) / i_dim) ** 2
         bump_j = np.sin(np.pi * (np.arange(j_dim) + 0.5) / j_dim) ** 2
-        sri = sri + cfg.background_amplitude * np.outer(bump_i, bump_j)[:, :, None]
+        sri += cfg.background_amplitude * np.outer(bump_i, bump_j)[:, :, None]
     return sri
 
 
@@ -217,11 +217,16 @@ class _Job:
     replicate: int
 
 
+def _add_pair_noise(hsi, msi, snr_hsi: float, snr_msi: float, seed: int):
+    """Noisy copies of an observed pair; the MSI stream is offset so that no
+    seed's MSI noise repeats another seed's HSI noise."""
+    return add_noise(hsi, snr_hsi, seed), add_noise(msi, snr_msi, seed + _MSI_NOISE_OFFSET)
+
+
 def _run_replicate(data: _SweepData, job: _Job) -> ResultRow:
     cfg = data.cfg
     base_seed = cfg.master_seed + job.replicate
-    hsi = add_noise(data.hsi_clean, job.snr_hsi, base_seed)
-    msi = add_noise(data.msi_clean, job.snr_msi, base_seed + _MSI_NOISE_OFFSET)
+    hsi, msi = _add_pair_noise(data.hsi_clean, data.msi_clean, job.snr_hsi, job.snr_msi, base_seed)
     prob = FusionProblem(hsi, msi, data.ops, job.rank)
     # Rows are labelled with the HSI SNR; on the SNR axis both SNRs are equal.
     point = dict(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import uniform_filter
 
-from .tensors import frobenius_norm
+from .tensors import _sum_squares
 
 __all__ = [
     "MetricsReport",
@@ -46,25 +46,31 @@ def _check_pair(est: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndar
     return est, truth
 
 
+def _rmse(squared_error: float, size: int) -> float:
+    return math.sqrt(squared_error) / math.sqrt(size)
+
+
 def rmse(est: np.ndarray, truth: np.ndarray) -> float:
     """Root mean squared error over all entries."""
     est, truth = _check_pair(est, truth)
-    return frobenius_norm(est - truth) / math.sqrt(est.size)
+    return _rmse(_sum_squares(est - truth), est.size)
 
 
 def _band_correlations(est: np.ndarray, truth: np.ndarray) -> tuple[list[float], int]:
     values: list[float] = []
     skipped = 0
     for k in range(truth.shape[2]):
-        x = est[:, :, k].ravel()
-        y = truth[:, :, k].ravel()
-        xc = x - x.mean()
-        yc = y - y.mean()
-        denom = math.sqrt(float(xc @ xc) * float(yc @ yc))
+        # Centred band slices, reduced in whatever layout the slices have.
+        xc = est[:, :, k] - est[:, :, k].mean()
+        yc = truth[:, :, k] - truth[:, :, k].mean()
+        sxx, syy, sxy = (
+            float(np.einsum("ij,ij->", u, v)) for u, v in ((xc, xc), (yc, yc), (xc, yc))
+        )
+        denom = math.sqrt(sxx * syy)
         if denom == 0.0:
             skipped += 1
             continue
-        values.append(float(xc @ yc) / denom)
+        values.append(sxy / denom)
     return values, skipped
 
 
@@ -91,25 +97,27 @@ def rsnr(est: np.ndarray, truth: np.ndarray) -> float:
     spectral bands; a zero-error estimate returns ``math.inf``.
     """
     est, truth = _check_pair(est, truth)
-    signal = float(np.sum(truth * truth))
+    return _rsnr_db(_sum_squares(est - truth), truth)
+
+
+def _rsnr_db(squared_error: float, truth: np.ndarray) -> float:
+    signal = _sum_squares(truth)
     if signal == 0.0:
         raise ValueError("rsnr is undefined for an all-zero truth tensor")
-    diff = est - truth
-    noise = float(np.sum(diff * diff))
-    if noise == 0.0:
+    if squared_error == 0.0:
         return math.inf
-    return 10.0 * math.log10(signal / noise)
+    return 10.0 * math.log10(signal / squared_error)
 
 
 def _fiber_angles(est: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, int]:
-    flat_e = est.reshape(-1, est.shape[2])
-    flat_t = truth.reshape(-1, truth.shape[2])
-    norm_e = np.linalg.norm(flat_e, axis=1)
-    norm_t = np.linalg.norm(flat_t, axis=1)
+    # Per-fiber reductions over the spectral axis: (I, J) outputs, no reshape
+    # or masked copy of either tensor.
+    norm_e = np.sqrt(np.einsum("ijk,ijk->ij", est, est))
+    norm_t = np.sqrt(np.einsum("ijk,ijk->ij", truth, truth))
+    dots = np.einsum("ijk,ijk->ij", est, truth)
     keep = (norm_e > 0.0) & (norm_t > 0.0)
-    skipped = int(np.sum(~keep))
-    dots = np.sum(flat_e[keep] * flat_t[keep], axis=1)
-    cosines = np.clip(dots / (norm_e[keep] * norm_t[keep]), -1.0, 1.0)
+    skipped = int(np.count_nonzero(~keep))
+    cosines = np.clip(dots[keep] / (norm_e[keep] * norm_t[keep]), -1.0, 1.0)
     return np.arccos(cosines), skipped
 
 
@@ -162,10 +170,11 @@ def metrics_report(est: np.ndarray, truth: np.ndarray) -> MetricsReport:
     angles, sam_skipped = _fiber_angles(est, truth)
     if angles.size == 0:
         raise ValueError("every spectral fiber is zero; spectral angle undefined")
+    squared_error = _sum_squares(est - truth)
     return MetricsReport(
-        rmse=rmse(est, truth),
+        rmse=_rmse(squared_error, est.size),
         cc=float(np.mean(cc_values)),
-        rsnr_db=rsnr(est, truth),
+        rsnr_db=_rsnr_db(squared_error, truth),
         sam_radians=float(np.mean(angles)),
         cc_bands_skipped=cc_skipped,
         sam_fibers_skipped=sam_skipped,

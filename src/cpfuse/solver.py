@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .degradation import DegradationOperators, operator_shapes, scene_shape
-from .tensors import CpdModel, cpd_reconstruct, mttkrp
+from .tensors import CpdModel, _sum_squares, cpd_reconstruct, mttkrp
 
 __all__ = [
     "LatentTriple",
@@ -141,8 +141,10 @@ class FusionProblem:
     rank: int
 
     def __post_init__(self) -> None:
-        self.hsi = np.asarray(self.hsi, dtype=np.float64)
-        self.msi = np.asarray(self.msi, dtype=np.float64)
+        # Column-major like read_tensor and cpd_reconstruct, so residuals and
+        # MTTKRPs never transpose-copy an image.
+        self.hsi = np.asfortranarray(self.hsi, dtype=np.float64)
+        self.msi = np.asfortranarray(self.msi, dtype=np.float64)
         self.validate()
 
     @property
@@ -221,14 +223,19 @@ class IterationRecord:
 _OTHER_MODES = ((1, 2), (0, 2), (0, 1))
 
 
+def _squared_misfit(model: np.ndarray, image: np.ndarray) -> float:
+    """``||model - image||_F^2``, overwriting ``model`` with the residual."""
+    model -= image
+    return _sum_squares(model)
+
+
 def objective(latent: LatentTriple, prob: FusionProblem) -> float:
     """Coupled squared-misfit objective at the squared-latent point."""
     model = square_params(latent)
     total = 0.0
     for image, factors in zip(prob.images, prob.operators.project(model.factors)):
-        res = image - cpd_reconstruct(*factors)
-        total += np.sum(res * res)
-    return float(total)
+        total += _squared_misfit(cpd_reconstruct(*factors), image)
+    return total
 
 
 def gradient(latent: LatentTriple, prob: FusionProblem) -> np.ndarray:

@@ -9,11 +9,32 @@ with the lower mode fastest (column-major), so a rank-R CP model obeys::
     unfold(t, 2) == factors[1] @ khatri_rao([factors[2], factors[0]]).T
     unfold(t, 3) == factors[2] @ khatri_rao([factors[1], factors[0]]).T
 
+Layout: tensors are stored column-major (first index fastest), the order of
+the dt3 payload.  ``cpd_reconstruct`` returns a Fortran-ordered tensor and
+``FusionProblem`` keeps both images in Fortran order.  ``mttkrp`` reads a
+tensor through a C-ordered view: ``t`` itself, or for Fortran-ordered input
+``t.T`` of shape ``(K, J, I)`` with the modes reversed, so it never copies a
+contiguous tensor.
+
+Contraction orders are fixed per mode and made of BLAS products, so no call
+plans a contraction.  On the C-ordered view ``(I, J, K)`` with factors
+``(a, b, c)``:
+
+* ``mttkrp`` modes 1 and 3: the batched product ``b.T @ t`` of shape
+  ``(I, R, K)``, then a two-operand ``einsum`` with ``c`` (mode 1) or ``a``
+  (mode 3);
+* ``mttkrp`` mode 2: ``t.reshape(I * J, K) @ c``, then a two-operand
+  ``einsum`` with ``a``.  On a Fortran-ordered tensor this contracts scene
+  mode 1 first, so the partial product of an MSI with few bands stays small;
+* ``cpd_reconstruct``: one product ``khatri_rao([c, b]) @ a.T`` of shape
+  ``(K * J, I)``, whose transpose is the Fortran-ordered ``(I, J, K)`` tensor.
+
 Every routine validates shapes and raises ``ValueError`` on mismatch.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,13 +170,27 @@ def _check_factor(f: np.ndarray, dim: int, rank: int, mode: int) -> None:
         )
 
 
+def _mttkrp_c(t: np.ndarray, a, b, c, mode: int) -> np.ndarray:
+    """MTTKRP of a tensor read in C order: one GEMM, then one two-operand contraction."""
+    i_dim, j_dim, k_dim = t.shape
+    if mode == 2:
+        # The contiguous last axis goes first: an (I*J x K)(K x R) product.
+        partial = (t.reshape(i_dim * j_dim, k_dim) @ c).reshape(i_dim, j_dim, c.shape[1])
+        return np.einsum("ijr,ir->jr", partial, a)
+    partial = b.T @ t  # (I, R, K): one (R x J)(J x K) product per slice i
+    if mode == 1:
+        return np.einsum("irk,kr->ir", partial, c)
+    return np.einsum("irk,ir->kr", partial, a)
+
+
 def mttkrp(t: np.ndarray, factors, mode: int) -> np.ndarray:
     """Matricized-tensor times Khatri-Rao product.
 
     Computes ``unfold(t, mode) @ W`` where ``W`` is the Khatri-Rao product of
     the two non-target factors in the unfolding convention (higher mode
     first).  Only the non-target factors are read; the target slot must still
-    be present so ``factors`` always has length 3.
+    be present so ``factors`` always has length 3.  A Fortran-ordered ``t`` is
+    read through its C-ordered transpose, so no call copies the tensor.
     """
     _check_mode(mode)
     t = _as_tensor(t)
@@ -166,25 +201,31 @@ def mttkrp(t: np.ndarray, factors, mode: int) -> np.ndarray:
     for n in range(3):
         if n != mode - 1:
             _check_factor(factors[n], t.shape[n], rank, n + 1)
-    a, b, c = factors
-    if mode == 1:
-        return np.einsum("ijk,jr,kr->ir", t, b, c, optimize=True)
-    if mode == 2:
-        return np.einsum("ijk,ir,kr->jr", t, a, c, optimize=True)
-    return np.einsum("ijk,ir,jr->kr", t, a, b, optimize=True)
+    if t.flags.f_contiguous:
+        # t.T[k, j, i] == t[i, j, k]: the same contraction with the modes reversed.
+        return _mttkrp_c(t.T, factors[2], factors[1], factors[0], 4 - mode)
+    return _mttkrp_c(t, *factors, mode)
 
 
 def cpd_reconstruct(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Evaluate the dense tensor of the CP model ``[[a, b, c]]``."""
+    """Evaluate the dense tensor of the CP model ``[[a, b, c]]``, in Fortran order."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
     ranks = {a.shape[1], b.shape[1], c.shape[1]} if a.ndim == b.ndim == c.ndim == 2 else set()
     if a.ndim != 2 or b.ndim != 2 or c.ndim != 2 or len(ranks) != 1:
         raise ValueError("cpd_reconstruct expects three matrices sharing a column count")
-    return np.einsum("ir,jr,kr->ijk", a, b, c, optimize=True)
+    # unfold(t, 1).T == khatri_rao([c, b]) @ a.T, whose C-ordered rows run over (k, j).
+    return (khatri_rao([c, b]) @ a.T).reshape(c.shape[0], b.shape[0], a.shape[0]).T
+
+
+def _sum_squares(t: np.ndarray) -> float:
+    """Sum of the squared entries as one dot product, read in memory order so
+    that a C- or Fortran-contiguous array is not copied."""
+    flat = np.asarray(t, dtype=np.float64).ravel(order="K")
+    return float(flat @ flat)
 
 
 def frobenius_norm(t: np.ndarray) -> float:
     """Frobenius norm of an array of any shape."""
-    return float(np.linalg.norm(np.asarray(t, dtype=np.float64).ravel()))
+    return math.sqrt(_sum_squares(t))

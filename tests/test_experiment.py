@@ -286,6 +286,23 @@ class TestCliPipeline:
         assert read_matrix(tmp_path / "p1.dm2").shape == (6, 12)
         assert read_matrix(tmp_path / "pm.dm2").shape == (4, 8)
 
+    def test_degrade_noise_streams_do_not_repeat_across_seeds(self, tmp_path):
+        sri = self.simulate(tmp_path)
+        noise = {}
+        for name, extra in (
+            ("clean", []),
+            ("seed0", ["--snr-hsi", "10", "--snr-msi", "10", "--seed", "0"]),
+            ("seed1", ["--snr-hsi", "10", "--snr-msi", "10", "--seed", "1"]),
+        ):
+            out = tmp_path / name
+            out.mkdir()
+            noise[name] = [read_tensor(p) for p in self.degrade(out, sri, extra)]
+        hsi_noise_1 = noise["seed1"][0] - noise["clean"][0]
+        msi_noise_0 = noise["seed0"][1] - noise["clean"][1]
+        # Both draws are C-ordered standard normals, rescaled per image.
+        lead = msi_noise_0.ravel()[: hsi_noise_1.size]
+        assert abs(np.corrcoef(lead, hsi_noise_1.ravel())[0, 1]) < 0.5
+
     def test_fuse_recovers_scene(self, tmp_path, capsys):
         sri = self.simulate(tmp_path)
         hsi, msi = self.degrade(tmp_path, sri)

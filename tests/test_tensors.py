@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cpfuse.fileio import write_tensor
 from cpfuse.tensors import (
     CpdModel,
     cpd_reconstruct,
@@ -234,3 +237,78 @@ class TestFrobeniusNorm:
 
     def test_zero_tensor(self):
         assert frobenius_norm(np.zeros((2, 3, 4))) == 0.0
+
+
+# Kernel properties over small shapes and ranks, in every memory layout the
+# package passes to the kernels.
+kernel_dims = st.tuples(*(st.integers(min_value=1, max_value=7),) * 3)
+kernel_ranks = st.integers(min_value=1, max_value=4)
+KR_ORDER = {1: [2, 1], 2: [2, 0], 3: [1, 0]}
+
+
+def layouts(t):
+    """The values of ``t`` C-ordered, Fortran-ordered and as a strided view."""
+    i_dim, j_dim, k_dim = t.shape
+    padded = np.zeros((i_dim, 2 * j_dim, k_dim + 1))
+    padded[:, ::2, 1:] = t
+    return {"C": np.ascontiguousarray(t), "F": np.asfortranarray(t), "sliced": padded[:, ::2, 1:]}
+
+
+def peak_traced_bytes(fn):
+    """Peak of numpy's traced allocations while ``fn`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestKernelProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(dims=kernel_dims, rank=kernel_ranks, seed=st.integers(0, 2**31))
+    def test_mttkrp_matches_unfolding_in_every_layout(self, dims, rank, seed):
+        rng = np.random.default_rng(seed)
+        t = rng.standard_normal(dims)
+        factors = [rng.standard_normal((d, rank)) for d in dims]
+        for mode in (1, 2, 3):
+            w = khatri_rao([factors[n] for n in KR_ORDER[mode]])
+            expected = unfold(t, mode) @ w
+            # Rounding of a sum scales with the sum of its absolute terms.
+            scale = (np.abs(unfold(t, mode)) @ np.abs(w)).max()
+            for layout, view in layouts(t).items():
+                np.testing.assert_allclose(
+                    mttkrp(view, factors, mode), expected, rtol=1e-12, atol=1e-12 * scale,
+                    err_msg=f"mode {mode}, {layout} layout",
+                )
+
+    @settings(max_examples=40, deadline=None)
+    @given(dims=kernel_dims, rank=kernel_ranks, seed=st.integers(0, 2**31))
+    def test_cpd_reconstruct_unfoldings_and_layout(self, dims, rank, seed):
+        rng = np.random.default_rng(seed)
+        factors = [rng.standard_normal((d, rank)) for d in dims]
+        t = cpd_reconstruct(*factors)
+        assert t.shape == dims
+        assert t.flags.f_contiguous
+        for mode in (1, 2, 3):
+            w = khatri_rao([factors[n] for n in KR_ORDER[mode]])
+            scale = (np.abs(factors[mode - 1]) @ np.abs(w).T).max()
+            np.testing.assert_allclose(
+                unfold(t, mode), factors[mode - 1] @ w.T, rtol=1e-12, atol=1e-12 * scale
+            )
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_mttkrp_makes_no_tensor_sized_copy(self, layout):
+        rng = np.random.default_rng(5)
+        dims = (64, 64, 32)
+        t = layouts(rng.standard_normal(dims))[layout]
+        factors = [rng.standard_normal((d, 4)) for d in dims]
+        for mode in (1, 2, 3):
+            peak = peak_traced_bytes(lambda: mttkrp(t, factors, mode))
+            assert peak < 0.25 * t.nbytes, f"mode {mode}: peak {peak} bytes"
+
+    def test_writing_a_reconstruction_makes_no_payload_copy(self, tmp_path):
+        rng = np.random.default_rng(6)
+        t = cpd_reconstruct(*(rng.standard_normal((d, 4)) for d in (64, 64, 32)))
+        peak = peak_traced_bytes(lambda: write_tensor(tmp_path / "t.dt3", t))
+        assert peak < 0.1 * t.nbytes
