@@ -206,7 +206,7 @@ def degrade(sri: np.ndarray, ops: DegradationOperators) -> tuple[np.ndarray, np.
     """Apply both degradation paths to a scene.
 
     Returns ``(hsi, msi)``: the scene multiplied, mode by mode, by the operator
-    of each mode in the image that ``DEGRADED_IN`` names.
+    of each mode in the image that ``DEGRADED_IN`` names, both in Fortran order.
     """
     sri = np.asarray(sri, dtype=np.float64)
     if sri.ndim != 3:
@@ -219,7 +219,9 @@ def degrade(sri: np.ndarray, ops: DegradationOperators) -> tuple[np.ndarray, np.
                 f"mode {n + 1} has size {sri.shape[n]}"
             )
         images[s] = mode_n_product(images[s], q, n + 1)
-    return images[0], images[1]
+    # The mode products fold through ``moveaxis`` views; copying only what
+    # is not yet column-major keeps the package's layout.
+    return np.asfortranarray(images[0]), np.asfortranarray(images[1])
 
 
 def add_noise(t: np.ndarray, snr_db: float, rng_seed: int) -> np.ndarray:
@@ -228,10 +230,11 @@ def add_noise(t: np.ndarray, snr_db: float, rng_seed: int) -> np.ndarray:
     A single standard normal draw is rescaled so that
     ``frobenius_norm(noise) == frobenius_norm(t) * 10**(-snr_db / 20)``.
     ``snr_db == math.inf`` disables the noise and returns a copy of ``t``.
+    The result keeps the memory order of ``t``.
     """
     t = np.asarray(t, dtype=np.float64)
     if math.isinf(snr_db) and snr_db > 0:
-        return t.copy()
+        return t.copy(order="K")
     if not math.isfinite(snr_db):
         raise ValueError(f"snr_db must be finite or +inf, got {snr_db}")
     signal_norm = frobenius_norm(t)
@@ -240,4 +243,6 @@ def add_noise(t: np.ndarray, snr_db: float, rng_seed: int) -> np.ndarray:
     rng = np.random.default_rng(rng_seed)
     noise = rng.standard_normal(t.shape)
     scale = signal_norm / (np.linalg.norm(noise.ravel()) * 10.0 ** (snr_db / 20.0))
-    return t + scale * noise
+    # ``t + scale * noise`` entry by entry, written in the layout of ``t``.
+    noise *= scale
+    return np.add(t, noise, out=np.empty_like(t))

@@ -11,16 +11,29 @@ misfits, one per observed image, with a Gauss-Newton trust-region iteration:
   along a single dogleg segment,
 * the trust radius follows the classical gain-ratio update.
 
-The coupling comes from ``DegradationOperators``: the gradient and the Gramian
-go forward through ``project`` and back through its adjoint ``back_project``.
+The coupling comes from ``DegradationOperators``: the gradient goes forward
+through ``project`` and back through its adjoint ``back_project``; the Gramian
+operator takes the projected factors from ``project`` and each mode's operator
+and degrading image from ``matrices`` and ``DEGRADED_IN``.
 
 The latent-to-factor chain scaling is frozen per outer iteration, so the
 Gramian operator is rebuilt once per iteration and reused by every CG
 application inside it.  What depends only on the point is formed once with
-it: the packed chain scaling, the Hadamard products of the Grams, and, in the
-preconditioner, the symmetrized inverses of the ridged R x R block systems
-and the packed inverse scaling.  The applies that PCG repeats do only the
-products that involve the vector.
+it: the packed chain scaling, the Hadamard products of the Grams, the
+operator's constant rows and coefficients, and, in the preconditioner, the
+symmetrized inverses of the ridged R x R block systems and the packed inverse
+scaling.  The applies that PCG repeats do only the products that involve the
+vector.
+
+A packed vector stacks ``vec_F`` of the three ``(d_n, R)`` blocks, so each
+block is its transpose in C order, and the applies read and write it through
+``(R x d_n)`` views without unpacking or repacking.  A Gramian apply makes, per
+scene mode, one product that projects the block and forms both images' cross
+Grams, one that maps the projection back, and one with inner dimension 4R that
+writes the output block; the cross-Gram combinations of all modes and both
+images take three batched elementwise operations.  A preconditioner apply is
+one R x R product per block.  PCG updates its iterate, residual and direction
+in place.
 """
 
 from __future__ import annotations
@@ -30,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .degradation import DegradationOperators, operator_shapes, scene_shape
+from .degradation import DEGRADED_IN, DegradationOperators, operator_shapes, scene_shape
 from .tensors import CpdModel, _sum_squares, cpd_reconstruct, mttkrp
 
 __all__ = [
@@ -75,14 +88,15 @@ def _pack(blocks) -> np.ndarray:
     return np.concatenate([np.asarray(b).ravel(order="F") for b in blocks])
 
 
-def _unpack(vec: np.ndarray, shapes) -> list[np.ndarray]:
-    out = []
+def _block_views(vec: np.ndarray, shapes) -> list[np.ndarray]:
+    """``(R x d)`` views of a packed vector, one per ``(d, R)`` block: the
+    packed ``vec_F(B)`` is ``B^T`` in C order."""
+    views = []
     lo = 0
-    for shape in shapes:
-        size = shape[0] * shape[1]
-        out.append(vec[lo : lo + size].reshape(shape, order="F"))
-        lo += size
-    return out
+    for d, r in shapes:
+        views.append(vec[lo : lo + d * r].reshape(r, d))
+        lo += d * r
+    return views
 
 
 @dataclass(eq=False)
@@ -120,7 +134,7 @@ class LatentTriple:
         expected = sum(d * rank for d in dims)
         if vec.ndim != 1 or vec.size != expected:
             raise ValueError(f"latent vector has size {vec.size}, expected {expected}")
-        return cls(tuple(b.copy() for b in _unpack(vec, shapes)))
+        return cls(tuple(b.T.copy() for b in _block_views(vec, shapes)))
 
     def copy(self) -> "LatentTriple":
         return LatentTriple(tuple(m.copy() for m in self.mats))
@@ -266,15 +280,36 @@ class GramianOperator:
     factor-sized intermediates are formed; the Gramian itself is never
     materialized.
 
-    For each image's CP factors ``F_n`` (in ``DegradationOperators.stacks``
-    order), the construction forms what depends only on the point: the packed
-    scaling ``s``, the Grams ``G_n`` and the Hadamard products
-    ``H_n = G_a * G_b`` of the two other modes' Grams.  An apply to ``z`` with
-    ``B = s * z`` then forms, per image, the projected blocks ``P_n`` of
-    ``operators.project(B)``, one R x R cross Gram ``W_m = P_m^T F_m`` per
-    block, ``S_n = W_a * G_b + W_b * G_a`` and ``P_n H_n + F_n S_n``, maps
-    these back with ``operators.back_project`` and scales.  The operator is
-    frozen at construction: later changes to its fields are not seen.
+    Per image, with CP factors ``F_n`` in ``DegradationOperators.stacks``
+    order, Grams ``G_n`` and Hadamard products ``H_n = G_a * G_b`` of the two
+    other modes' Grams, the mode-``n`` output for ``B = s * z`` sums, over the
+    two images, ``P_n H_n + F_n S_n`` mapped back through ``Q_n^T`` where the
+    image degrades the mode, with ``P_n`` the projected block, the cross Grams
+    ``W_m = P_m^T F_m`` and ``S_n = W_a * G_b + W_b * G_a``.
+
+    The packed block ``vec_F(B_n)`` is ``B_n^T`` in C order, so an apply reads
+    and writes the packed vectors through ``(R x d_n)`` views and makes no
+    unpack or repack copies.  For scene mode ``n`` let ``Q = Q_n``, ``U`` and
+    ``V`` the factors of the image that degrades and keeps the mode, and
+    ``K_n`` the two images' ``Q^T U`` and ``V`` side by side in image order.
+    The construction forms, per mode, the rows
+    ``[Q ; K_n^T ; B_n^T Q^T Q ; B_n^T]`` with the last two left to the apply,
+    and the coefficients ``[S_n^T | H^deg | H^keep]`` with ``S`` left to the
+    apply.  An apply then makes
+
+    * per mode, one product ``[Q ; K_n^T] B_n = [Q B_n ; W_n^T]``, which
+      holds both images' cross Grams, one product ``(Q B_n)^T Q`` and a copy
+      of ``B_n^T`` into the rows;
+    * for the three modes and both images at once, ``S^T`` in three batched
+      elementwise operations, written into the coefficients;
+    * per mode, one product with inner dimension ``4R`` written into the
+      output view:
+      ``out_n^T = [S_n^T | H^deg | H^keep] [K_n^T ; B_n^T Q^T Q ; B_n^T]``.
+
+    The operator is frozen at construction: an apply reads only arrays formed
+    there, including its own copies of the operator matrices, so later changes
+    to the fields are not seen.  Every apply returns a fresh array; the
+    scratch buffers it overwrites are private to the operator.
     """
 
     lam_blocks: list[np.ndarray]
@@ -288,6 +323,46 @@ class GramianOperator:
         self.grams = [[f.T @ f for f in image] for image in self.factors]
         self.hadamards = [[grams[a] * grams[b] for a, b in _OTHER_MODES] for grams in self.grams]
 
+        rank = self.block_shapes[0][1]
+        matrices = self.operators.matrices
+        height = max(q.shape[0] for q in matrices) + 2 * rank
+        # Scratch overwritten by every apply: B and the unscaled output, read
+        # through per-block views, and per mode [Q B ; W^T], with modes 0 and
+        # 1 repeated in slots 3 and 4 so that the two other modes of every
+        # mode are the slices 1:4 and 2:5.  The transposed cross Grams W^T,
+        # the transposed Grams and S^T are indexed (mode, image, row, column).
+        self._scaled = np.empty(self.size)
+        self._unscaled = np.empty(self.size)
+        heads = np.empty((5, height, rank))
+        self._cross = heads[:, height - 2 * rank :].reshape(5, 2, rank, rank)
+        self._grams = np.empty((5, 2, rank, rank))
+        self._grams[:3] = np.transpose(self.grams, (1, 0, 3, 2))
+        self._grams[3:] = self._grams[:2]
+        coefficients = np.empty((3, rank, 4 * rank))
+        self._s = coefficients[:, :, : 2 * rank].reshape(3, rank, 2, rank).transpose(0, 2, 1, 3)
+        self._s_term = np.empty((3, 2, rank, rank))
+        self._products = []
+        self._outputs = []
+        blocks = zip(_block_views(self._scaled, self.block_shapes),
+                     _block_views(self._unscaled, self.block_shapes))
+        for n, (q, (b_t, out_t)) in enumerate(zip(matrices, blocks)):
+            deg, rows = DEGRADED_IN[n], q.shape[0]
+            # [Q ; K_n^T ; B^T Q^T Q ; B^T]: a copy of Q and the constant
+            # K_n^T, then the two blocks that each apply writes.
+            stack = np.empty((rows + 4 * rank, q.shape[1]))
+            stack[:rows] = q
+            k_t = stack[rows : rows + 2 * rank].reshape(2, rank, -1)
+            np.matmul(self.factors[deg][n].T, q, out=k_t[deg])
+            k_t[1 - deg] = self.factors[1 - deg][n].T
+            coefficients[n, :, 2 * rank : 3 * rank] = self.hadamards[deg][n].T
+            coefficients[n, :, 3 * rank :] = self.hadamards[1 - deg][n].T
+            head = heads[n, height - 2 * rank - rows :]
+            self._products.append(
+                (b_t.T, stack[: rows + 2 * rank], head, head[:rows].T, stack[:rows],
+                 stack[rows + 2 * rank : rows + 3 * rank], stack[rows + 3 * rank :])
+            )
+            self._outputs.append((coefficients[n], stack[rows:], out_t))
+
     @classmethod
     def from_latent(cls, latent: LatentTriple, ops: DegradationOperators) -> "GramianOperator":
         model = square_params(latent)
@@ -297,16 +372,19 @@ class GramianOperator:
         z = np.asarray(z, dtype=np.float64)
         if z.shape != (self.size,):
             raise ValueError(f"vector has shape {z.shape}, expected ({self.size},)")
-        ops = self.operators
-        blocks = _unpack(self.scale * z, self.block_shapes)
-        terms = []
-        for proj, factors, grams, hadamard in zip(
-            ops.project(blocks), self.factors, self.grams, self.hadamards
-        ):
-            w = [p.T @ f for p, f in zip(proj, factors)]
-            terms.append([proj[n] @ hadamard[n] + factors[n] @ (w[a] * grams[b] + w[b] * grams[a])
-                          for n, (a, b) in enumerate(_OTHER_MODES)])
-        return self.scale * _pack([ops.back_project(n, t) for n, t in enumerate(zip(*terms))])
+        np.multiply(self.scale, z, out=self._scaled)
+        for b, left, head, proj_t, q, proj_rows, b_rows in self._products:
+            np.matmul(left, b, out=head)
+            np.matmul(proj_t, q, out=proj_rows)
+            b_rows[...] = b.T
+        cross, grams = self._cross, self._grams
+        cross[3:] = cross[:2]
+        np.multiply(cross[1:4], grams[2:5], out=self._s_term)
+        np.multiply(cross[2:5], grams[1:4], out=self._s)
+        self._s += self._s_term
+        for coefficients, stacked, out_t in self._outputs:
+            np.matmul(coefficients, stacked, out=out_t)
+        return self.scale * self._unscaled
 
 
 def block_jacobi_preconditioner(gram: GramianOperator):
@@ -317,8 +395,10 @@ def block_jacobi_preconditioner(gram: GramianOperator):
     strictly definite by a trace-scaled ridge.  The scaling is applied
     symmetrically (square roots on both sides), so the returned map is linear
     and symmetric positive definite even where latent entries vanish.  The
-    symmetrized block inverses and the packed inverse scaling are formed here,
-    so an apply costs one ``(d x R)(R x R)`` product per block.
+    symmetrized block inverses ``M_n`` and the packed inverse scaling ``D``
+    are formed here.  An apply writes ``M_n (D x)_n^T`` through the
+    ``(R x d_n)`` views of the packed vectors, one product per block with no
+    pack, and returns a fresh array; its scratch is private to the closure.
     """
     g = np.stack([hu + hv for hu, hv in zip(*gram.hadamards)])
     eps = 1e-12 * np.trace(g, axis1=1, axis2=2)
@@ -331,14 +411,18 @@ def block_jacobi_preconditioner(gram: GramianOperator):
     if eps_lam <= 0.0:
         eps_lam = 1.0
     inv_scale = 1.0 / np.sqrt(np.maximum(lam_sq, eps_lam))
-    shapes = gram.block_shapes
+    scaled, unscaled = np.empty_like(inv_scale), np.empty_like(inv_scale)
+    blocks = list(zip(inverses, _block_views(scaled, gram.block_shapes),
+                      _block_views(unscaled, gram.block_shapes)))
 
     def apply(vec: np.ndarray) -> np.ndarray:
         vec = np.asarray(vec, dtype=np.float64)
         if vec.shape != inv_scale.shape:
             raise ValueError(f"vector has shape {vec.shape}, expected {inv_scale.shape}")
-        blocks = _unpack(inv_scale * vec, shapes)
-        return inv_scale * _pack([b @ m for b, m in zip(blocks, inverses)])
+        np.multiply(inv_scale, vec, out=scaled)
+        for m, x_t, out_t in blocks:
+            np.matmul(m, x_t, out=out_t)
+        return inv_scale * unscaled
 
     return apply
 
@@ -357,7 +441,8 @@ def pcg(hop, g: np.ndarray, precond, cfg: SolverConfig) -> PcgResult:
     Stops at relative residual ``cfg.cg_rel_tol`` (against ``||g||``), at
     ``cfg.cg_max_iters``, or immediately when a search direction has
     nonpositive curvature (``d^T H d <= 1e-14 ||d||^2``), returning the
-    current iterate flagged.
+    current iterate flagged.  The iterate, residual and direction are
+    updated in place; ``hop`` and ``precond`` may return their argument.
     """
     g = np.asarray(g, dtype=np.float64)
     p = np.zeros_like(g)
@@ -376,14 +461,15 @@ def pcg(hop, g: np.ndarray, precond, cfg: SolverConfig) -> PcgResult:
         if curvature <= 1e-14 * float(d @ d):
             return PcgResult(p, k - 1, res_norm, True)
         alpha = rz / curvature
-        p = p + alpha * d
-        r = r - alpha * hd
+        p += alpha * d
+        r -= alpha * hd
         res_norm = float(np.linalg.norm(r))
         if res_norm <= tol:
             return PcgResult(p, k, res_norm, False)
         y = precond(r)
         rz_new = float(r @ y)
-        d = y + (rz_new / rz) * d
+        d *= rz_new / rz
+        d += y
         rz = rz_new
     return PcgResult(p, cfg.cg_max_iters, res_norm, False)
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -176,6 +177,33 @@ class TestDegrade:
         )
         np.testing.assert_array_equal(msi, mode_n_product(sri, ops.spectral, 3))
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_images_are_column_major(self, order):
+        # FusionProblem, mttkrp and write_tensor take both images as they are.
+        cfg = DegradationConfig(kernel_size=3, sigma=1.0, factor=2, num_msi_bands=3)
+        ops = build_operators((12, 10, 8), cfg)
+        sri = np.asarray(RNG.uniform(size=(12, 10, 8)), order=order)
+        for image in degrade(sri, ops):
+            assert image.flags.f_contiguous
+
+    def test_peak_memory_of_column_major_scene(self):
+        # The mode-1 partial product and its mode-2 unfolding copy are the
+        # largest temporaries; making the HSI column-major adds none that
+        # outlives them.
+        dims = (48, 40, 32)
+        cfg = DegradationConfig(kernel_size=3, sigma=1.0, factor=2, num_msi_bands=4)
+        ops = build_operators(dims, cfg)
+        sri = cpd_reconstruct(*(RNG.uniform(size=(d, 3)) for d in dims))
+        degrade(sri, ops)
+        tracemalloc.start()
+        try:
+            hsi, _ = degrade(sri, ops)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        partial = ops.spatial_1.shape[0] * dims[1] * dims[2] * 8
+        assert peak <= 2 * partial + hsi.nbytes + 4096
+
 
 class TestProject:
     @settings(max_examples=25, deadline=None)
@@ -289,6 +317,21 @@ class TestAddNoise:
     def test_zero_tensor_raises(self):
         with pytest.raises(ValueError):
             add_noise(np.zeros((2, 2, 2)), 5.0, 0)
+
+    @pytest.mark.parametrize("snr_db", [5.0, math.inf])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_keeps_memory_order(self, order, snr_db):
+        t = np.asarray(RNG.uniform(size=(4, 3, 5)) + 0.5, order=order)
+        out = add_noise(t, snr_db, rng_seed=2)
+        assert out.flags.c_contiguous == (order == "C")
+        assert out.flags.f_contiguous == (order == "F")
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_is_input_plus_scaled_standard_normal_draw(self, order):
+        t = np.asarray(RNG.uniform(size=(4, 3, 5)) + 0.5, order=order)
+        noise = np.random.default_rng(11).standard_normal(t.shape)
+        scale = frobenius_norm(t) / (np.linalg.norm(noise.ravel()) * 10.0 ** (5.0 / 20.0))
+        np.testing.assert_array_equal(add_noise(t, 5.0, rng_seed=11), t + scale * noise)
 
 
 class TestDegradationConfig:

@@ -165,6 +165,27 @@ class TestRunExperiment:
         assert math.isnan(rows[0].rmse)
         assert math.isnan(summary[0].median_rmse)
 
+    def test_replicate_problem_holds_the_noisy_images(self, monkeypatch):
+        # The noisy images arrive column-major, so FusionProblem keeps them
+        # instead of copying each one.
+        noisy, problems = [], []
+        add_pair_noise, fuse = cpfuse.experiment._add_pair_noise, cpfuse.experiment.fuse
+
+        def record_noise(*args):
+            noisy.append(add_pair_noise(*args))
+            return noisy[-1]
+
+        def record_problem(prob, *args):
+            problems.append(prob)
+            return fuse(prob, *args)
+
+        monkeypatch.setattr(cpfuse.experiment, "_add_pair_noise", record_noise)
+        monkeypatch.setattr(cpfuse.experiment, "fuse", record_problem)
+        run_experiment(small_config(sweep_values=(10.0,), solver=SolverConfig(max_iters=2)))
+        [(hsi, msi)], [prob] = noisy, problems
+        assert np.shares_memory(prob.hsi, hsi)
+        assert np.shares_memory(prob.msi, msi)
+
     def test_fuse_rejects_unknown_algorithm(self):
         ops = build_operators((4, 4, 2), DegradationConfig(kernel_size=1, factor=2, num_msi_bands=1))
         prob = FusionProblem(*degrade(np.ones((4, 4, 2)), ops), ops, rank=1)

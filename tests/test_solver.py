@@ -432,6 +432,25 @@ class TestGramianOperator:
         assert not np.shares_memory(first, second)
         assert not np.shares_memory(first, z)
 
+    def test_frozen_against_field_mutation(self):
+        # An apply reads only what construction formed, so changing a factor
+        # or an operator matrix in place afterwards changes nothing.
+        gram = random_gramian(5, 3, (5, 4, 3), 0.0, direct=False)
+        z = np.random.default_rng(2).standard_normal(gram.size)
+        before = gram.apply(z)
+        gram.factors[0][0] += 1.0
+        gram.operators.spatial_1 *= 2.0
+        np.testing.assert_array_equal(gram.apply(z), before)
+
+    @given(gram=random_gramians, seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_apply_does_not_depend_on_call_history(self, gram, seed):
+        rng = np.random.default_rng(seed)
+        z1, z2 = rng.standard_normal(gram.size), rng.standard_normal(gram.size)
+        first = gram.apply(z1)
+        gram.apply(z2)
+        np.testing.assert_array_equal(gram.apply(z1), first)
+
 
 class TestBlockJacobiPreconditioner:
     def test_isotropic_case_is_scalar_inverse(self):
@@ -506,6 +525,16 @@ class TestBlockJacobiPreconditioner:
         np.testing.assert_array_equal(first, second)
         assert not np.shares_memory(first, second)
         assert not np.shares_memory(first, v)
+
+    @given(gram=random_gramians, seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_apply_does_not_depend_on_call_history(self, gram, seed):
+        precond = block_jacobi_preconditioner(gram)
+        rng = np.random.default_rng(seed)
+        v1, v2 = rng.standard_normal(gram.size), rng.standard_normal(gram.size)
+        first = precond(v1)
+        precond(v2)
+        np.testing.assert_array_equal(precond(v1), first)
 
     def test_reduces_pcg_iterations(self):
         # identity degradation operators keep the comparison well conditioned
