@@ -10,8 +10,17 @@ where ``L = Q^T Q`` for the operator ``Q`` of that mode, ``G_s`` is the
 Hadamard product of the other modes' Grams in the image that degrades the mode
 (``DEGRADED_IN``), ``G_p`` the other image's, and ``rhs`` the two images'
 MTTKRPs mapped back by ``DegradationOperators.back_project``.  It is solved
-exactly by eigendecomposing ``L`` once per solve and solving an R x R system
-per row.
+exactly: ``L`` is eigendecomposed once per solve, which splits the system into
+one R x R system ``e_i G_s + G_p`` per row, and one eigendecomposition of the
+symmetric-definite pencil ``(G_s, G_p)`` per update diagonalizes all of them
+at once (``_sylvester_rows``).  Each image's projected factors and their Grams
+are kept current, so an update forms only the two Grams of the mode it
+changed.
+
+The right-hand sides share work across modes (a dimension tree): mode 1 takes
+a full ``mttkrp`` per image, and once it is updated each image is contracted
+with its new mode-1 factor, ``z = A^T X_(1)``, from which modes 2 and 3 both
+take their MTTKRPs (``tensors._mode1_partial``).
 """
 
 from __future__ import annotations
@@ -20,10 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh
+from scipy.linalg.lapack import dsygv
 
 from .degradation import DEGRADED_IN
 from .solver import _OTHER_MODES, FusionProblem, _squared_misfit
-from .tensors import CpdModel, cpd_reconstruct, mttkrp
+from .tensors import CpdModel, _mode1_partial, _partial_mttkrp, cpd_reconstruct, mttkrp
 
 __all__ = ["AlsTrace", "random_init", "solve_als"]
 
@@ -46,9 +56,21 @@ def random_init(dims: tuple[int, int, int], rank: int, rng_seed: int) -> CpdMode
 
 
 def _sylvester_rows(evals, evecs, gamma_scaled, gamma_plain, rhs):
-    """Solve  evecs diag(evals) evecs^T X gamma_scaled + X gamma_plain = rhs."""
-    rank = gamma_plain.shape[0]
+    """Solve  evecs diag(evals) evecs^T X gamma_scaled + X gamma_plain = rhs.
+
+    Row i of ``Y = evecs^T X`` solves ``y_i (e_i G_s + G_p) = r_i`` with
+    ``r = evecs^T rhs``.  The pencil eigendecomposition ``G_s W = G_p W diag(lam)``,
+    ``W^T G_p W = I`` gives ``(e G_s + G_p)^-1 = W diag(1 / (1 + e lam)) W^T``
+    for every row, so all rows take two R-wide products and one division.
+    When ``G_p`` is not numerically positive definite the pencil has no such
+    ``W`` (LAPACK ``dsygv`` reports it); then each row system is LU-solved,
+    with a trace-scaled ridge if any of them is singular.
+    """
     rt = evecs.T @ rhs
+    lam, w, info = dsygv(gamma_scaled, gamma_plain)
+    if info == 0:
+        return evecs @ (((rt @ w) / (1.0 + np.outer(evals, lam))) @ w.T)
+    rank = gamma_plain.shape[0]
     systems = evals[:, None, None] * gamma_scaled + gamma_plain
     try:
         xt = np.linalg.solve(systems, rt[:, :, None])[:, :, 0]
@@ -95,21 +117,30 @@ def solve_als(
     bases = [eigh(q.T @ q) for q in ops.matrices]
 
     factors = [f.copy() for f in init.factors]
-    # Each image's CP factors, kept current as the scene factors change.
+    # Each image's CP factors and their Grams, kept current as the scene factors change.
     projected = ops.project(factors)
+    grams = [[f.T @ f for f in proj] for proj in projected]
     objectives = [_coupled_objective(projected, prob)]
     converged = False
     sweeps = 0
     for _ in range(max_iters):
         for n, (a, b) in enumerate(_OTHER_MODES):
-            terms = [mttkrp(image, proj, n + 1) for image, proj in zip(prob.images, projected)]
-            gammas = [(proj[a].T @ proj[a]) * (proj[b].T @ proj[b]) for proj in projected]
+            if n == 0:
+                terms = [mttkrp(image, proj, 1) for image, proj in zip(prob.images, projected)]
+            else:
+                terms = [_partial_mttkrp(z, proj, n + 1) for z, proj in zip(partials, projected)]
+            gammas = [g[a] * g[b] for g in grams]
             # The image that degrades mode n scales the Sylvester system.
             s = DEGRADED_IN[n]
             rhs = ops.back_project(n, terms)
             factors[n] = _sylvester_rows(*bases[n], gammas[s], gammas[1 - s], rhs)
-            for stack, proj in zip(ops.stacks, projected):
+            for stack, proj, g in zip(ops.stacks, projected, grams):
                 proj[n] = factors[n] if stack[n] is None else stack[n] @ factors[n]
+                g[n] = proj[n].T @ proj[n]
+            if n == 0:
+                # Modes 2 and 3 both contract each image with its new mode-1 factor.
+                partials = [_mode1_partial(image, proj[0])
+                            for image, proj in zip(prob.images, projected)]
 
         sweeps += 1
         objectives.append(_coupled_objective(projected, prob))

@@ -230,14 +230,16 @@ def add_noise(t: np.ndarray, snr_db: float, rng_seed: int) -> np.ndarray:
     A single standard normal draw is rescaled so that
     ``frobenius_norm(noise) == frobenius_norm(t) * 10**(-snr_db / 20)``.
     ``snr_db == math.inf`` disables the noise and returns a copy of ``t``.
-    The result keeps the memory order of ``t``.
+    The signal norm is summed in one fixed logical order (Fortran order, a
+    view of the package's images), so equal values get equal noise whatever
+    their memory order.  The result keeps the memory order of ``t``.
     """
     t = np.asarray(t, dtype=np.float64)
     if math.isinf(snr_db) and snr_db > 0:
         return t.copy(order="K")
     if not math.isfinite(snr_db):
         raise ValueError(f"snr_db must be finite or +inf, got {snr_db}")
-    signal_norm = frobenius_norm(t)
+    signal_norm = frobenius_norm(t.ravel(order="F"))
     if signal_norm == 0.0:
         raise ValueError("cannot calibrate noise against an all-zero tensor")
     rng = np.random.default_rng(rng_seed)

@@ -29,6 +29,13 @@ plans a contraction.  On the C-ordered view ``(I, J, K)`` with factors
 * ``cpd_reconstruct``: one product ``khatri_rao([c, b]) @ a.T`` of shape
   ``(K * J, I)``, whose transpose is the Fortran-ordered ``(I, J, K)`` tensor.
 
+A sweep that updates mode 1 before modes 2 and 3 can share one partial
+product between the two later modes (a dimension tree): ``_mode1_partial``
+forms ``z[k] = a.T @ t[:, :, k]``, one ``(R x I)(I x J)`` product per
+frontal slice that reads a Fortran-ordered tensor in place, and
+``_partial_mttkrp`` contracts ``z`` with ``c`` (mode 2) or ``b`` (mode 3) as R
+batched matrix-vector products.
+
 Every routine validates shapes and raises ``ValueError`` on mismatch.
 """
 
@@ -205,6 +212,25 @@ def mttkrp(t: np.ndarray, factors, mode: int) -> np.ndarray:
         # t.T[k, j, i] == t[i, j, k]: the same contraction with the modes reversed.
         return _mttkrp_c(t.T, factors[2], factors[1], factors[0], 4 - mode)
     return _mttkrp_c(t, *factors, mode)
+
+
+def _mode1_partial(t: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The ``(K, R, J)`` partial ``z[k, r, j] = sum_i a[i, r] t[i, j, k]``.
+
+    One product per frontal slice; the slices of a Fortran-ordered tensor are
+    Fortran-ordered matrices, so it is read in place.
+    """
+    return np.matmul(a.T, t.transpose(2, 0, 1))
+
+
+def _partial_mttkrp(z: np.ndarray, factors, mode: int) -> np.ndarray:
+    """``mttkrp(t, factors, mode)`` for mode 2 or 3 from ``z = _mode1_partial(t, factors[0])``."""
+    per_column = z.transpose(1, 0, 2)  # (R, K, J)
+    if mode == 2:
+        # m[j, r] = sum_k z[k, r, j] c[k, r]
+        return np.matmul(factors[2].T[:, None, :], per_column)[:, 0, :].T
+    # m[k, r] = sum_j z[k, r, j] b[j, r]
+    return np.matmul(per_column, factors[1].T[:, :, None])[:, :, 0].T
 
 
 def cpd_reconstruct(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg.lapack import dsygv
 
-from cpfuse.als import AlsTrace, random_init, solve_als
+from cpfuse.als import AlsTrace, _sylvester_rows, random_init, solve_als
 from cpfuse.degradation import DegradationConfig, build_operators, degrade
 from cpfuse.metrics import rsnr
 from cpfuse.solver import FusionProblem
@@ -43,6 +46,79 @@ def one_sweep_oracle(prob, init):
     rhs = unfold(prob.hsi, 3) @ zh + pm.T @ unfold(prob.msi, 3) @ zm
     c = np.linalg.solve(system, rhs.ravel(order="F")).reshape(c.shape, order="F")
     return a, b, c
+
+
+def lu_sylvester_rows(evals, evecs, gamma_scaled, gamma_plain, rhs):
+    """One batched LU solve per row system, with a trace-scaled ridge when any
+    is singular: the row solve that the pencil replaces, kept as its fallback."""
+    rank = gamma_plain.shape[0]
+    rt = evecs.T @ rhs
+    systems = evals[:, None, None] * gamma_scaled + gamma_plain
+    try:
+        xt = np.linalg.solve(systems, rt[:, :, None])[:, :, 0]
+        if not np.all(np.isfinite(xt)):
+            raise np.linalg.LinAlgError
+    except np.linalg.LinAlgError:
+        ridged = systems + (
+            1e-10 * np.trace(systems, axis1=1, axis2=2)[:, None, None] + 1e-300
+        ) * np.eye(rank)
+        xt = np.linalg.solve(ridged, rt[:, :, None])[:, :, 0]
+    return evecs @ xt
+
+
+def hadamard_gram(rng, rank, zero_column=None):
+    """A Hadamard product of two factor Grams, as ALS forms its row systems."""
+    factors = [rng.standard_normal((rank + 4, rank)) for _ in range(2)]
+    if zero_column is not None:
+        factors[0][:, zero_column] = 0.0
+    return (factors[0].T @ factors[0]) * (factors[1].T @ factors[1])
+
+
+class TestSylvesterRows:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rank=st.integers(1, 6),
+        rows=st.integers(1, 12),
+        deficiency=st.integers(0, 6),
+        seed=st.integers(0, 2**31),
+    )
+    def test_pencil_matches_per_row_solve(self, rank, rows, deficiency, seed):
+        rng = np.random.default_rng(seed)
+        # Eigenvalues of a rank-deficient Q^T Q: exact zeros and rounding-sized negatives.
+        evals = rng.uniform(0.0, 3.0, rows)
+        kind = rng.integers(0, 3, rows)
+        evals[kind == 1] = 0.0
+        evals[kind == 2] = -1e-16 * rng.uniform(0.0, 10.0, int(np.sum(kind == 2)))
+        evecs = np.linalg.qr(rng.standard_normal((rows, rows)))[0]
+        # A scaled Gram of rank rank - deficiency (zero when that is not positive).
+        m = rng.standard_normal((rank, max(rank - deficiency, 0)))
+        gamma_scaled = m @ m.T
+        gamma_plain = hadamard_gram(rng, rank)
+        rhs = rng.standard_normal((rows, rank))
+
+        rt = evecs.T @ rhs
+        want = evecs @ np.array(
+            [np.linalg.solve(e * gamma_scaled + gamma_plain, r) for e, r in zip(evals, rt)]
+        )
+        got = _sylvester_rows(evals, evecs, gamma_scaled, gamma_plain, rhs)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
+
+    def test_singular_plain_gram_takes_the_ridged_lu_fallback(self):
+        rng = np.random.default_rng(3)
+        rank, rows = 4, 7
+        # A zero factor column makes G_p singular, so the pencil is not definite.
+        gamma_plain = hadamard_gram(rng, rank, zero_column=2)
+        gamma_scaled = hadamard_gram(rng, rank)
+        assert dsygv(gamma_scaled, gamma_plain)[2] != 0
+        # A zero eigenvalue leaves its row system as singular as G_p.
+        evals = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+        evecs = np.linalg.qr(rng.standard_normal((rows, rows)))[0]
+        rhs = rng.standard_normal((rows, rank))
+        got = _sylvester_rows(evals, evecs, gamma_scaled, gamma_plain, rhs)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_array_equal(
+            got, lu_sylvester_rows(evals, evecs, gamma_scaled, gamma_plain, rhs)
+        )
 
 
 class TestSolveAls:

@@ -326,11 +326,22 @@ class TestAddNoise:
         assert out.flags.c_contiguous == (order == "C")
         assert out.flags.f_contiguous == (order == "F")
 
+    def test_same_values_get_the_same_noise_in_either_memory_order(self):
+        # Draw 6 of this stream sums its squares to different last bits in C
+        # and in Fortran memory order.
+        rng = np.random.default_rng(0)
+        for _ in range(7):
+            c = rng.uniform(0, 1, (16, 16, 8)) + 0.2
+        f = np.asfortranarray(c)
+        np.testing.assert_array_equal(add_noise(c, 10.0, 3), add_noise(f, 10.0, 3))
+
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_is_input_plus_scaled_standard_normal_draw(self, order):
         t = np.asarray(RNG.uniform(size=(4, 3, 5)) + 0.5, order=order)
         noise = np.random.default_rng(11).standard_normal(t.shape)
-        scale = frobenius_norm(t) / (np.linalg.norm(noise.ravel()) * 10.0 ** (5.0 / 20.0))
+        # The signal norm is summed in Fortran order whatever the layout of t.
+        signal_norm = frobenius_norm(t.ravel(order="F"))
+        scale = signal_norm / (np.linalg.norm(noise.ravel()) * 10.0 ** (5.0 / 20.0))
         np.testing.assert_array_equal(add_noise(t, 5.0, rng_seed=11), t + scale * noise)
 
 

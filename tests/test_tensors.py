@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from cpfuse.fileio import write_tensor
 from cpfuse.tensors import (
     CpdModel,
+    _mode1_partial,
+    _partial_mttkrp,
     cpd_reconstruct,
     fold,
     frobenius_norm,
@@ -280,6 +282,22 @@ class TestKernelProperties:
                 np.testing.assert_allclose(
                     mttkrp(view, factors, mode), expected, rtol=1e-12, atol=1e-12 * scale,
                     err_msg=f"mode {mode}, {layout} layout",
+                )
+
+    @settings(max_examples=40, deadline=None)
+    @given(dims=kernel_dims, rank=kernel_ranks, seed=st.integers(0, 2**31))
+    def test_shared_mode1_partial_matches_mttkrp_in_every_layout(self, dims, rank, seed):
+        rng = np.random.default_rng(seed)
+        t = rng.standard_normal(dims)
+        factors = [rng.standard_normal((d, rank)) for d in dims]
+        for layout, view in layouts(t).items():
+            z = _mode1_partial(view, factors[0])
+            for mode in (2, 3):
+                w = khatri_rao([factors[n] for n in KR_ORDER[mode]])
+                scale = (np.abs(unfold(t, mode)) @ np.abs(w)).max()
+                np.testing.assert_allclose(
+                    _partial_mttkrp(z, factors, mode), mttkrp(view, factors, mode),
+                    rtol=1e-12, atol=1e-12 * scale, err_msg=f"mode {mode}, {layout} layout",
                 )
 
     @settings(max_examples=40, deadline=None)
