@@ -21,6 +21,13 @@ The right-hand sides share work across modes (a dimension tree): mode 1 takes
 a full ``mttkrp`` per image, and once it is updated each image is contracted
 with its new mode-1 factor, ``z = A^T X_(1)``, from which modes 2 and 3 both
 take their MTTKRPs (``tensors._mode1_partial``).
+
+Each sweep's objective, which the convergence test reads, is the guarded
+Gram expansion of ``solver._image_misfit``: the cross term ``<X, M>`` is the
+sum of the mode-3 MTTKRP times the new mode-3 factor, both already formed by
+the sweep, and the Grams are the ones kept current.  So a sweep reconstructs
+an image only when its misfit is below ``solver.GUARD`` times its squared
+norm.  The initial objective is summed from the reconstructed residuals.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from scipy.linalg import eigh
 from scipy.linalg.lapack import dsygv
 
 from .degradation import DEGRADED_IN
-from .solver import _OTHER_MODES, FusionProblem, _squared_misfit
+from .solver import _OTHER_MODES, FusionProblem, _image_misfit, _squared_misfit
 from .tensors import CpdModel, _mode1_partial, _partial_mttkrp, cpd_reconstruct, mttkrp
 
 __all__ = ["AlsTrace", "random_init", "solve_als"]
@@ -40,7 +47,11 @@ __all__ = ["AlsTrace", "random_init", "solve_als"]
 
 @dataclass(frozen=True)
 class AlsTrace:
-    """Objective value per sweep (index 0 is the init) plus the exit status."""
+    """Objective value per sweep plus the exit status.
+
+    Index 0 is the init's objective, summed from the reconstructed residuals;
+    every later value is the guarded Gram expansion (``solver._image_misfit``).
+    """
 
     objectives: tuple[float, ...]
     converged: bool
@@ -85,13 +96,6 @@ def _sylvester_rows(evals, evecs, gamma_scaled, gamma_plain, rhs):
     return evecs @ xt
 
 
-def _coupled_objective(projected, prob: FusionProblem) -> float:
-    return sum(
-        _squared_misfit(cpd_reconstruct(*factors), image)
-        for image, factors in zip(prob.images, projected)
-    )
-
-
 def solve_als(
     prob: FusionProblem,
     init: CpdModel,
@@ -120,7 +124,8 @@ def solve_als(
     # Each image's CP factors and their Grams, kept current as the scene factors change.
     projected = ops.project(factors)
     grams = [[f.T @ f for f in proj] for proj in projected]
-    objectives = [_coupled_objective(projected, prob)]
+    objectives = [sum(_squared_misfit(cpd_reconstruct(*proj), image)
+                      for image, proj in zip(prob.images, projected))]
     converged = False
     sweeps = 0
     for _ in range(max_iters):
@@ -143,7 +148,13 @@ def solve_als(
                             for image, proj in zip(prob.images, projected)]
 
         sweeps += 1
-        objectives.append(_coupled_objective(projected, prob))
+        # The mode-3 right-hand sides were formed from this sweep's modes 1
+        # and 2, so their product with the new mode-3 factor is <X, M>.
+        objectives.append(sum(
+            _image_misfit(image, norm_sq, proj, float(np.vdot(t, proj[2])), g)
+            for image, norm_sq, proj, t, g
+            in zip(prob.images, prob.norms_sq, projected, terms, grams)
+        ))
         previous, current = objectives[-2], objectives[-1]
         if previous <= 0.0 or (previous - current) / previous < rel_f_tol:
             converged = True

@@ -180,8 +180,10 @@ def fuse(prob: FusionProblem, algorithm: str, init_seed: int, cfg: SolverConfig)
     """Fuse ``prob`` with ``algorithm`` from the random start drawn with ``init_seed``.
 
     nn-nls starts from :func:`init_latent`, ALS from :func:`random_init`;
-    ALS reads only ``max_iters`` and ``rel_f_tol`` from ``cfg``.
+    ALS reads only ``max_iters`` and ``rel_f_tol`` from ``cfg``.  ``cfg`` is
+    validated for both algorithms.
     """
+    cfg.validate()
     if algorithm == "nn-nls":
         model, state, trace = solve(prob, init_latent(prob.sri_dims, prob.rank, init_seed), cfg)
         return FuseResult(model, len(trace), state.converged, state.f_value)

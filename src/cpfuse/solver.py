@@ -16,6 +16,16 @@ through ``project`` and back through its adjoint ``back_project``; the Gramian
 operator takes the projected factors from ``project`` and each mode's operator
 and degrading image from ``matrices`` and ``DEGRADED_IN``.
 
+The objective never reconstructs an image while its misfit is large.  Per
+image, with CP model ``M = [[F_1, F_2, F_3]]`` and Grams ``G_n = F_n^T F_n``,
+``_image_misfit`` expands
+
+    ||M - X||^2 = ||X||^2 - 2 <X, M> + sum(G_1 * G_2 * G_3),
+
+with ``||X||^2`` formed once per problem and ``<X, M> = <mttkrp(X, F, 1), F_1>``.
+The expansion cancels digits as the misfit shrinks, so below ``GUARD * ||X||^2``
+the misfit is instead summed from the reconstructed residual.
+
 The latent-to-factor chain scaling is frozen per outer iteration, so the
 Gramian operator is rebuilt once per iteration and reused by every CG
 application inside it.  What depends only on the point is formed once with
@@ -78,6 +88,12 @@ SHRINK_THRESHOLD = 0.25
 GROW_THRESHOLD = 0.75
 SHRINK_FACTOR = 0.25
 GROW_FACTOR = 2.0
+
+# An image misfit whose Gram expansion falls below GUARD * ||X||^2 is summed
+# from the reconstructed residual instead.  The expansion's rounding error is
+# at most about 4 eps ||X||^2 (measured on random points), so above the guard
+# it stays below 1e-10 of the misfit.
+GUARD = 1e-5
 
 
 class SolverDivergenceError(RuntimeError):
@@ -160,6 +176,8 @@ class FusionProblem:
         self.hsi = np.asfortranarray(self.hsi, dtype=np.float64)
         self.msi = np.asfortranarray(self.msi, dtype=np.float64)
         self.validate()
+        # The images' squared norms, in ``images`` order, for the Gram expansion.
+        self.norms_sq = tuple(_sum_squares(image) for image in self.images)
 
     @property
     def images(self) -> tuple[np.ndarray, np.ndarray]:
@@ -243,12 +261,34 @@ def _squared_misfit(model: np.ndarray, image: np.ndarray) -> float:
     return _sum_squares(model)
 
 
+def _image_misfit(image, norm_sq: float, factors, cross: float, grams) -> float:
+    """``||[[factors]] - image||_F^2`` from its Gram expansion
+    ``norm_sq - 2 cross + sum(G_1 * G_2 * G_3)``, given ``norm_sq = ||image||^2``,
+    the cross term ``cross = <image, [[factors]]>`` and the factors' Grams.
+
+    Below ``GUARD * norm_sq`` the expansion has cancelled too many digits, so
+    the misfit is summed from the reconstructed residual instead.
+    """
+    misfit = norm_sq - 2.0 * cross + float(np.vdot(grams[0] * grams[1], grams[2]))
+    if misfit < GUARD * norm_sq:
+        return _squared_misfit(cpd_reconstruct(*factors), image)
+    return misfit
+
+
 def objective(latent: LatentTriple, prob: FusionProblem) -> float:
-    """Coupled squared-misfit objective at the squared-latent point."""
+    """Coupled squared-misfit objective at the squared-latent point.
+
+    Each image's misfit is the guarded Gram expansion of ``_image_misfit``,
+    with the cross term from one mode-1 MTTKRP: no image is reconstructed
+    unless its misfit is below ``GUARD`` times its squared norm.
+    """
     model = square_params(latent)
     total = 0.0
-    for image, factors in zip(prob.images, prob.operators.project(model.factors)):
-        total += _squared_misfit(cpd_reconstruct(*factors), image)
+    for image, norm_sq, factors in zip(
+        prob.images, prob.norms_sq, prob.operators.project(model.factors)
+    ):
+        cross = float(np.vdot(mttkrp(image, factors, 1), factors[0]))
+        total += _image_misfit(image, norm_sq, factors, cross, [f.T @ f for f in factors])
     return total
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,9 +7,9 @@ from hypothesis import strategies as st
 from scipy.linalg.lapack import dsygv
 
 from cpfuse.als import AlsTrace, _sylvester_rows, random_init, solve_als
-from cpfuse.degradation import DegradationConfig, build_operators, degrade
+from cpfuse.degradation import DegradationConfig, add_noise, build_operators, degrade
 from cpfuse.metrics import rsnr
-from cpfuse.solver import FusionProblem
+from cpfuse.solver import FusionProblem, _squared_misfit
 from cpfuse.tensors import CpdModel, cpd_reconstruct, khatri_rao, unfold
 
 
@@ -146,6 +148,26 @@ class TestSolveAls:
         _, trace = solve_als(prob, init, max_iters=100, rel_f_tol=1e-14)
         for prev, nxt in zip(trace.objectives, trace.objectives[1:]):
             assert nxt <= prev * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("snr_db", [math.inf, 20.0])
+    @pytest.mark.parametrize("near_truth", [False, True])
+    @pytest.mark.parametrize("max_iters", [1, 300])
+    def test_last_objective_is_the_exact_misfit(self, snr_db, near_truth, max_iters):
+        # Noiseless runs from near the truth end below solver.GUARD.
+        clean, _, truth = make_problem(seed=2)
+        hsi, msi = (add_noise(t, snr_db, k) for k, t in enumerate(clean.images))
+        prob = FusionProblem(hsi, msi, clean.operators, clean.rank)
+        rng = np.random.default_rng(5)
+        if near_truth:
+            init = CpdModel(tuple(f + 0.01 * rng.standard_normal(f.shape) for f in truth))
+        else:
+            init = random_init(prob.sri_dims, prob.rank, rng_seed=5)
+        model, trace = solve_als(prob, init, max_iters=max_iters, rel_f_tol=1e-14)
+        want = sum(
+            _squared_misfit(cpd_reconstruct(*f), image)
+            for image, f in zip(prob.images, prob.operators.project(model.factors))
+        )
+        assert abs(trace.objectives[-1] - want) <= 1e-10 * want
 
     def test_trace_bookkeeping(self):
         prob, _, _ = make_problem()

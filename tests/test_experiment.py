@@ -460,6 +460,18 @@ class TestCliPipeline:
         assert "error:" in err and "--factor" in err
         assert not (tmp_path / "x.dt3").exists()
 
+    @pytest.mark.parametrize("algorithm", ["nn-nls", "als"])
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+    def test_fuse_rejects_nonpositive_rel_f_tol(self, tmp_path, capsys, algorithm, tol):
+        sri = self.simulate(tmp_path)
+        hsi, msi = self.degrade(tmp_path, sri)
+        rc = main(["fuse", "--hsi", str(hsi), "--msi", str(msi), "--rank", "2",
+                   "--out", str(tmp_path / "x.dt3"), "--algorithm", algorithm,
+                   "--kernel-size", "3", "--rel-f-tol", tol])
+        assert rc == 1
+        assert "rel_f_tol must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "x.dt3").exists()
+
     def test_fuse_als_backend_runs(self, tmp_path, capsys):
         sri = self.simulate(tmp_path)
         hsi, msi = self.degrade(tmp_path, sri)

@@ -11,6 +11,7 @@ import cpfuse.solver as solver_module
 from cpfuse.degradation import (
     DegradationConfig,
     DegradationOperators,
+    add_noise,
     build_operators,
     degrade,
 )
@@ -318,6 +319,72 @@ class TestObjective:
         want = LatentTriple(tuple(m[:, perm] for m in blocks.mats)).to_vector()
         got = gradient(permuted, prob)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def exact_objective(latent, prob):
+    """Reference: both images reconstructed and their residuals summed."""
+    factors = prob.operators.project(square_params(latent).factors)
+    return sum(
+        solver_module._squared_misfit(cpd_reconstruct(*f), image)
+        for image, f in zip(prob.images, factors)
+    )
+
+
+def perturbed_truth_point(snr_db, spread, seed):
+    """A problem whose images carry noise at ``snr_db`` (none at inf) and the
+    truth's latent point with each entry scaled by ``1 + spread * N(0, 1)``."""
+    prob, _, truth = make_problem(dims=(6, 5, 4), rank=2, seed=seed)
+    hsi, msi = (add_noise(t, snr_db, seed + k) for k, t in enumerate(prob.images))
+    prob = FusionProblem(hsi, msi, prob.operators, prob.rank)
+    rng = np.random.default_rng(seed)
+    latent = LatentTriple(
+        tuple(np.sqrt(f) * (1.0 + spread * rng.standard_normal(f.shape)) for f in truth)
+    )
+    return prob, latent
+
+
+class TestGuardedObjective:
+    """``objective`` takes each image's misfit from the Gram expansion above
+    ``GUARD * ||X||^2`` and from the reconstructed residual below it."""
+
+    def count_reconstructions(self, monkeypatch):
+        calls = []
+        real = solver_module.cpd_reconstruct
+
+        def counted(*factors):
+            calls.append(1)
+            return real(*factors)
+
+        monkeypatch.setattr(solver_module, "cpd_reconstruct", counted)
+        return calls
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        snr_db=st.one_of(st.just(math.inf), st.floats(min_value=0.0, max_value=140.0)),
+        spread=st.one_of(st.just(0.0), st.floats(min_value=1e-9, max_value=0.3)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_exact_misfit(self, seed, snr_db, spread):
+        # Noisy, noiseless and near-zero-residual points, on both sides of the guard.
+        prob, latent = perturbed_truth_point(snr_db, spread, seed)
+        want = exact_objective(latent, prob)
+        assert abs(objective(latent, prob) - want) <= 1e-10 * want
+
+    @pytest.mark.parametrize("side", [0.5, 2.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_guard_picks_the_evaluation(self, monkeypatch, side, seed):
+        # Noise at side * GUARD of each image's norm, evaluated at the truth.
+        snr_db = -10.0 * math.log10(side * solver_module.GUARD)
+        prob, latent = perturbed_truth_point(snr_db, 0.0, seed)
+        want = exact_objective(latent, prob)
+        calls = self.count_reconstructions(monkeypatch)
+        got = objective(latent, prob)
+        assert len(calls) == (2 if side < 1.0 else 0)
+        assert abs(got - want) <= 1e-10 * want
+
+    def test_problem_keeps_the_squared_norms(self):
+        prob, _, _ = make_problem()
+        np.testing.assert_allclose(prob.norms_sq, [np.sum(t * t) for t in prob.images], rtol=1e-14)
 
 
 class TestGradient:
