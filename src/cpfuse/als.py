@@ -40,7 +40,8 @@ from scipy.linalg.lapack import dsygv
 
 from .degradation import DEGRADED_IN
 from .solver import _OTHER_MODES, FusionProblem, _image_misfit, _squared_misfit
-from .tensors import CpdModel, _mode1_partial, _partial_mttkrp, cpd_reconstruct, mttkrp
+from .tensors import (CpdModel, _check_rank, _mode1_partial, _partial_mttkrp,
+                      cpd_reconstruct, mttkrp)
 
 __all__ = ["AlsTrace", "random_init", "solve_als"]
 
@@ -55,13 +56,15 @@ class AlsTrace:
 
     objectives: tuple[float, ...]
     converged: bool
-    sweeps: int
+
+    @property
+    def sweeps(self) -> int:
+        return len(self.objectives) - 1
 
 
 def random_init(dims: tuple[int, int, int], rank: int, rng_seed: int) -> CpdModel:
     """Standard normal factor init for the unconstrained baseline."""
-    if rank < 1:
-        raise ValueError(f"rank must be positive, got {rank}")
+    _check_rank(rank)
     rng = np.random.default_rng(rng_seed)
     return CpdModel(tuple(rng.standard_normal((int(d), rank)) for d in dims))
 
@@ -108,12 +111,7 @@ def solve_als(
     trace; ``converged`` is set when the relative objective decrease of a
     sweep falls below ``rel_f_tol``.
     """
-    prob.validate()
-    if init.dims != prob.sri_dims or init.rank != prob.rank:
-        raise ValueError(
-            f"init has dims {init.dims} rank {init.rank}, problem needs "
-            f"{prob.sri_dims} rank {prob.rank}"
-        )
+    prob.check_init(init)
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
 
@@ -127,7 +125,6 @@ def solve_als(
     objectives = [sum(_squared_misfit(cpd_reconstruct(*proj), image)
                       for image, proj in zip(prob.images, projected))]
     converged = False
-    sweeps = 0
     for _ in range(max_iters):
         for n, (a, b) in enumerate(_OTHER_MODES):
             if n == 0:
@@ -147,7 +144,6 @@ def solve_als(
                 partials = [_mode1_partial(image, proj[0])
                             for image, proj in zip(prob.images, projected)]
 
-        sweeps += 1
         # The mode-3 right-hand sides were formed from this sweep's modes 1
         # and 2, so their product with the new mode-3 factor is <X, M>.
         objectives.append(sum(
@@ -159,4 +155,4 @@ def solve_als(
         if previous <= 0.0 or (previous - current) / previous < rel_f_tol:
             converged = True
             break
-    return CpdModel(tuple(factors)), AlsTrace(tuple(objectives), converged, sweeps)
+    return CpdModel(tuple(factors)), AlsTrace(tuple(objectives), converged)

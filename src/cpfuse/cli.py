@@ -118,7 +118,7 @@ def _fuse_operators(args, hsi, msi) -> DegradationOperators:
         )
     # Unset flags take the DegradationConfig defaults, except the factor, which
     # is inferred from the shapes.  Shape mismatches between these operators
-    # and the pair are reported by FusionProblem.validate.
+    # and the pair are reported when the FusionProblem is constructed.
     shapes = operator_shapes((hsi, msi))
     given = {n: getattr(args, n) for n in _FUSE_MODEL_FLAGS if getattr(args, n) is not None}
     spectral_path = given.pop("spectral_matrix", None)

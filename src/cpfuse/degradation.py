@@ -8,6 +8,8 @@ projecting its factor matrices.  ``DEGRADED_IN`` states which image degrades
 which scene mode.  ``DegradationOperators`` derives the coupling from it, forward
 (``stacks``, ``project``) and back (``back_project``, the adjoint), and
 ``operator_shapes``/``scene_shape`` the sizes an observed pair implies.
+The config and the operators check themselves when built; the operators
+cannot be rebound.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ class DegradationConfig:
     snr_hsi_db: float = math.inf
     snr_msi_db: float = math.inf
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.kernel_size < 1 or self.kernel_size % 2 == 0:
             raise ValueError(f"kernel_size must be odd and positive, got {self.kernel_size}")
         if not self.sigma > 0:
@@ -62,7 +64,7 @@ class DegradationConfig:
             raise ValueError(f"num_msi_bands must be >= 1, got {self.num_msi_bands}")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class DegradationOperators:
     """The three degradation matrices applied as mode products.
 
@@ -70,7 +72,8 @@ class DegradationOperators:
     spatial_2 : (J_H, J) blur-downsample matrix for the second spatial mode
     spectral  : (K_M, K) band aggregation matrix for the spectral mode
 
-    ``matrices`` and ``stacks`` are resolved at construction.
+    ``matrices`` and ``stacks`` are resolved at construction; the fields
+    cannot be rebound, so they always hold the fields' arrays.
     """
 
     spatial_1: np.ndarray
@@ -84,14 +87,14 @@ class DegradationOperators:
             m = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
             if m.ndim != 2:
                 raise ValueError(f"{name} must be a matrix")
-            setattr(self, name, m)
-        self.matrices = (self.spatial_1, self.spatial_2, self.spectral)
+            object.__setattr__(self, name, m)
+        object.__setattr__(self, "matrices", (self.spatial_1, self.spatial_2, self.spectral))
         # Per image, each scene mode's operator or ``None``: the HSI's CP
         # factors are ``[P1 A, P2 B, C]``, the MSI's ``[A, B, Pm C]``.
-        self.stacks = tuple(
+        object.__setattr__(self, "stacks", tuple(
             tuple(q if DEGRADED_IN[n] == s else None for n, q in enumerate(self.matrices))
             for s in range(2)
-        )
+        ))
 
     def project(self, factors) -> tuple[list[np.ndarray], ...]:
         """Each image's CP factors for the scene's ``factors``: one list per
@@ -126,7 +129,6 @@ def blur_downsample_matrix(full_dim: int, cfg: DegradationConfig) -> np.ndarray:
     keeps every ``factor``-th row starting near the half-phase offset, chosen
     so the result always has ceil(full_dim / factor) rows.
     """
-    cfg.validate()
     if full_dim < 1:
         raise ValueError(f"full_dim must be positive, got {full_dim}")
     if cfg.kernel_size > full_dim:
@@ -180,7 +182,6 @@ def build_operators(
     A user-supplied spectral matrix replaces the uniform aggregation; it must
     have ``dims[2]`` columns, nonnegative entries and unit row sums.
     """
-    cfg.validate()
     i_dim, j_dim, k_dim = dims
     if spectral is None:
         spectral = band_aggregation_matrix(k_dim, cfg.num_msi_bands)

@@ -4,7 +4,8 @@ A sweep varies either the observation SNR or the solver rank over a fixed
 synthetic (or loaded) scene.  Replicates are independent jobs seeded from the
 master seed plus the replicate index, so identical configurations reproduce
 identical rows; they may run concurrently, with results collected back in
-deterministic order.
+deterministic order.  Every config checks itself when built, so no sweep
+re-checks it.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .solver import (
     reconstruct_sri,
     solve,
 )
-from .tensors import CpdModel, cpd_reconstruct
+from .tensors import CpdModel, _check_dims, _check_rank, cpd_reconstruct
 
 __all__ = [
     "SceneConfig",
@@ -69,19 +70,19 @@ class SceneConfig:
     seed: int = 0
     background_amplitude: float = 0.0
 
+    def __post_init__(self) -> None:
+        _check_dims(self.dims)
+        _check_rank(self.rank)
+        if self.background_amplitude < 0:
+            raise ValueError("background_amplitude must be nonnegative")
+        if self.rank > min(self.dims):
+            warnings.warn(
+                f"scene rank {self.rank} exceeds the smallest dimension {min(self.dims)}"
+            )
+
 
 def simulate_scene(cfg: SceneConfig) -> np.ndarray:
     """Draw the scene tensor for ``cfg``; entrywise nonnegative, deterministic per seed."""
-    if len(cfg.dims) != 3 or any(int(d) <= 0 for d in cfg.dims):
-        raise ValueError(f"dims must be three positive integers, got {cfg.dims!r}")
-    if cfg.rank < 1:
-        raise ValueError(f"rank must be positive, got {cfg.rank}")
-    if cfg.background_amplitude < 0:
-        raise ValueError("background_amplitude must be nonnegative")
-    if cfg.rank > min(cfg.dims):
-        warnings.warn(
-            f"scene rank {cfg.rank} exceeds the smallest dimension {min(cfg.dims)}"
-        )
     rng = np.random.default_rng(cfg.seed)
     factors = [rng.uniform(0.0, 1.0, (int(d), cfg.rank)) for d in cfg.dims]
     sri = cpd_reconstruct(*factors)
@@ -110,7 +111,7 @@ class ExperimentConfig:
     workers: int = 1
     master_seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if (self.scene is None) == (self.sri_path is None):
             raise ValueError("exactly one of scene and sri_path must be set")
         if self.algorithm not in ALGORITHMS:
@@ -123,16 +124,13 @@ class ExperimentConfig:
             raise ValueError("replicates must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.rank < 1:
-            raise ValueError("rank must be >= 1")
+        _check_rank(self.rank)
         snrs = (self.degradation.snr_hsi_db, self.degradation.snr_msi_db)
         if self.sweep_axis == "snr" and snrs != (math.inf, math.inf):
             raise ValueError(f"an SNR sweep sets the noise itself, so {snrs} must be inf")
         if self.sweep_axis == "rank" and any(int(v) < 1 for v in self.sweep_values):
             raise ValueError("rank sweep values must be positive integers")
         check_smooth_window(self.smooth_window)
-        self.degradation.validate()
-        self.solver.validate()
 
 
 @dataclass(frozen=True)
@@ -180,10 +178,8 @@ def fuse(prob: FusionProblem, algorithm: str, init_seed: int, cfg: SolverConfig)
     """Fuse ``prob`` with ``algorithm`` from the random start drawn with ``init_seed``.
 
     nn-nls starts from :func:`init_latent`, ALS from :func:`random_init`;
-    ALS reads only ``max_iters`` and ``rel_f_tol`` from ``cfg``.  ``cfg`` is
-    validated for both algorithms.
+    ALS reads only ``max_iters`` and ``rel_f_tol`` from ``cfg``.
     """
-    cfg.validate()
     if algorithm == "nn-nls":
         model, state, trace = solve(prob, init_latent(prob.sri_dims, prob.rank, init_seed), cfg)
         return FuseResult(model, len(trace), state.converged, state.f_value)
@@ -276,7 +272,6 @@ def _median(values) -> float:
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[SummaryRow]]:
     """Run the sweep and return per-replicate rows plus per-point medians."""
-    cfg.validate()
     if cfg.scene is not None:
         sri = simulate_scene(cfg.scene)
     else:

@@ -71,6 +71,8 @@ def _band_correlations(est: np.ndarray, truth: np.ndarray) -> tuple[list[float],
             skipped += 1
             continue
         values.append(sxy / denom)
+    if not values:
+        raise ValueError("every spectral band is constant; correlation undefined")
     return values, skipped
 
 
@@ -83,8 +85,6 @@ def cross_correlation(est: np.ndarray, truth: np.ndarray) -> float:
     """
     est, truth = _check_pair(est, truth)
     values, skipped = _band_correlations(est, truth)
-    if not values:
-        raise ValueError("every spectral band is constant; correlation undefined")
     if skipped:
         warnings.warn(f"skipped {skipped} constant band(s) in cross_correlation")
     return float(np.mean(values))
@@ -116,24 +116,21 @@ def _fiber_angles(est: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, int]:
     norm_t = np.sqrt(np.einsum("ijk,ijk->ij", truth, truth))
     dots = np.einsum("ijk,ijk->ij", est, truth)
     keep = (norm_e > 0.0) & (norm_t > 0.0)
+    if not keep.any():
+        raise ValueError("every spectral fiber is zero; spectral angle undefined")
     skipped = int(np.count_nonzero(~keep))
     cosines = np.clip(dots[keep] / (norm_e[keep] * norm_t[keep]), -1.0, 1.0)
     return np.arccos(cosines), skipped
 
 
-def sam(est: np.ndarray, truth: np.ndarray, degrees: bool = False) -> float:
-    """Mean spectral angle between estimate and truth fibers.
+def sam(est: np.ndarray, truth: np.ndarray) -> float:
+    """Mean spectral angle between estimate and truth fibers, in radians.
 
     The angle is computed per spatial position between the two spectral
-    fibers; positions where either fiber is all-zero are skipped.  Returns
-    radians unless ``degrees`` is set.
+    fibers; positions where either fiber is all-zero are skipped.
     """
     est, truth = _check_pair(est, truth)
-    angles, skipped = _fiber_angles(est, truth)
-    if angles.size == 0:
-        raise ValueError("every spectral fiber is zero; spectral angle undefined")
-    value = float(np.mean(angles))
-    return math.degrees(value) if degrees else value
+    return float(np.mean(_fiber_angles(est, truth)[0]))
 
 
 def check_smooth_window(window: int) -> None:
@@ -165,11 +162,7 @@ def metrics_report(est: np.ndarray, truth: np.ndarray) -> MetricsReport:
     """Bundle all four metrics (plus skip counters) for one reconstruction."""
     est, truth = _check_pair(est, truth)
     cc_values, cc_skipped = _band_correlations(est, truth)
-    if not cc_values:
-        raise ValueError("every spectral band is constant; correlation undefined")
     angles, sam_skipped = _fiber_angles(est, truth)
-    if angles.size == 0:
-        raise ValueError("every spectral fiber is zero; spectral angle undefined")
     squared_error = _sum_squares(est - truth)
     return MetricsReport(
         rmse=_rmse(squared_error, est.size),

@@ -11,10 +11,12 @@ misfits, one per observed image, with a Gauss-Newton trust-region iteration:
   along a single dogleg segment,
 * the trust radius follows the classical gain-ratio update.
 
-The coupling comes from ``DegradationOperators``: the gradient goes forward
-through ``project`` and back through its adjoint ``back_project``; the Gramian
-operator takes the projected factors from ``project`` and each mode's operator
-and degrading image from ``matrices`` and ``DEGRADED_IN``.
+A ``FusionProblem`` and a ``SolverConfig`` check themselves when built, and a
+problem cannot be rebound, so ``solve`` re-checks neither.  The coupling comes
+from ``DegradationOperators``: the gradient goes forward through ``project``
+and back through its adjoint ``back_project``; the Gramian operator takes the
+projected factors from ``project`` and each mode's operator and degrading
+image from ``matrices`` and ``DEGRADED_IN``.
 
 The objective never reconstructs an image while its misfit is large.  Per
 image, with CP model ``M = [[F_1, F_2, F_3]]`` and Grams ``G_n = F_n^T F_n``,
@@ -54,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .degradation import DEGRADED_IN, DegradationOperators, operator_shapes, scene_shape
-from .tensors import CpdModel, _sum_squares, cpd_reconstruct, mttkrp
+from .tensors import CpdModel, _check_dims, _check_rank, _sum_squares, cpd_reconstruct, mttkrp
 
 __all__ = [
     "LatentTriple",
@@ -161,9 +163,13 @@ def square_params(latent: LatentTriple) -> CpdModel:
     return CpdModel(tuple(m * m for m in latent.mats))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class FusionProblem:
-    """One fusion instance: the two observed tensors, the operators, the rank."""
+    """One fusion instance: the two observed tensors, the operators, the rank.
+
+    Checked when built, and frozen so that ``norms_sq`` comes from the images
+    it holds; writing into the images in place is not detected.
+    """
 
     hsi: np.ndarray
     msi: np.ndarray
@@ -173,11 +179,20 @@ class FusionProblem:
     def __post_init__(self) -> None:
         # Column-major like read_tensor and cpd_reconstruct, so residuals and
         # MTTKRPs never transpose-copy an image.
-        self.hsi = np.asfortranarray(self.hsi, dtype=np.float64)
-        self.msi = np.asfortranarray(self.msi, dtype=np.float64)
-        self.validate()
+        object.__setattr__(self, "hsi", np.asfortranarray(self.hsi, dtype=np.float64))
+        object.__setattr__(self, "msi", np.asfortranarray(self.msi, dtype=np.float64))
+        if self.hsi.ndim != 3 or self.msi.ndim != 3:
+            raise ValueError("observed tensors must be third-order")
+        _check_rank(self.rank)
+        shapes = operator_shapes(self.images)
+        for n, (q, shape) in enumerate(zip(self.operators.matrices, shapes)):
+            if q.shape != shape:
+                raise ValueError(
+                    f"the mode-{n + 1} operator has shape {q.shape}, but an HSI of shape "
+                    f"{self.hsi.shape} and an MSI of shape {self.msi.shape} need {shape}"
+                )
         # The images' squared norms, in ``images`` order, for the Gram expansion.
-        self.norms_sq = tuple(_sum_squares(image) for image in self.images)
+        object.__setattr__(self, "norms_sq", tuple(_sum_squares(t) for t in self.images))
 
     @property
     def images(self) -> tuple[np.ndarray, np.ndarray]:
@@ -188,18 +203,14 @@ class FusionProblem:
     def sri_dims(self) -> tuple[int, int, int]:
         return scene_shape(self.images)
 
-    def validate(self) -> None:
-        if self.hsi.ndim != 3 or self.msi.ndim != 3:
-            raise ValueError("observed tensors must be third-order")
-        if self.rank < 1:
-            raise ValueError(f"rank must be positive, got {self.rank}")
-        shapes = operator_shapes(self.images)
-        for n, (q, shape) in enumerate(zip(self.operators.matrices, shapes)):
-            if q.shape != shape:
-                raise ValueError(
-                    f"the mode-{n + 1} operator has shape {q.shape}, but an HSI of shape "
-                    f"{self.hsi.shape} and an MSI of shape {self.msi.shape} need {shape}"
-                )
+    def check_init(self, init) -> None:
+        """Reject a start (``LatentTriple`` or ``CpdModel``) whose dims or rank
+        differ from the problem's."""
+        if init.dims != self.sri_dims or init.rank != self.rank:
+            raise ValueError(
+                f"init has dims {init.dims} rank {init.rank}, problem needs "
+                f"{self.sri_dims} rank {self.rank}"
+            )
 
 
 @dataclass(frozen=True)
@@ -213,7 +224,7 @@ class SolverConfig:
     cg_max_iters: int = 25
     cg_rel_tol: float = 1e-6
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         for name in ("rel_f_tol", "grad_tol", "cg_rel_tol"):
@@ -360,8 +371,8 @@ class GramianOperator:
         self.scale = _pack(self.lam_blocks)
         self.block_shapes = [m.shape for m in self.lam_blocks]
         self.size = self.scale.size
-        self.grams = [[f.T @ f for f in image] for image in self.factors]
-        self.hadamards = [[grams[a] * grams[b] for a, b in _OTHER_MODES] for grams in self.grams]
+        grams = [[f.T @ f for f in image] for image in self.factors]
+        self.hadamards = [[g[a] * g[b] for a, b in _OTHER_MODES] for g in grams]
 
         rank = self.block_shapes[0][1]
         matrices = self.operators.matrices
@@ -376,7 +387,7 @@ class GramianOperator:
         heads = np.empty((5, height, rank))
         self._cross = heads[:, height - 2 * rank :].reshape(5, 2, rank, rank)
         self._grams = np.empty((5, 2, rank, rank))
-        self._grams[:3] = np.transpose(self.grams, (1, 0, 3, 2))
+        self._grams[:3] = np.transpose(grams, (1, 0, 3, 2))
         self._grams[3:] = self._grams[:2]
         coefficients = np.empty((3, rank, 4 * rank))
         self._s = coefficients[:, :, : 2 * rank].reshape(3, rank, 2, rank).transpose(0, 2, 1, 3)
@@ -620,13 +631,7 @@ def solve(
     Identical problems, inits and configs yield identical traces.
     """
     cfg = cfg or SolverConfig()
-    cfg.validate()
-    prob.validate()
-    if init.dims != prob.sri_dims or init.rank != prob.rank:
-        raise ValueError(
-            f"init has dims {init.dims} rank {init.rank}, problem needs "
-            f"{prob.sri_dims} rank {prob.rank}"
-        )
+    prob.check_init(init)
 
     latent = init.copy()
     delta0 = max(0.3 * float(np.linalg.norm(latent.to_vector())), 1.0)
@@ -685,10 +690,8 @@ def solve(
 
 def init_latent(dims: tuple[int, int, int], rank: int, rng_seed: int) -> LatentTriple:
     """Uniform [0.1, 1.0] latent init, bounded away from the zero saddle."""
-    if rank < 1:
-        raise ValueError(f"rank must be positive, got {rank}")
-    if len(dims) != 3 or any(int(d) <= 0 for d in dims):
-        raise ValueError(f"dims must be three positive integers, got {dims!r}")
+    _check_rank(rank)
+    _check_dims(dims)
     rng = np.random.default_rng(rng_seed)
     return LatentTriple(tuple(rng.uniform(0.1, 1.0, (int(d), rank)) for d in dims))
 

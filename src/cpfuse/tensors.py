@@ -36,7 +36,8 @@ frontal slice that reads a Fortran-ordered tensor in place, and
 ``_partial_mttkrp`` contracts ``z`` with ``c`` (mode 2) or ``b`` (mode 3) as R
 batched matrix-vector products.
 
-Every routine validates shapes and raises ``ValueError`` on mismatch.
+Every routine validates shapes and raises ``ValueError`` on mismatch;
+``_check_dims`` and ``_check_rank`` hold the package's dims and rank checks.
 """
 
 from __future__ import annotations
@@ -61,6 +62,16 @@ __all__ = [
 def _check_mode(mode: int) -> None:
     if mode not in (1, 2, 3):
         raise ValueError(f"mode must be 1, 2 or 3, got {mode!r}")
+
+
+def _check_dims(dims) -> None:
+    if len(dims) != 3 or any(int(d) <= 0 for d in dims):
+        raise ValueError(f"dims must be three positive integers, got {dims!r}")
+
+
+def _check_rank(rank: int) -> None:
+    if rank < 1:
+        raise ValueError(f"rank must be positive, got {rank}")
 
 
 def _as_tensor(t) -> np.ndarray:
@@ -123,8 +134,7 @@ def fold(m: np.ndarray, mode: int, dims: tuple[int, int, int]) -> np.ndarray:
     """Inverse of :func:`unfold`: rebuild the ``dims`` tensor from a matricization."""
     _check_mode(mode)
     m = np.asarray(m, dtype=np.float64)
-    if len(dims) != 3 or any(int(d) <= 0 for d in dims):
-        raise ValueError(f"dims must be three positive integers, got {dims!r}")
+    _check_dims(dims)
     rest = tuple(d for ax, d in enumerate(dims) if ax != mode - 1)
     expected = (dims[mode - 1], int(np.prod(rest)))
     if m.ndim != 2 or m.shape != expected:

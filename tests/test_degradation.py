@@ -286,6 +286,15 @@ class TestBuildOperators:
         with pytest.raises(ValueError):
             build_operators((8, 8, 6), DegradationConfig(kernel_size=3, factor=2), bad)
 
+    def test_operators_cannot_be_rebound(self):
+        # matrices and stacks are resolved at construction, so rebinding a
+        # field would leave them holding the old matrix.
+        ops = build_operators((8, 8, 6), DegradationConfig(kernel_size=3, factor=2))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ops.spectral = np.eye(6)
+        assert ops.matrices[2] is ops.spectral
+        assert ops.stacks[1][2] is ops.spectral
+
 
 class TestAddNoise:
     def test_infinite_snr_returns_copy(self):
@@ -347,7 +356,7 @@ class TestAddNoise:
 
 class TestDegradationConfig:
     def test_defaults_are_valid(self):
-        DegradationConfig().validate()
+        DegradationConfig()
 
     def test_field_list(self):
         # Every field acts on the operators or the noise; the noise seed is an
@@ -369,4 +378,4 @@ class TestDegradationConfig:
     )
     def test_invalid_fields_rejected(self, kwargs):
         with pytest.raises(ValueError):
-            DegradationConfig(**kwargs).validate()
+            DegradationConfig(**kwargs)

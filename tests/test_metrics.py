@@ -141,7 +141,6 @@ class TestSam:
         truth[0, 0, 0] = 1.0
         est[0, 0, 1] = 1.0
         np.testing.assert_allclose(sam(est, truth), math.pi / 2, rtol=1e-12)
-        np.testing.assert_allclose(sam(est, truth, degrees=True), 90.0, rtol=1e-12)
 
     def test_zero_fibers_skipped(self):
         truth = RNG.uniform(size=(2, 2, 3)) + 0.1

@@ -506,7 +506,7 @@ class TestGramianOperator:
         z = np.random.default_rng(2).standard_normal(gram.size)
         before = gram.apply(z)
         gram.factors[0][0] += 1.0
-        gram.operators.spatial_1 *= 2.0
+        gram.operators.spatial_1[...] *= 2.0
         np.testing.assert_array_equal(gram.apply(z), before)
 
     @given(gram=random_gramians, seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -949,7 +949,7 @@ class TestInitLatent:
 
 class TestSolverConfig:
     def test_defaults_validate(self):
-        SolverConfig().validate()
+        SolverConfig()
 
     def test_only_caller_facing_fields(self):
         assert [f.name for f in dataclasses.fields(SolverConfig)] == [
@@ -968,7 +968,7 @@ class TestSolverConfig:
     )
     def test_invalid_values_raise(self, kwargs):
         with pytest.raises(ValueError):
-            SolverConfig(**kwargs).validate()
+            SolverConfig(**kwargs)
 
 
 class TestFusionProblem:
@@ -1002,3 +1002,14 @@ class TestFusionProblem:
         prob, _, _ = make_problem()
         with pytest.raises(ValueError):
             FusionProblem(hsi=prob.hsi, msi=prob.msi, operators=prob.operators, rank=0)
+
+    @pytest.mark.parametrize("name", ["hsi", "msi", "operators"])
+    def test_fields_cannot_be_rebound(self, name):
+        # norms_sq is formed at construction, so rebinding an image would
+        # leave the objective reading a stale norm.
+        prob, _, _ = make_problem()
+        other, _, _ = make_problem(seed=1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(prob, name, getattr(other, name))
+        assert getattr(prob, name) is not getattr(other, name)
+        np.testing.assert_allclose(prob.norms_sq, [np.sum(t * t) for t in prob.images], rtol=1e-14)
