@@ -23,7 +23,7 @@ with its new mode-1 factor, ``z = A^T X_(1)``, from which modes 2 and 3 both
 take their MTTKRPs (``tensors._mode1_partial``).
 
 Each sweep's objective, which the convergence test reads, is the guarded
-Gram expansion of ``solver._image_misfit``: the cross term ``<X, M>`` is the
+Gram expansion of ``FusionProblem.misfit``: the cross term ``<X, M>`` is the
 sum of the mode-3 MTTKRP times the new mode-3 factor, both already formed by
 the sweep, and the Grams are the ones kept current.  So a sweep reconstructs
 an image only when its misfit is below ``solver.GUARD`` times its squared
@@ -39,7 +39,7 @@ from scipy.linalg import eigh
 from scipy.linalg.lapack import dsygv
 
 from .degradation import DEGRADED_IN
-from .solver import _OTHER_MODES, FusionProblem, _image_misfit, _squared_misfit
+from .solver import _OTHER_MODES, FusionProblem, SolverConfig, _decrease_below, _squared_misfit
 from .tensors import (CpdModel, _check_rank, _mode1_partial, _partial_mttkrp,
                       cpd_reconstruct, mttkrp)
 
@@ -51,7 +51,7 @@ class AlsTrace:
     """Objective value per sweep plus the exit status.
 
     Index 0 is the init's objective, summed from the reconstructed residuals;
-    every later value is the guarded Gram expansion (``solver._image_misfit``).
+    every later value is the guarded Gram expansion (``FusionProblem.misfit``).
     """
 
     objectives: tuple[float, ...]
@@ -102,8 +102,8 @@ def _sylvester_rows(evals, evecs, gamma_scaled, gamma_plain, rhs):
 def solve_als(
     prob: FusionProblem,
     init: CpdModel,
-    max_iters: int = 200,
-    rel_f_tol: float = 1e-8,
+    max_iters: int = SolverConfig.max_iters,
+    rel_f_tol: float = SolverConfig.rel_f_tol,
 ) -> tuple[CpdModel, AlsTrace]:
     """Coupled ALS on the unconstrained objective.
 
@@ -136,9 +136,9 @@ def solve_als(
             s = DEGRADED_IN[n]
             rhs = ops.back_project(n, terms)
             factors[n] = _sylvester_rows(*bases[n], gammas[s], gammas[1 - s], rhs)
-            for stack, proj, g in zip(ops.stacks, projected, grams):
-                proj[n] = factors[n] if stack[n] is None else stack[n] @ factors[n]
-                g[n] = proj[n].T @ proj[n]
+            for proj, g, f in zip(projected, grams, ops.project_mode(n, factors[n])):
+                proj[n] = f
+                g[n] = f.T @ f
             if n == 0:
                 # Modes 2 and 3 both contract each image with its new mode-1 factor.
                 partials = [_mode1_partial(image, proj[0])
@@ -146,13 +146,9 @@ def solve_als(
 
         # The mode-3 right-hand sides were formed from this sweep's modes 1
         # and 2, so their product with the new mode-3 factor is <X, M>.
-        objectives.append(sum(
-            _image_misfit(image, norm_sq, proj, float(np.vdot(t, proj[2])), g)
-            for image, norm_sq, proj, t, g
-            in zip(prob.images, prob.norms_sq, projected, terms, grams)
-        ))
-        previous, current = objectives[-2], objectives[-1]
-        if previous <= 0.0 or (previous - current) / previous < rel_f_tol:
+        crosses = [float(np.vdot(t, proj[2])) for t, proj in zip(terms, projected)]
+        objectives.append(prob.misfit(projected, crosses, grams))
+        if _decrease_below(objectives[-2], objectives[-1], rel_f_tol):
             converged = True
             break
     return CpdModel(tuple(factors)), AlsTrace(tuple(objectives), converged)

@@ -28,6 +28,7 @@ from .degradation import (
     scene_shape,
 )
 from .experiment import (
+    ALGORITHMS,
     ExperimentConfig,
     SceneConfig,
     _add_pair_noise,
@@ -44,22 +45,23 @@ from .solver import FusionProblem, SolverConfig, reconstruct_sri
 __all__ = ["main"]
 
 
+def _given(args, names) -> dict:
+    """The flags ``names`` (default ``None``) that were given, by name; unset
+    flags are left out so that they take the config's default."""
+    return {n: getattr(args, n) for n in names if getattr(args, n) is not None}
+
+
 def _add_degradation_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--kernel-size", type=int, default=9, help="blur taps (odd)")
-    parser.add_argument("--sigma", type=float, default=2.0, help="blur width")
-    parser.add_argument("--factor", type=int, default=4, help="spatial downsampling factor")
-    parser.add_argument("--msi-bands", type=int, default=6, help="aggregated band count")
+    parser.add_argument("--kernel-size", type=int, help="blur taps (odd)")
+    parser.add_argument("--sigma", type=float, help="blur width")
+    parser.add_argument("--factor", type=int, help="spatial downsampling factor")
+    parser.add_argument("--msi-bands", type=int, dest="num_msi_bands", metavar="MSI_BANDS",
+                        help="aggregated band count")
 
 
 def _degradation_config(args, snr_hsi=math.inf, snr_msi=math.inf) -> DegradationConfig:
-    return DegradationConfig(
-        kernel_size=args.kernel_size,
-        sigma=args.sigma,
-        factor=args.factor,
-        num_msi_bands=args.msi_bands,
-        snr_hsi_db=snr_hsi,
-        snr_msi_db=snr_msi,
-    )
+    given = _given(args, ("kernel_size", "sigma", "factor", "num_msi_bands"))
+    return DegradationConfig(**given, snr_hsi_db=snr_hsi, snr_msi_db=snr_msi)
 
 
 def _cmd_simulate(args) -> int:
@@ -96,7 +98,7 @@ def _cmd_degrade(args) -> int:
 
 def _reject_flags(args, names, context: str) -> None:
     """Raise if any of the flags ``names`` (default ``None``) was given."""
-    given = ["--" + n.replace("_", "-") for n in names if getattr(args, n) is not None]
+    given = ["--" + n.replace("_", "-") for n in _given(args, names)]
     if given:
         raise ValueError(f"{', '.join(given)} cannot be combined with {context}")
 
@@ -120,7 +122,7 @@ def _fuse_operators(args, hsi, msi) -> DegradationOperators:
     # is inferred from the shapes.  Shape mismatches between these operators
     # and the pair are reported when the FusionProblem is constructed.
     shapes = operator_shapes((hsi, msi))
-    given = {n: getattr(args, n) for n in _FUSE_MODEL_FLAGS if getattr(args, n) is not None}
+    given = _given(args, _FUSE_MODEL_FLAGS)
     spectral_path = given.pop("spectral_matrix", None)
     if "factor" not in given:
         given["factor"] = _infer_factor(shapes[:2])
@@ -146,11 +148,7 @@ def _cmd_fuse(args) -> int:
     msi = read_tensor(args.msi)
     ops = _fuse_operators(args, hsi, msi)
     prob = FusionProblem(hsi, msi, ops, args.rank)
-    solver_cfg = SolverConfig(
-        max_iters=args.max_iters,
-        rel_f_tol=args.rel_f_tol,
-        grad_tol=SolverConfig.grad_tol if args.grad_tol is None else args.grad_tol,
-    )
+    solver_cfg = SolverConfig(**_given(args, ("max_iters", "rel_f_tol", "grad_tol")))
     result = fuse(prob, args.algorithm, args.seed, solver_cfg)
     est = reconstruct_sri(result.model)
     if args.smooth_window != 1:
@@ -203,7 +201,7 @@ def _cmd_sweep(args) -> int:
         base_snr = math.inf if args.noise_snr_db is None else args.noise_snr_db
     cfg = ExperimentConfig(
         degradation=_degradation_config(args, base_snr, base_snr),
-        solver=SolverConfig(max_iters=args.max_iters),
+        solver=SolverConfig(**_given(args, ("max_iters",))),
         scene=scene,
         sri_path=args.sri,
         algorithm=args.algorithm,
@@ -266,18 +264,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hsi", required=True)
     p.add_argument("--msi", required=True)
     p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--algorithm", choices=("nn-nls", "als"), default="nn-nls")
+    p.add_argument("--algorithm", choices=ALGORITHMS, default="nn-nls")
     p.add_argument("--out", required=True)
-    p.add_argument("--kernel-size", type=int, default=None)
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--factor", type=int, default=None, help="default: inferred from shapes")
+    p.add_argument("--kernel-size", type=int)
+    p.add_argument("--sigma", type=float)
+    p.add_argument("--factor", type=int, help="default: inferred from shapes")
     p.add_argument("--spectral-matrix", default=None)
     p.add_argument("--p1", default=None, help="matrix file for the first spatial operator")
     p.add_argument("--p2", default=None, help="matrix file for the second spatial operator")
     p.add_argument("--pm", default=None, help="matrix file for the spectral operator")
-    p.add_argument("--max-iters", type=int, default=200)
-    p.add_argument("--rel-f-tol", type=float, default=1e-8)
-    p.add_argument("--grad-tol", type=float, help="nn-nls only (default 1e-6)")
+    p.add_argument("--max-iters", type=int)
+    p.add_argument("--rel-f-tol", type=float)
+    p.add_argument("--grad-tol", type=float, help=f"nn-nls only (default {SolverConfig.grad_tol})")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--smooth-window", type=int, default=1)
     p.set_defaults(func=_cmd_fuse)
@@ -296,7 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scene-seed", type=int, help="default 0")
     p.add_argument("--background", type=float, help="default 0.0")
     p.add_argument("--rank", type=int, help="solver rank for SNR sweeps (default 3)")
-    p.add_argument("--algorithm", choices=("nn-nls", "als"), default="nn-nls")
+    p.add_argument("--algorithm", choices=ALGORITHMS, default="nn-nls")
     p.add_argument("--snr-db", type=float, nargs="+", default=None)
     p.add_argument("--ranks", type=int, nargs="+", default=None)
     p.add_argument("--noise-snr-db", type=float, help="noise level for rank sweeps (default inf)")
@@ -304,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--master-seed", type=int, required=True)
     p.add_argument("--out-dir", required=True)
     _add_degradation_flags(p)
-    p.add_argument("--max-iters", type=int, default=200)
+    p.add_argument("--max-iters", type=int)
     p.add_argument("--smooth-window", type=int, default=1)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--record-timing", action="store_true")

@@ -6,7 +6,7 @@ image obtained by aggregating spectral bands.  Both paths are plain matrix
 mode products, so they commute with CP structure: degrading a CP model equals
 projecting its factor matrices.  ``DEGRADED_IN`` states which image degrades
 which scene mode.  ``DegradationOperators`` derives the coupling from it, forward
-(``stacks``, ``project``) and back (``back_project``, the adjoint), and
+(``project_mode``, ``project``) and back (``back_project``, the adjoint), and
 ``operator_shapes``/``scene_shape`` the sizes an observed pair implies.
 The config and the operators check themselves when built; the operators
 cannot be rebound.
@@ -72,8 +72,8 @@ class DegradationOperators:
     spatial_2 : (J_H, J) blur-downsample matrix for the second spatial mode
     spectral  : (K_M, K) band aggregation matrix for the spectral mode
 
-    ``matrices`` and ``stacks`` are resolved at construction; the fields
-    cannot be rebound, so they always hold the fields' arrays.
+    ``matrices`` is resolved at construction; the fields cannot be rebound,
+    so it always holds the fields' arrays.
     """
 
     spatial_1: np.ndarray
@@ -89,17 +89,19 @@ class DegradationOperators:
                 raise ValueError(f"{name} must be a matrix")
             object.__setattr__(self, name, m)
         object.__setattr__(self, "matrices", (self.spatial_1, self.spatial_2, self.spectral))
-        # Per image, each scene mode's operator or ``None``: the HSI's CP
-        # factors are ``[P1 A, P2 B, C]``, the MSI's ``[A, B, Pm C]``.
-        object.__setattr__(self, "stacks", tuple(
-            tuple(q if DEGRADED_IN[n] == s else None for n, q in enumerate(self.matrices))
-            for s in range(2)
-        ))
+
+    def project_mode(self, n: int, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The HSI's and the MSI's mode-``n`` CP factor for the scene's mode-``n``
+        factor ``f``: ``Q_n f`` in the image that degrades the mode, ``f`` in the
+        other, so the HSI's factors are ``[P1 A, P2 B, C]``, the MSI's ``[A, B, Pm C]``."""
+        degraded = self.matrices[n] @ f
+        return (degraded, f) if DEGRADED_IN[n] == 0 else (f, degraded)
 
     def project(self, factors) -> tuple[list[np.ndarray], ...]:
         """Each image's CP factors for the scene's ``factors``: one list per
-        image, in ``stacks`` order."""
-        return tuple([f if q is None else q @ f for f, q in zip(factors, s)] for s in self.stacks)
+        image, HSI first, each mode from ``project_mode``."""
+        pairs = [self.project_mode(n, f) for n, f in enumerate(factors)]
+        return tuple([pair[s] for pair in pairs] for s in range(2))
 
     def back_project(self, n: int, terms) -> np.ndarray:
         """Adjoint of ``project`` on scene mode ``n``: the sum of the images'

@@ -20,7 +20,7 @@ image from ``matrices`` and ``DEGRADED_IN``.
 
 The objective never reconstructs an image while its misfit is large.  Per
 image, with CP model ``M = [[F_1, F_2, F_3]]`` and Grams ``G_n = F_n^T F_n``,
-``_image_misfit`` expands
+``FusionProblem.misfit`` expands
 
     ||M - X||^2 = ||X||^2 - 2 <X, M> + sum(G_1 * G_2 * G_3),
 
@@ -37,7 +37,7 @@ symmetrized inverses of the ridged R x R block systems and the packed inverse
 scaling.  The applies that PCG repeats do only the products that involve the
 vector.
 
-A packed vector stacks ``vec_F`` of the three ``(d_n, R)`` blocks, so each
+A packed vector concatenates ``vec_F`` of the three ``(d_n, R)`` blocks, so each
 block is its transpose in C order, and the applies read and write it through
 ``(R x d_n)`` views without unpacking or repacking.  A Gramian apply makes, per
 scene mode, one product that projects the block and forms both images' cross
@@ -56,7 +56,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .degradation import DEGRADED_IN, DegradationOperators, operator_shapes, scene_shape
-from .tensors import CpdModel, _check_dims, _check_rank, _sum_squares, cpd_reconstruct, mttkrp
+from .tensors import (CpdModel, _check_dims, _check_rank, _check_triple, _sum_squares,
+                      cpd_reconstruct, mttkrp)
 
 __all__ = [
     "LatentTriple",
@@ -91,6 +92,11 @@ GROW_THRESHOLD = 0.75
 SHRINK_FACTOR = 0.25
 GROW_FACTOR = 2.0
 
+# PCG stops after CG_MAX_ITERS iterations or at relative residual CG_REL_TOL
+# (against the gradient norm), whichever comes first.
+CG_MAX_ITERS = 25
+CG_REL_TOL = 1e-6
+
 # An image misfit whose Gram expansion falls below GUARD * ||X||^2 is summed
 # from the reconstructed residual instead.  The expansion's rounding error is
 # at most about 4 eps ||X||^2 (measured on random points), so above the guard
@@ -124,13 +130,7 @@ class LatentTriple:
     mats: tuple[np.ndarray, np.ndarray, np.ndarray]
 
     def __post_init__(self) -> None:
-        mats = tuple(np.asarray(m, dtype=np.float64) for m in self.mats)
-        if len(mats) != 3 or any(m.ndim != 2 for m in mats):
-            raise ValueError("expected 3 latent matrices")
-        ranks = {m.shape[1] for m in mats}
-        if len(ranks) != 1:
-            raise ValueError(f"latent matrices disagree on column count: {sorted(ranks)}")
-        self.mats = mats
+        self.mats = _check_triple(self.mats, "latent")
 
     @property
     def rank(self) -> int:
@@ -168,7 +168,8 @@ class FusionProblem:
     """One fusion instance: the two observed tensors, the operators, the rank.
 
     Checked when built, and frozen so that ``norms_sq`` comes from the images
-    it holds; writing into the images in place is not detected.
+    it holds: the fields cannot be rebound, and each image is a read-only
+    view, so an in-place write through it raises ``ValueError``.
     """
 
     hsi: np.ndarray
@@ -179,8 +180,10 @@ class FusionProblem:
     def __post_init__(self) -> None:
         # Column-major like read_tensor and cpd_reconstruct, so residuals and
         # MTTKRPs never transpose-copy an image.
-        object.__setattr__(self, "hsi", np.asfortranarray(self.hsi, dtype=np.float64))
-        object.__setattr__(self, "msi", np.asfortranarray(self.msi, dtype=np.float64))
+        for name in ("hsi", "msi"):
+            image = np.asfortranarray(getattr(self, name), dtype=np.float64).view()
+            image.flags.writeable = False
+            object.__setattr__(self, name, image)
         if self.hsi.ndim != 3 or self.msi.ndim != 3:
             raise ValueError("observed tensors must be third-order")
         _check_rank(self.rank)
@@ -196,12 +199,28 @@ class FusionProblem:
 
     @property
     def images(self) -> tuple[np.ndarray, np.ndarray]:
-        """The observed tensors in the order of ``DegradationOperators.stacks``."""
+        """The observed tensors, HSI first, the order of ``DegradationOperators.project``."""
         return self.hsi, self.msi
 
     @property
     def sri_dims(self) -> tuple[int, int, int]:
         return scene_shape(self.images)
+
+    def misfit(self, projected, crosses, grams) -> float:
+        """The coupled objective, ``sum ||[[F]] - X||^2`` over the ``images``,
+        from each image's CP factors ``F`` (``projected``), cross term
+        ``<X, [[F]]>`` (``crosses``) and Grams: the Gram expansion, or below
+        ``GUARD * ||X||^2``, where it has cancelled too many digits, the
+        reconstructed residual."""
+        total = 0.0
+        for image, norm_sq, factors, cross, g in zip(
+            self.images, self.norms_sq, projected, crosses, grams
+        ):
+            misfit = norm_sq - 2.0 * cross + float(np.vdot(g[0] * g[1], g[2]))
+            if misfit < GUARD * norm_sq:
+                misfit = _squared_misfit(cpd_reconstruct(*factors), image)
+            total += misfit
+        return total
 
     def check_init(self, init) -> None:
         """Reject a start (``LatentTriple`` or ``CpdModel``) whose dims or rank
@@ -215,23 +234,18 @@ class FusionProblem:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Trust-region solver controls: the outer budget and stopping tolerances,
-    and the inner PCG budget."""
+    """Trust-region solver controls: the outer budget and stopping tolerances."""
 
     max_iters: int = 200
     rel_f_tol: float = 1e-8
     grad_tol: float = 1e-6
-    cg_max_iters: int = 25
-    cg_rel_tol: float = 1e-6
 
     def __post_init__(self) -> None:
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        for name in ("rel_f_tol", "grad_tol", "cg_rel_tol"):
+        for name in ("rel_f_tol", "grad_tol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        if self.cg_max_iters < 1:
-            raise ValueError("cg_max_iters must be >= 1")
 
 
 @dataclass
@@ -272,35 +286,24 @@ def _squared_misfit(model: np.ndarray, image: np.ndarray) -> float:
     return _sum_squares(model)
 
 
-def _image_misfit(image, norm_sq: float, factors, cross: float, grams) -> float:
-    """``||[[factors]] - image||_F^2`` from its Gram expansion
-    ``norm_sq - 2 cross + sum(G_1 * G_2 * G_3)``, given ``norm_sq = ||image||^2``,
-    the cross term ``cross = <image, [[factors]]>`` and the factors' Grams.
-
-    Below ``GUARD * norm_sq`` the expansion has cancelled too many digits, so
-    the misfit is summed from the reconstructed residual instead.
-    """
-    misfit = norm_sq - 2.0 * cross + float(np.vdot(grams[0] * grams[1], grams[2]))
-    if misfit < GUARD * norm_sq:
-        return _squared_misfit(cpd_reconstruct(*factors), image)
-    return misfit
+def _decrease_below(previous: float, current: float, rel_f_tol: float) -> bool:
+    """Both solvers' stop test: the objective fell from ``previous`` to
+    ``current`` by less than ``rel_f_tol`` relatively, or ``previous`` is 0."""
+    return previous <= 0.0 or (previous - current) / previous < rel_f_tol
 
 
 def objective(latent: LatentTriple, prob: FusionProblem) -> float:
     """Coupled squared-misfit objective at the squared-latent point.
 
-    Each image's misfit is the guarded Gram expansion of ``_image_misfit``,
-    with the cross term from one mode-1 MTTKRP: no image is reconstructed
-    unless its misfit is below ``GUARD`` times its squared norm.
+    The guarded Gram expansion of ``FusionProblem.misfit``, with each image's
+    cross term from one mode-1 MTTKRP: no image is reconstructed unless its
+    misfit is below ``GUARD`` times its squared norm.
     """
-    model = square_params(latent)
-    total = 0.0
-    for image, norm_sq, factors in zip(
-        prob.images, prob.norms_sq, prob.operators.project(model.factors)
-    ):
-        cross = float(np.vdot(mttkrp(image, factors, 1), factors[0]))
-        total += _image_misfit(image, norm_sq, factors, cross, [f.T @ f for f in factors])
-    return total
+    projected = prob.operators.project(square_params(latent).factors)
+    crosses = [float(np.vdot(mttkrp(image, factors, 1), factors[0]))
+               for image, factors in zip(prob.images, projected)]
+    grams = [[f.T @ f for f in factors] for factors in projected]
+    return prob.misfit(projected, crosses, grams)
 
 
 def gradient(latent: LatentTriple, prob: FusionProblem) -> np.ndarray:
@@ -326,13 +329,13 @@ class GramianOperator:
     """Matrix-free Gauss-Newton Gramian of the coupled residuals.
 
     Applies ``diag(s) (K^T K + M^T M) diag(s)`` where ``K`` and ``M`` are the
-    Jacobians of the two residual stacks with respect to the squared factors
+    Jacobians of the two images' residuals with respect to the squared factors
     and ``s`` is the frozen chain scaling (twice the latent entries).  Only
     factor-sized intermediates are formed; the Gramian itself is never
     materialized.
 
-    Per image, with CP factors ``F_n`` in ``DegradationOperators.stacks``
-    order, Grams ``G_n`` and Hadamard products ``H_n = G_a * G_b`` of the two
+    Per image, with CP factors ``F_n`` from ``DegradationOperators.project``,
+    Grams ``G_n`` and Hadamard products ``H_n = G_a * G_b`` of the two
     other modes' Grams, the mode-``n`` output for ``B = s * z`` sums, over the
     two images, ``P_n H_n + F_n S_n`` mapped back through ``Q_n^T`` where the
     image degrades the mode, with ``P_n`` the projected block, the cross Grams
@@ -486,11 +489,12 @@ class PcgResult:
     curvature_exit: bool
 
 
-def pcg(hop, g: np.ndarray, precond, cfg: SolverConfig) -> PcgResult:
+def pcg(hop, g: np.ndarray, precond, max_iters: int = CG_MAX_ITERS,
+        rel_tol: float = CG_REL_TOL) -> PcgResult:
     """Preconditioned conjugate gradients on ``H p = -g``.
 
-    Stops at relative residual ``cfg.cg_rel_tol`` (against ``||g||``), at
-    ``cfg.cg_max_iters``, or immediately when a search direction has
+    Stops at relative residual ``rel_tol`` (against ``||g||``), after
+    ``max_iters`` iterations, or immediately when a search direction has
     nonpositive curvature (``d^T H d <= 1e-14 ||d||^2``), returning the
     current iterate flagged.  The iterate, residual and direction are
     updated in place; ``hop`` and ``precond`` may return their argument.
@@ -504,9 +508,9 @@ def pcg(hop, g: np.ndarray, precond, cfg: SolverConfig) -> PcgResult:
     y = precond(r)
     d = y.copy()
     rz = float(r @ y)
-    tol = cfg.cg_rel_tol * g_norm
+    tol = rel_tol * g_norm
     res_norm = g_norm
-    for k in range(1, cfg.cg_max_iters + 1):
+    for k in range(1, max_iters + 1):
         hd = hop(d)
         curvature = float(d @ hd)
         if curvature <= 1e-14 * float(d @ d):
@@ -522,7 +526,7 @@ def pcg(hop, g: np.ndarray, precond, cfg: SolverConfig) -> PcgResult:
         d *= rz_new / rz
         d += y
         rz = rz_new
-    return PcgResult(p, cfg.cg_max_iters, res_norm, False)
+    return PcgResult(p, max_iters, res_norm, False)
 
 
 def cauchy_point(g: np.ndarray, hop, delta: float) -> np.ndarray:
@@ -601,7 +605,7 @@ def trust_region_update(
         previous = state.f_value
         state.latent = trial
         state.f_value = f_trial
-        if previous <= 0.0 or (previous - f_trial) / previous < cfg.rel_f_tol:
+        if _decrease_below(previous, f_trial, cfg.rel_f_tol):
             state.converged = True
             state.reason = "objective decrease below rel_f_tol"
     if not accepted or rho < SHRINK_THRESHOLD:
@@ -628,7 +632,11 @@ def solve(
 
     Returns the squared-latent CP model at the final iterate, the terminal
     state (with convergence flag and reason) and the per-iteration trace.
-    Identical problems, inits and configs yield identical traces.
+    The iteration stops converged when the gradient's largest entry is below
+    ``cfg.grad_tol`` or an accepted step decreases the objective by less than
+    ``cfg.rel_f_tol``; it stops unconverged when the trust radius falls to
+    machine precision relative to the latent norm, or after ``cfg.max_iters``
+    iterations.  Identical problems, inits and configs yield identical traces.
     """
     cfg = cfg or SolverConfig()
     prob.check_init(init)
@@ -650,13 +658,17 @@ def solve(
             state.converged = True
             state.reason = "gradient norm below grad_tol"
             break
+        # No step inside a radius this small changes the iterate in floating point.
+        if state.delta <= np.finfo(np.float64).eps * np.linalg.norm(state.latent.to_vector()):
+            state.reason = "trust radius below machine precision"
+            break
 
         gram = GramianOperator.from_latent(state.latent, prob.operators)
         # The misfit is a plain squared norm, so the model Hessian is twice the Gramian.
         hop = lambda z: 2.0 * gram.apply(z)  # noqa: E731
         precond = block_jacobi_preconditioner(gram)
 
-        cg = pcg(hop, state.gradient, precond, cfg)
+        cg = pcg(hop, state.gradient, precond)
         p_c = cauchy_point(state.gradient, hop, state.delta)
         p_n = cg.step if float(np.linalg.norm(cg.step)) > 0.0 else p_c
         p, step_type = dogleg_step(p_c, p_n, state.delta)

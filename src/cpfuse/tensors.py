@@ -37,7 +37,8 @@ frontal slice that reads a Fortran-ordered tensor in place, and
 batched matrix-vector products.
 
 Every routine validates shapes and raises ``ValueError`` on mismatch;
-``_check_dims`` and ``_check_rank`` hold the package's dims and rank checks.
+``_check_dims``, ``_check_rank`` and ``_check_triple`` hold the package's
+dims, rank and three-matrix checks.
 """
 
 from __future__ import annotations
@@ -74,6 +75,18 @@ def _check_rank(rank: int) -> None:
         raise ValueError(f"rank must be positive, got {rank}")
 
 
+def _check_triple(mats, kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``mats`` as three float64 matrices with one shared column count; ``kind``
+    names them in the error."""
+    mats = tuple(np.asarray(m, dtype=np.float64) for m in mats)
+    if len(mats) != 3 or any(m.ndim != 2 for m in mats):
+        raise ValueError(f"expected 3 two-dimensional {kind} matrices")
+    ranks = {m.shape[1] for m in mats}
+    if len(ranks) != 1:
+        raise ValueError(f"{kind} matrices disagree on column count: {sorted(ranks)}")
+    return mats  # type: ignore[return-value]
+
+
 def _as_tensor(t) -> np.ndarray:
     t = np.asarray(t, dtype=np.float64)
     if t.ndim != 3:
@@ -88,16 +101,7 @@ class CpdModel:
     factors: tuple[np.ndarray, np.ndarray, np.ndarray]
 
     def __post_init__(self) -> None:
-        factors = tuple(np.asarray(f, dtype=np.float64) for f in self.factors)
-        if len(factors) != 3:
-            raise ValueError(f"expected 3 factor matrices, got {len(factors)}")
-        for f in factors:
-            if f.ndim != 2:
-                raise ValueError("factor matrices must be two-dimensional")
-        ranks = {f.shape[1] for f in factors}
-        if len(ranks) != 1:
-            raise ValueError(f"factors disagree on column count: {sorted(ranks)}")
-        self.factors = factors
+        self.factors = _check_triple(self.factors, "factor")
 
     @property
     def rank(self) -> int:
@@ -106,9 +110,6 @@ class CpdModel:
     @property
     def dims(self) -> tuple[int, int, int]:
         return tuple(f.shape[0] for f in self.factors)  # type: ignore[return-value]
-
-    def reconstruct(self) -> np.ndarray:
-        return cpd_reconstruct(*self.factors)
 
 
 def unfold(t: np.ndarray, mode: int) -> np.ndarray:
@@ -245,12 +246,7 @@ def _partial_mttkrp(z: np.ndarray, factors, mode: int) -> np.ndarray:
 
 def cpd_reconstruct(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Evaluate the dense tensor of the CP model ``[[a, b, c]]``, in Fortran order."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-    ranks = {a.shape[1], b.shape[1], c.shape[1]} if a.ndim == b.ndim == c.ndim == 2 else set()
-    if a.ndim != 2 or b.ndim != 2 or c.ndim != 2 or len(ranks) != 1:
-        raise ValueError("cpd_reconstruct expects three matrices sharing a column count")
+    a, b, c = _check_triple((a, b, c), "factor")
     # unfold(t, 1).T == khatri_rao([c, b]) @ a.T, whose C-ordered rows run over (k, j).
     return (khatri_rao([c, b]) @ a.T).reshape(c.shape[0], b.shape[0], a.shape[0]).T
 

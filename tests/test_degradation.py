@@ -287,13 +287,22 @@ class TestBuildOperators:
             build_operators((8, 8, 6), DegradationConfig(kernel_size=3, factor=2), bad)
 
     def test_operators_cannot_be_rebound(self):
-        # matrices and stacks are resolved at construction, so rebinding a
-        # field would leave them holding the old matrix.
+        # matrices is resolved at construction, so rebinding a field would
+        # leave it holding the old matrix.
         ops = build_operators((8, 8, 6), DegradationConfig(kernel_size=3, factor=2))
         with pytest.raises(dataclasses.FrozenInstanceError):
             ops.spectral = np.eye(6)
         assert ops.matrices[2] is ops.spectral
-        assert ops.stacks[1][2] is ops.spectral
+
+    def test_project_mode_matches_project(self):
+        ops = build_operators((8, 8, 6), DegradationConfig(kernel_size=3, factor=2))
+        rng = np.random.default_rng(0)
+        factors = [rng.standard_normal((d, 3)) for d in (8, 8, 6)]
+        projected = ops.project(factors)
+        for n, f in enumerate(factors):
+            pair = ops.project_mode(n, f)
+            for i in range(2):
+                np.testing.assert_array_equal(pair[i], projected[i][n])
 
 
 class TestAddNoise:

@@ -35,6 +35,7 @@ from cpfuse.solver import (
     square_params,
     trust_region_update,
 )
+from cpfuse.experiment import SceneConfig, simulate_scene
 from cpfuse.metrics import rsnr
 from cpfuse.tensors import cpd_reconstruct
 
@@ -612,18 +613,18 @@ class TestBlockJacobiPreconditioner:
         g = gradient(latent, prob)
         gram = GramianOperator.from_latent(latent, prob.operators)
         hop = lambda z: 2.0 * gram.apply(z)  # noqa: E731
-        cfg = SolverConfig(cg_max_iters=400, cg_rel_tol=1e-8)
-        plain = pcg(hop, g, no_precond, cfg)
-        precond = pcg(hop, g, block_jacobi_preconditioner(gram), cfg)
+        budget = dict(max_iters=400, rel_tol=1e-8)
+        plain = pcg(hop, g, no_precond, **budget)
+        precond = pcg(hop, g, block_jacobi_preconditioner(gram), **budget)
         assert not precond.curvature_exit
-        assert precond.residual_norm <= cfg.cg_rel_tol * np.linalg.norm(g)
+        assert precond.residual_norm <= budget["rel_tol"] * np.linalg.norm(g)
         assert precond.iterations <= plain.iterations
 
 
 class TestPcg:
     def test_identity_hessian_converges_in_one_iteration(self):
         g = np.array([3.0, -1.0, 2.0, 0.5, -4.0])
-        result = pcg(lambda z: z, g, no_precond, SolverConfig())
+        result = pcg(lambda z: z, g, no_precond)
         np.testing.assert_allclose(result.step, -g, rtol=1e-14)
         assert result.iterations == 1
         assert result.residual_norm < 1e-12
@@ -632,7 +633,7 @@ class TestPcg:
     def test_two_by_two_exact_solution(self):
         h = np.array([[4.0, 1.0], [1.0, 3.0]])
         g = np.array([1.0, 2.0])
-        result = pcg(lambda z: h @ z, g, no_precond, SolverConfig(cg_rel_tol=1e-12))
+        result = pcg(lambda z: h @ z, g, no_precond, rel_tol=1e-12)
         np.testing.assert_allclose(
             result.step, np.array([-1.0 / 11.0, -7.0 / 11.0]), rtol=1e-10
         )
@@ -643,21 +644,20 @@ class TestPcg:
         q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
         h = q @ np.diag([1.0, 1.0, 2.0, 2.0, 3.0, 3.0]) @ q.T
         g = rng.standard_normal(6)
-        cfg = SolverConfig(cg_max_iters=10, cg_rel_tol=1e-10)
-        result = pcg(lambda z: h @ z, g, no_precond, cfg)
+        result = pcg(lambda z: h @ z, g, no_precond, max_iters=10, rel_tol=1e-10)
         assert result.iterations <= 6
         assert result.residual_norm <= 1e-10 * np.linalg.norm(g)
 
     def test_negative_curvature_exit(self):
         h = np.diag([1.0, -1.0])
         g = np.array([0.0, 1.0])
-        result = pcg(lambda z: h @ z, g, no_precond, SolverConfig())
+        result = pcg(lambda z: h @ z, g, no_precond)
         assert result.curvature_exit
         assert result.iterations == 0
         np.testing.assert_array_equal(result.step, np.zeros(2))
 
     def test_zero_gradient_short_circuits(self):
-        result = pcg(lambda z: z, np.zeros(4), no_precond, SolverConfig())
+        result = pcg(lambda z: z, np.zeros(4), no_precond)
         assert isinstance(result, PcgResult)
         assert result.iterations == 0
         np.testing.assert_array_equal(result.step, np.zeros(4))
@@ -881,6 +881,24 @@ class TestSolve:
         for prev, nxt in zip(values, values[1:]):
             assert nxt <= prev * (1.0 + 1e-12)
 
+    def test_collapsed_trust_radius_stops_the_solve(self):
+        # The README's noiseless problem: the objective reaches its rounding
+        # floor, every later step is rejected, and the radius shrinks until
+        # no step inside it can change the iterate.  Without a stop there the
+        # radius underflows to zero and the Cauchy point divides by it.
+        sri = simulate_scene(SceneConfig(dims=(12, 12, 8), rank=3, seed=0))
+        ops = build_operators(
+            sri.shape, DegradationConfig(kernel_size=3, sigma=2.0, factor=2, num_msi_bands=4)
+        )
+        hsi, msi = degrade(sri, ops)
+        prob = FusionProblem(hsi=hsi, msi=msi, operators=ops, rank=3)
+        init = init_latent(prob.sri_dims, 3, rng_seed=0)
+        _, state, trace = solve(prob, init, SolverConfig(max_iters=600, grad_tol=1e-14))
+        assert state.reason == "trust radius below machine precision"
+        assert not state.converged
+        assert len(trace) < 600
+        assert 0.0 < state.delta <= np.finfo(float).eps * np.linalg.norm(state.latent.to_vector())
+
     def test_trace_records_the_update_decision(self, monkeypatch):
         # solve must log and act on the flag trust_region_update returns, even
         # when the ratio it leaves behind is not finite
@@ -953,7 +971,7 @@ class TestSolverConfig:
 
     def test_only_caller_facing_fields(self):
         assert [f.name for f in dataclasses.fields(SolverConfig)] == [
-            "max_iters", "rel_f_tol", "grad_tol", "cg_max_iters", "cg_rel_tol"
+            "max_iters", "rel_f_tol", "grad_tol"
         ]
 
     @pytest.mark.parametrize(
@@ -962,8 +980,6 @@ class TestSolverConfig:
             {"max_iters": 0},
             {"rel_f_tol": 0.0},
             {"grad_tol": -1.0},
-            {"cg_max_iters": 0},
-            {"cg_rel_tol": 0.0},
         ],
     )
     def test_invalid_values_raise(self, kwargs):
@@ -1002,6 +1018,21 @@ class TestFusionProblem:
         prob, _, _ = make_problem()
         with pytest.raises(ValueError):
             FusionProblem(hsi=prob.hsi, msi=prob.msi, operators=prob.operators, rank=0)
+
+    def test_images_cannot_be_written_in_place(self):
+        # norms_sq is formed at construction, so an in-place write would leave
+        # the objective reading a stale norm.  The caller's arrays stay writeable.
+        base, _, _ = make_problem()
+        hsi, msi = base.hsi.copy(order="F"), base.msi.copy(order="F")
+        prob = FusionProblem(hsi=hsi, msi=msi, operators=base.operators, rank=base.rank)
+        latent = init_latent(prob.sri_dims, prob.rank, rng_seed=0)
+        before = objective(latent, prob)
+        with pytest.raises(ValueError):
+            prob.hsi *= 0.5
+        with pytest.raises(ValueError):
+            prob.msi[0, 0, 0] = 1.0
+        assert objective(latent, prob) == before
+        assert hsi.flags.writeable and msi.flags.writeable
 
     @pytest.mark.parametrize("name", ["hsi", "msi", "operators"])
     def test_fields_cannot_be_rebound(self, name):
