@@ -22,12 +22,12 @@ a full ``mttkrp`` per image, and once it is updated each image is contracted
 with its new mode-1 factor, ``z = A^T X_(1)``, from which modes 2 and 3 both
 take their MTTKRPs (``tensors._mode1_partial``).
 
-Each sweep's objective, which the convergence test reads, is the guarded
-Gram expansion of ``FusionProblem.misfit``: the cross term ``<X, M>`` is the
-sum of the mode-3 MTTKRP times the new mode-3 factor, both already formed by
-the sweep, and the Grams are the ones kept current.  So a sweep reconstructs
-an image only when its misfit is below ``solver.GUARD`` times its squared
-norm.  The initial objective is summed from the reconstructed residuals.
+Every objective, the init's and each sweep's, is ``FusionProblem.misfit``
+from each image's mode-1 MTTKRP at that point and the Grams kept current.
+That MTTKRP is formed before the first sweep and again at the end of each
+sweep, where it is also the next sweep's mode-1 right-hand side.  So ALS
+reconstructs an image only when its misfit is below ``solver.GUARD`` times
+its squared norm.
 """
 
 from __future__ import annotations
@@ -39,9 +39,9 @@ from scipy.linalg import eigh
 from scipy.linalg.lapack import dsygv
 
 from .degradation import DEGRADED_IN
-from .solver import _OTHER_MODES, FusionProblem, SolverConfig, _decrease_below, _squared_misfit
-from .tensors import (CpdModel, _check_rank, _mode1_partial, _partial_mttkrp,
-                      cpd_reconstruct, mttkrp)
+from .solver import _OTHER_MODES, FusionProblem, SolverConfig, _decrease_below
+from .tensors import CpdModel, _check_dims, _check_rank, _mode1_partial, _partial_mttkrp, mttkrp
+from .tensors import cpd_reconstruct  # noqa: F401  not called; benchmark/tracer.py wraps it
 
 __all__ = ["AlsTrace", "random_init", "solve_als"]
 
@@ -50,8 +50,8 @@ __all__ = ["AlsTrace", "random_init", "solve_als"]
 class AlsTrace:
     """Objective value per sweep plus the exit status.
 
-    Index 0 is the init's objective, summed from the reconstructed residuals;
-    every later value is the guarded Gram expansion (``FusionProblem.misfit``).
+    Index 0 is the init's objective and index k the objective after sweep k,
+    each ``FusionProblem.misfit`` at that point.
     """
 
     objectives: tuple[float, ...]
@@ -65,6 +65,7 @@ class AlsTrace:
 def random_init(dims: tuple[int, int, int], rank: int, rng_seed: int) -> CpdModel:
     """Standard normal factor init for the unconstrained baseline."""
     _check_rank(rank)
+    _check_dims(dims)
     rng = np.random.default_rng(rng_seed)
     return CpdModel(tuple(rng.standard_normal((int(d), rank)) for d in dims))
 
@@ -111,9 +112,8 @@ def solve_als(
     trace; ``converged`` is set when the relative objective decrease of a
     sweep falls below ``rel_f_tol``.
     """
+    cfg = SolverConfig(max_iters=max_iters, rel_f_tol=rel_f_tol)
     prob.check_init(init)
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
 
     ops = prob.operators
     bases = [eigh(q.T @ q) for q in ops.matrices]
@@ -122,15 +122,13 @@ def solve_als(
     # Each image's CP factors and their Grams, kept current as the scene factors change.
     projected = ops.project(factors)
     grams = [[f.T @ f for f in proj] for proj in projected]
-    objectives = [sum(_squared_misfit(cpd_reconstruct(*proj), image)
-                      for image, proj in zip(prob.images, projected))]
+    mode1 = [mttkrp(image, proj, 1) for image, proj in zip(prob.images, projected)]
+    objectives = [prob.misfit(projected, mode1, grams)]
     converged = False
-    for _ in range(max_iters):
+    for _ in range(cfg.max_iters):
         for n, (a, b) in enumerate(_OTHER_MODES):
-            if n == 0:
-                terms = [mttkrp(image, proj, 1) for image, proj in zip(prob.images, projected)]
-            else:
-                terms = [_partial_mttkrp(z, proj, n + 1) for z, proj in zip(partials, projected)]
+            terms = mode1 if n == 0 else [_partial_mttkrp(z, proj, n + 1)
+                                          for z, proj in zip(partials, projected)]
             gammas = [g[a] * g[b] for g in grams]
             # The image that degrades mode n scales the Sylvester system.
             s = DEGRADED_IN[n]
@@ -144,11 +142,9 @@ def solve_als(
                 partials = [_mode1_partial(image, proj[0])
                             for image, proj in zip(prob.images, projected)]
 
-        # The mode-3 right-hand sides were formed from this sweep's modes 1
-        # and 2, so their product with the new mode-3 factor is <X, M>.
-        crosses = [float(np.vdot(t, proj[2])) for t, proj in zip(terms, projected)]
-        objectives.append(prob.misfit(projected, crosses, grams))
-        if _decrease_below(objectives[-2], objectives[-1], rel_f_tol):
+        mode1 = [mttkrp(image, proj, 1) for image, proj in zip(prob.images, projected)]
+        objectives.append(prob.misfit(projected, mode1, grams))
+        if _decrease_below(objectives[-2], objectives[-1], cfg.rel_f_tol):
             converged = True
             break
     return CpdModel(tuple(factors)), AlsTrace(tuple(objectives), converged)

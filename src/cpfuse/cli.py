@@ -46,9 +46,13 @@ __all__ = ["main"]
 
 
 def _given(args, names) -> dict:
-    """The flags ``names`` (default ``None``) that were given, by name; unset
-    flags are left out so that they take the config's default."""
-    return {n: getattr(args, n) for n in names if getattr(args, n) is not None}
+    """The flags ``names`` (default ``None``) that were given, keyed by config
+    field: ``names`` lists dests that are field names too, or maps each dest
+    to its field.  Unset flags are left out so that they take the config's
+    default."""
+    fields = names if isinstance(names, dict) else {n: n for n in names}
+    return {field: getattr(args, dest) for dest, field in fields.items()
+            if getattr(args, dest) is not None}
 
 
 def _add_degradation_flags(parser: argparse.ArgumentParser) -> None:
@@ -59,18 +63,18 @@ def _add_degradation_flags(parser: argparse.ArgumentParser) -> None:
                         help="aggregated band count")
 
 
-def _degradation_config(args, snr_hsi=math.inf, snr_msi=math.inf) -> DegradationConfig:
+# The SceneConfig field of each scene flag's dest, for simulate and for sweep.
+_SCENE_FIELDS = {"seed": "seed", "background": "background_amplitude"}
+_SWEEP_SCENE_FIELDS = {"scene_seed": "seed", "background": "background_amplitude"}
+
+
+def _degradation_config(args, **noise) -> DegradationConfig:
     given = _given(args, ("kernel_size", "sigma", "factor", "num_msi_bands"))
-    return DegradationConfig(**given, snr_hsi_db=snr_hsi, snr_msi_db=snr_msi)
+    return DegradationConfig(**given, **noise)
 
 
 def _cmd_simulate(args) -> int:
-    scene = SceneConfig(
-        dims=tuple(args.dims),
-        rank=args.rank,
-        seed=args.seed,
-        background_amplitude=args.background,
-    )
+    scene = SceneConfig(dims=tuple(args.dims), rank=args.rank, **_given(args, _SCENE_FIELDS))
     write_tensor(args.out, simulate_scene(scene))
     print(f"wrote {args.out}")
     return 0
@@ -79,7 +83,9 @@ def _cmd_simulate(args) -> int:
 def _cmd_degrade(args) -> int:
     sri = read_tensor(args.sri)
     spectral = read_matrix(args.spectral_matrix) if args.spectral_matrix else None
-    cfg = _degradation_config(args, args.snr_hsi, args.snr_msi)
+    cfg = _degradation_config(
+        args, **_given(args, {"snr_hsi": "snr_hsi_db", "snr_msi": "snr_msi_db"})
+    )
     ops = build_operators(sri.shape, cfg, spectral)
     hsi, msi = degrade(sri, ops)
     hsi, msi = _add_pair_noise(hsi, msi, cfg.snr_hsi_db, cfg.snr_msi_db, args.seed)
@@ -185,33 +191,29 @@ def _cmd_sweep(args) -> int:
     if args.dims is not None:
         scene = SceneConfig(
             dims=tuple(args.dims),
-            rank=3 if args.true_rank is None else args.true_rank,
-            seed=0 if args.scene_seed is None else args.scene_seed,
-            background_amplitude=0.0 if args.background is None else args.background,
+            rank=ExperimentConfig.rank if args.true_rank is None else args.true_rank,
+            **_given(args, _SWEEP_SCENE_FIELDS),
         )
     else:
-        _reject_flags(args, ("true_rank", "scene_seed", "background"), "--sri")
+        _reject_flags(args, ("true_rank", *_SWEEP_SCENE_FIELDS), "--sri")
     if args.snr_db is not None:
         _reject_flags(args, ("noise_snr_db",), "--snr-db")
         sweep_axis, sweep_values = "snr", tuple(float(v) for v in args.snr_db)
-        base_snr = math.inf
     else:
         _reject_flags(args, ("rank",), "--ranks")
         sweep_axis, sweep_values = "rank", tuple(int(v) for v in args.ranks)
-        base_snr = math.inf if args.noise_snr_db is None else args.noise_snr_db
+    # Only a rank sweep takes --noise-snr-db; an SNR sweep keeps the noiseless default.
+    snr = args.noise_snr_db
+    noise = {} if snr is None else {"snr_hsi_db": snr, "snr_msi_db": snr}
     cfg = ExperimentConfig(
-        degradation=_degradation_config(args, base_snr, base_snr),
+        degradation=_degradation_config(args, **noise),
         solver=SolverConfig(**_given(args, ("max_iters",))),
         scene=scene,
         sri_path=args.sri,
-        algorithm=args.algorithm,
-        rank=3 if args.rank is None else args.rank,
-        replicates=args.replicates,
         sweep_axis=sweep_axis,
         sweep_values=sweep_values,
-        smooth_window=args.smooth_window,
-        workers=args.workers,
         master_seed=args.master_seed,
+        **_given(args, ("algorithm", "rank", "replicates", "smooth_window", "workers")),
     )
     rows, summary = run_experiment(cfg)
     if not args.record_timing:
@@ -239,8 +241,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="draw a synthetic scene tensor")
     p.add_argument("--dims", type=int, nargs=3, required=True, metavar=("I", "J", "K"))
     p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--background", type=float, default=0.0)
+    p.add_argument("--seed", type=int, help=f"default {SceneConfig.seed}")
+    p.add_argument("--background", type=float, help=f"default {SceneConfig.background_amplitude}")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
 
@@ -252,8 +254,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--spectral-matrix", default=None, help="matrix file overriding band aggregation"
     )
-    p.add_argument("--snr-hsi", type=float, default=math.inf)
-    p.add_argument("--snr-msi", type=float, default=math.inf)
+    p.add_argument("--snr-hsi", type=float, help=f"default {DegradationConfig.snr_hsi_db}")
+    p.add_argument("--snr-msi", type=float, help=f"default {DegradationConfig.snr_msi_db}")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-p1", default=None, help="save the first spatial operator")
     p.add_argument("--out-p2", default=None, help="save the second spatial operator")
@@ -290,21 +292,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="Monte Carlo sweep over SNR or rank")
     p.add_argument("--dims", type=int, nargs=3, default=None, metavar=("I", "J", "K"))
     p.add_argument("--sri", default=None, help="scene tensor file instead of --dims")
-    p.add_argument("--true-rank", type=int, help="rank of the synthetic scene (default 3)")
-    p.add_argument("--scene-seed", type=int, help="default 0")
-    p.add_argument("--background", type=float, help="default 0.0")
-    p.add_argument("--rank", type=int, help="solver rank for SNR sweeps (default 3)")
-    p.add_argument("--algorithm", choices=ALGORITHMS, default="nn-nls")
+    p.add_argument("--true-rank", type=int,
+                   help=f"rank of the synthetic scene (default {ExperimentConfig.rank})")
+    p.add_argument("--scene-seed", type=int, help=f"default {SceneConfig.seed}")
+    p.add_argument("--background", type=float, help=f"default {SceneConfig.background_amplitude}")
+    p.add_argument("--rank", type=int,
+                   help=f"solver rank for SNR sweeps (default {ExperimentConfig.rank})")
+    p.add_argument("--algorithm", choices=ALGORITHMS,
+                   help=f"default {ExperimentConfig.algorithm}")
     p.add_argument("--snr-db", type=float, nargs="+", default=None)
     p.add_argument("--ranks", type=int, nargs="+", default=None)
-    p.add_argument("--noise-snr-db", type=float, help="noise level for rank sweeps (default inf)")
-    p.add_argument("--replicates", type=int, default=1)
+    p.add_argument("--noise-snr-db", type=float,
+                   help=f"noise level for rank sweeps (default {DegradationConfig.snr_hsi_db})")
+    p.add_argument("--replicates", type=int, help=f"default {ExperimentConfig.replicates}")
     p.add_argument("--master-seed", type=int, required=True)
     p.add_argument("--out-dir", required=True)
     _add_degradation_flags(p)
     p.add_argument("--max-iters", type=int)
-    p.add_argument("--smooth-window", type=int, default=1)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--smooth-window", type=int, help=f"default {ExperimentConfig.smooth_window}")
+    p.add_argument("--workers", type=int, help=f"default {ExperimentConfig.workers}")
     p.add_argument("--record-timing", action="store_true")
     p.set_defaults(func=_cmd_sweep)
     return parser

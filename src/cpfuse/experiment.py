@@ -128,8 +128,14 @@ class ExperimentConfig:
         snrs = (self.degradation.snr_hsi_db, self.degradation.snr_msi_db)
         if self.sweep_axis == "snr" and snrs != (math.inf, math.inf):
             raise ValueError(f"an SNR sweep sets the noise itself, so {snrs} must be inf")
-        if self.sweep_axis == "rank" and any(int(v) < 1 for v in self.sweep_values):
-            raise ValueError("rank sweep values must be positive integers")
+        if self.sweep_axis == "rank" and not all(
+            float(v).is_integer() and v >= 1 for v in self.sweep_values
+        ):
+            raise ValueError(f"rank sweep values must be positive integers: {self.sweep_values}")
+        if self.sweep_axis == "snr" and not all(
+            math.isfinite(v) or v == math.inf for v in self.sweep_values
+        ):
+            raise ValueError(f"SNR sweep values must be finite or inf: {self.sweep_values}")
         check_smooth_window(self.smooth_window)
 
 

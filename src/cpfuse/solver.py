@@ -206,19 +206,18 @@ class FusionProblem:
     def sri_dims(self) -> tuple[int, int, int]:
         return scene_shape(self.images)
 
-    def misfit(self, projected, crosses, grams) -> float:
+    def misfit(self, projected, mode1, grams) -> float:
         """The coupled objective, ``sum ||[[F]] - X||^2`` over the ``images``,
-        from each image's CP factors ``F`` (``projected``), cross term
-        ``<X, [[F]]>`` (``crosses``) and Grams: the Gram expansion, or below
-        ``GUARD * ||X||^2``, where it has cancelled too many digits, the
-        reconstructed residual."""
+        from each image's CP factors ``F`` (``projected``), ``mttkrp(X, F, 1)``
+        (``mode1``) and Grams: the Gram expansion, with ``<X, [[F]]>`` formed
+        here as ``<mttkrp(X, F, 1), F_1>``, or below ``GUARD * ||X||^2``, where
+        it has cancelled too many digits, the reconstructed residual."""
         total = 0.0
-        for image, norm_sq, factors, cross, g in zip(
-            self.images, self.norms_sq, projected, crosses, grams
-        ):
+        for image, norm_sq, proj, m, g in zip(self.images, self.norms_sq, projected, mode1, grams):
+            cross = float(np.vdot(m, proj[0]))
             misfit = norm_sq - 2.0 * cross + float(np.vdot(g[0] * g[1], g[2]))
             if misfit < GUARD * norm_sq:
-                misfit = _squared_misfit(cpd_reconstruct(*factors), image)
+                misfit = _squared_misfit(cpd_reconstruct(*proj), image)
             total += misfit
         return total
 
@@ -295,15 +294,14 @@ def _decrease_below(previous: float, current: float, rel_f_tol: float) -> bool:
 def objective(latent: LatentTriple, prob: FusionProblem) -> float:
     """Coupled squared-misfit objective at the squared-latent point.
 
-    The guarded Gram expansion of ``FusionProblem.misfit``, with each image's
-    cross term from one mode-1 MTTKRP: no image is reconstructed unless its
-    misfit is below ``GUARD`` times its squared norm.
+    The guarded Gram expansion of ``FusionProblem.misfit`` from one mode-1
+    MTTKRP per image: no image is reconstructed unless its misfit is below
+    ``GUARD`` times its squared norm.
     """
     projected = prob.operators.project(square_params(latent).factors)
-    crosses = [float(np.vdot(mttkrp(image, factors, 1), factors[0]))
-               for image, factors in zip(prob.images, projected)]
+    mode1 = [mttkrp(image, factors, 1) for image, factors in zip(prob.images, projected)]
     grams = [[f.T @ f for f in factors] for factors in projected]
-    return prob.misfit(projected, crosses, grams)
+    return prob.misfit(projected, mode1, grams)
 
 
 def gradient(latent: LatentTriple, prob: FusionProblem) -> np.ndarray:

@@ -208,6 +208,14 @@ class TestSolveAls:
         with pytest.raises(ValueError):
             solve_als(prob, init, max_iters=0)
 
+    @pytest.mark.parametrize("rel_f_tol", [0.0, -1.0, math.nan])
+    def test_invalid_rel_f_tol_raises(self, rel_f_tol):
+        # Rejected like SolverConfig's, instead of running every sweep unconverged.
+        prob, _, _ = make_problem()
+        init = random_init(prob.sri_dims, prob.rank, rng_seed=0)
+        with pytest.raises(ValueError):
+            solve_als(prob, init, rel_f_tol=rel_f_tol)
+
 
 class TestRandomInit:
     def test_shapes_and_determinism(self):
@@ -220,3 +228,8 @@ class TestRandomInit:
     def test_invalid_rank_raises(self):
         with pytest.raises(ValueError):
             random_init((3, 3, 3), 0, rng_seed=0)
+
+    def test_invalid_dims_raises(self):
+        # A zero size would otherwise give a zero-row factor.
+        with pytest.raises(ValueError):
+            random_init((0, 3, 3), 2, rng_seed=0)

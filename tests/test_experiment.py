@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import cpfuse.cli
 import cpfuse.experiment
 from cpfuse.cli import main
 from cpfuse.degradation import DegradationConfig, build_operators, degrade
@@ -18,6 +19,7 @@ from cpfuse.experiment import (
     simulate_scene,
 )
 from cpfuse.fileio import read_matrix, read_tensor, write_matrix, write_tensor
+from cpfuse.metrics import metrics_report, spatial_smooth
 from cpfuse.solver import FusionProblem, SolverConfig, SolverDivergenceError
 
 
@@ -207,11 +209,17 @@ class TestRunExperiment:
             # an SNR sweep replaces the degradation SNRs with its own values
             {"degradation": DegradationConfig(kernel_size=3, factor=2, num_msi_bands=3,
                                               snr_hsi_db=5.0)},
+            # a fractional or infinite rank, and an SNR that is NaN or -inf
+            {"sweep_axis": "rank", "sweep_values": (2.5,)},
+            {"sweep_axis": "rank", "sweep_values": (math.inf,)},
+            {"sweep_values": (math.nan,)},
+            {"sweep_values": (-math.inf,)},
         ],
     )
     def test_invalid_config_raises(self, overrides):
+        # Rejected when the config is built, before any scene is simulated.
         with pytest.raises(ValueError):
-            run_experiment(small_config(**overrides))
+            small_config(**overrides)
 
     def test_both_scene_sources_raise(self):
         with pytest.raises(ValueError):
@@ -481,6 +489,18 @@ class TestCliPipeline:
         assert rc == 0
         assert read_tensor(tmp_path / "als.dt3").shape == (12, 12, 8)
 
+    def test_fuse_smooth_window_smooths_the_written_estimate(self, tmp_path):
+        sri = self.simulate(tmp_path)
+        hsi, msi = self.degrade(tmp_path, sri)
+        written = {}
+        for window in ("1", "3"):
+            out = tmp_path / f"est{window}.dt3"
+            assert main(["fuse", "--hsi", str(hsi), "--msi", str(msi), "--rank", "2",
+                         "--out", str(out), "--kernel-size", "3", "--max-iters", "20",
+                         "--smooth-window", window]) == 0
+            written[window] = read_tensor(out)
+        np.testing.assert_array_equal(written["3"], spatial_smooth(written["1"], 3))
+
     def test_evaluate_prints_metrics(self, tmp_path, capsys):
         sri = self.simulate(tmp_path)
         rc = main(["evaluate", "--estimate", str(sri), "--truth", str(sri)])
@@ -566,6 +586,52 @@ class TestCliPipeline:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    def test_sweep_smooth_window_scores_the_smoothed_estimate(self, tmp_path, monkeypatch):
+        estimates = []
+        real = cpfuse.experiment.reconstruct_sri
+
+        def recorded(model):
+            estimates.append(real(model))
+            return estimates[-1].copy()
+
+        monkeypatch.setattr(cpfuse.experiment, "reconstruct_sri", recorded)
+        out = tmp_path / "smoothed"
+        assert main(self.sweep_args(out, extra=("--smooth-window", "3"))) == 0
+        truth = simulate_scene(SceneConfig(dims=(10, 10, 6), rank=2, seed=0))
+        rows = read_results(out / "results.csv")
+        assert len(rows) == len(estimates) == 2
+        for row, est in zip(rows, estimates):
+            report = metrics_report(spatial_smooth(est, 3), truth)
+            assert (row.rmse, row.cc, row.rsnr_db, row.sam) == (
+                report.rmse, report.cc, report.rsnr_db, report.sam_radians
+            )
+
+    def test_sweep_rejects_both_axes(self, tmp_path, capsys):
+        rc = main(self.sweep_args(tmp_path / "x", extra=("--ranks", "1", "2")))
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("axis", [("--snr-db", "inf"), ("--ranks", "2")])
+    def test_sweep_unset_flags_take_the_config_defaults(self, tmp_path, monkeypatch, axis):
+        built = []
+
+        def capture(cfg):
+            built.append(cfg)
+            return [], []
+
+        monkeypatch.setattr(cpfuse.cli, "run_experiment", capture)
+        assert main(["sweep", "--dims", "10", "10", "6", *axis, "--master-seed", "0",
+                     "--out-dir", str(tmp_path / "x")]) == 0
+        sweep = {"sweep_axis": "rank", "sweep_values": (2,)} if axis[0] == "--ranks" else {}
+        assert built == [ExperimentConfig(
+            degradation=DegradationConfig(),
+            solver=SolverConfig(),
+            scene=SceneConfig(dims=(10, 10, 6), rank=ExperimentConfig.rank),
+            master_seed=0,
+            **sweep,
+        )]
 
     def test_sweep_rejects_spectral_matrix_flag(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
