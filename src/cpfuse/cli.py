@@ -81,11 +81,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_degrade(args) -> int:
-    sri = read_tensor(args.sri)
-    spectral = read_matrix(args.spectral_matrix) if args.spectral_matrix else None
     cfg = _degradation_config(
         args, **_given(args, {"snr_hsi": "snr_hsi_db", "snr_msi": "snr_msi_db"})
     )
+    sri = read_tensor(args.sri)
+    spectral = read_matrix(args.spectral_matrix) if args.spectral_matrix else None
     ops = build_operators(sri.shape, cfg, spectral)
     hsi, msi = degrade(sri, ops)
     hsi, msi = _add_pair_noise(hsi, msi, cfg.snr_hsi_db, cfg.snr_msi_db, args.seed)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import frobenius_norm, mode_n_product
+from .tensors import _as_tensor, frobenius_norm, mode_n_product
 
 # The image (0: HSI, 1: MSI) that degrades each scene mode, by blur-downsampling
 # or band aggregation; the other image keeps that mode at the scene's size.
@@ -39,11 +39,18 @@ __all__ = [
 ]
 
 
+def _check_snr_db(name: str, value: float) -> None:
+    """Reject an SNR in dB that is neither finite nor +inf (no noise)."""
+    if not (math.isfinite(value) or value == math.inf):
+        raise ValueError(f"{name} must be finite or +inf, got {value}")
+
+
 @dataclass(frozen=True)
 class DegradationConfig:
     """Parameters of the degradation model.
 
-    ``snr_hsi_db`` / ``snr_msi_db`` of ``math.inf`` disable noise on that path.
+    ``snr_hsi_db`` / ``snr_msi_db`` of ``math.inf`` disable noise on that path;
+    each must be finite or +inf.
     """
 
     kernel_size: int = 9
@@ -62,6 +69,8 @@ class DegradationConfig:
             raise ValueError(f"downsampling factor must be >= 1, got {self.factor}")
         if self.num_msi_bands < 1:
             raise ValueError(f"num_msi_bands must be >= 1, got {self.num_msi_bands}")
+        for name in ("snr_hsi_db", "snr_msi_db"):
+            _check_snr_db(name, getattr(self, name))
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,9 +220,7 @@ def degrade(sri: np.ndarray, ops: DegradationOperators) -> tuple[np.ndarray, np.
     Returns ``(hsi, msi)``: the scene multiplied, mode by mode, by the operator
     of each mode in the image that ``DEGRADED_IN`` names, both in Fortran order.
     """
-    sri = np.asarray(sri, dtype=np.float64)
-    if sri.ndim != 3:
-        raise ValueError("degrade expects a third-order tensor")
+    sri = _as_tensor(sri)
     images = [sri, sri]
     for n, (s, q) in enumerate(zip(DEGRADED_IN, ops.matrices)):
         if q.shape[1] != sri.shape[n]:
@@ -237,11 +244,10 @@ def add_noise(t: np.ndarray, snr_db: float, rng_seed: int) -> np.ndarray:
     view of the package's images), so equal values get equal noise whatever
     their memory order.  The result keeps the memory order of ``t``.
     """
+    _check_snr_db("snr_db", snr_db)
     t = np.asarray(t, dtype=np.float64)
-    if math.isinf(snr_db) and snr_db > 0:
+    if snr_db == math.inf:
         return t.copy(order="K")
-    if not math.isfinite(snr_db):
-        raise ValueError(f"snr_db must be finite or +inf, got {snr_db}")
     signal_norm = frobenius_norm(t.ravel(order="F"))
     if signal_norm == 0.0:
         raise ValueError("cannot calibrate noise against an all-zero tensor")

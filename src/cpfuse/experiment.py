@@ -24,6 +24,7 @@ from .als import random_init, solve_als
 from .degradation import (
     DegradationConfig,
     DegradationOperators,
+    _check_snr_db,
     add_noise,
     build_operators,
     degrade,
@@ -132,10 +133,9 @@ class ExperimentConfig:
             float(v).is_integer() and v >= 1 for v in self.sweep_values
         ):
             raise ValueError(f"rank sweep values must be positive integers: {self.sweep_values}")
-        if self.sweep_axis == "snr" and not all(
-            math.isfinite(v) or v == math.inf for v in self.sweep_values
-        ):
-            raise ValueError(f"SNR sweep values must be finite or inf: {self.sweep_values}")
+        if self.sweep_axis == "snr":
+            for v in self.sweep_values:
+                _check_snr_db("SNR sweep value", v)
         check_smooth_window(self.smooth_window)
 
 

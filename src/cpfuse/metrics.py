@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import uniform_filter
 
-from .tensors import _sum_squares
+from .tensors import _as_tensor, _sum_squares
 
 __all__ = [
     "MetricsReport",
@@ -37,10 +37,7 @@ class MetricsReport:
 
 
 def _check_pair(est: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    est = np.asarray(est, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
-    if est.ndim != 3 or truth.ndim != 3:
-        raise ValueError("metrics expect third-order tensors")
+    est, truth = _as_tensor(est), _as_tensor(truth)
     if est.shape != truth.shape:
         raise ValueError(f"shape mismatch: estimate {est.shape} vs truth {truth.shape}")
     return est, truth
@@ -146,16 +143,14 @@ def spatial_smooth(t: np.ndarray, window: int) -> np.ndarray:
     the box), so a constant tensor is reproduced exactly.  ``window`` must be
     odd; a window of 1 returns a copy.
     """
-    t = np.asarray(t, dtype=np.float64)
-    if t.ndim != 3:
-        raise ValueError("spatial_smooth expects a third-order tensor")
+    t = _as_tensor(t)
     check_smooth_window(window)
     if window == 1:
         return t.copy()
-    size = (window, window, 1)
-    num = uniform_filter(t, size=size, mode="constant", cval=0.0)
-    den = uniform_filter(np.ones_like(t), size=size, mode="constant", cval=0.0)
-    return num / den
+    num = uniform_filter(t, size=(window, window, 1), mode="constant", cval=0.0)
+    # The divisor is the same for every band: one (I, J) plane.
+    den = uniform_filter(np.ones(t.shape[:2]), size=(window, window), mode="constant", cval=0.0)
+    return num / den[:, :, None]
 
 
 def metrics_report(est: np.ndarray, truth: np.ndarray) -> MetricsReport:

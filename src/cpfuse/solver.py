@@ -28,14 +28,15 @@ with ``||X||^2`` formed once per problem and ``<X, M> = <mttkrp(X, F, 1), F_1>``
 The expansion cancels digits as the misfit shrinks, so below ``GUARD * ||X||^2``
 the misfit is instead summed from the reconstructed residual.
 
-The latent-to-factor chain scaling is frozen per outer iteration, so the
-Gramian operator is rebuilt once per iteration and reused by every CG
-application inside it.  What depends only on the point is formed once with
-it: the packed chain scaling, the Hadamard products of the Grams, the
-operator's constant rows and coefficients, and, in the preconditioner, the
-symmetrized inverses of the ridged R x R block systems and the packed inverse
-scaling.  The applies that PCG repeats do only the products that involve the
-vector.
+The latent-to-factor chain scaling is frozen per point, so the Gramian
+operator is built once per point and reused by every CG application there;
+after a rejected step the point is unchanged, and so are the operator, the
+preconditioner and the PCG step.  What depends only on the point is formed
+once with it: the packed chain scaling, the Hadamard products of the Grams,
+the operator's constant rows and coefficients, and, in the preconditioner,
+the symmetrized inverses of the ridged R x R block systems and the packed
+inverse scaling.  The applies that PCG repeats do only the products that
+involve the vector.
 
 A packed vector concatenates ``vec_F`` of the three ``(d_n, R)`` blocks, so each
 block is its transpose in C order, and the applies read and write it through
@@ -56,8 +57,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .degradation import DEGRADED_IN, DegradationOperators, operator_shapes, scene_shape
-from .tensors import (CpdModel, _check_dims, _check_rank, _check_triple, _sum_squares,
-                      cpd_reconstruct, mttkrp)
+from .tensors import (CpdModel, _as_tensor, _check_dims, _check_rank, _check_triple,
+                      _sum_squares, cpd_reconstruct, mttkrp)
 
 __all__ = [
     "LatentTriple",
@@ -181,11 +182,9 @@ class FusionProblem:
         # Column-major like read_tensor and cpd_reconstruct, so residuals and
         # MTTKRPs never transpose-copy an image.
         for name in ("hsi", "msi"):
-            image = np.asfortranarray(getattr(self, name), dtype=np.float64).view()
+            image = _as_tensor(np.asfortranarray(getattr(self, name), dtype=np.float64)).view()
             image.flags.writeable = False
             object.__setattr__(self, name, image)
-        if self.hsi.ndim != 3 or self.msi.ndim != 3:
-            raise ValueError("observed tensors must be third-order")
         _check_rank(self.rank)
         shapes = operator_shapes(self.images)
         for n, (q, shape) in enumerate(zip(self.operators.matrices, shapes)):
@@ -263,7 +262,11 @@ class SolverState:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One row of the per-iteration diagnostic trace."""
+    """One row of the per-iteration diagnostic trace.
+
+    ``cg_iterations`` counts the PCG iterations run in this iteration: 0 when
+    it follows a rejected step and reuses the previous Newton point.
+    """
 
     iteration: int
     f_value: float
@@ -661,12 +664,15 @@ def solve(
             state.reason = "trust radius below machine precision"
             break
 
-        gram = GramianOperator.from_latent(state.latent, prob.operators)
-        # The misfit is a plain squared norm, so the model Hessian is twice the Gramian.
-        hop = lambda z: 2.0 * gram.apply(z)  # noqa: E731
-        precond = block_jacobi_preconditioner(gram)
-
-        cg = pcg(hop, state.gradient, precond)
+        # A rejected step leaves the point and gradient unchanged, so the
+        # Gramian, preconditioner and Newton point built there are reused.
+        rebuilt = it == 0 or accepted
+        if rebuilt:
+            gram = GramianOperator.from_latent(state.latent, prob.operators)
+            # The misfit is a plain squared norm, so the model Hessian is twice the Gramian.
+            hop = lambda z: 2.0 * gram.apply(z)  # noqa: E731
+            precond = block_jacobi_preconditioner(gram)
+            cg = pcg(hop, state.gradient, precond)
         p_c = cauchy_point(state.gradient, hop, state.delta)
         p_n = cg.step if float(np.linalg.norm(cg.step)) > 0.0 else p_c
         p, step_type = dogleg_step(p_c, p_n, state.delta)
@@ -686,7 +692,7 @@ def solve(
                 grad_inf_norm=grad_inf,
                 delta=state.delta,
                 rho=state.rho,
-                cg_iterations=cg.iterations,
+                cg_iterations=cg.iterations if rebuilt else 0,
                 step_type=step_type,
                 accepted=accepted,
             )

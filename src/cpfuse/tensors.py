@@ -37,8 +37,8 @@ frontal slice that reads a Fortran-ordered tensor in place, and
 batched matrix-vector products.
 
 Every routine validates shapes and raises ``ValueError`` on mismatch;
-``_check_dims``, ``_check_rank`` and ``_check_triple`` hold the package's
-dims, rank and three-matrix checks.
+``_check_dims``, ``_check_rank``, ``_check_triple`` and ``_as_tensor`` hold
+the package's dims, rank, three-matrix and third-order tensor checks.
 """
 
 from __future__ import annotations

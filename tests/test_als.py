@@ -123,6 +123,20 @@ class TestSylvesterRows:
         )
 
 
+    def test_non_finite_lu_solution_takes_the_ridge(self):
+        # G_p = 0 is not definite, so the pencil fails; the row system
+        # diag(1e-300, 1) is not exactly singular, so LU succeeds but its
+        # solution overflows, and only the ridged solve is finite.
+        gamma_scaled, gamma_plain = np.diag([1e-300, 1.0]), np.zeros((2, 2))
+        evals, evecs, rhs = np.array([1.0]), np.eye(1), np.array([[1e10, 1.0]])
+        assert dsygv(gamma_scaled, gamma_plain)[2] != 0
+        with np.errstate(over="ignore"):
+            assert not np.all(np.isfinite(np.linalg.solve(gamma_scaled, rhs[0])))
+            got = _sylvester_rows(evals, evecs, gamma_scaled, gamma_plain, rhs)
+        ridged = gamma_scaled + (1e-10 * (1.0 + 1e-300) + 1e-300) * np.eye(2)
+        np.testing.assert_array_equal(got, np.linalg.solve(ridged, rhs[0])[None, :])
+
+
 class TestSolveAls:
     def test_one_sweep_matches_dense_kronecker_oracle(self):
         prob, _, _ = make_problem()

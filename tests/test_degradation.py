@@ -383,8 +383,34 @@ class TestDegradationConfig:
             {"sigma": -1.0},
             {"factor": 0},
             {"num_msi_bands": 0},
+            {"snr_hsi_db": math.nan},
+            {"snr_hsi_db": -math.inf},
+            {"snr_msi_db": math.nan},
+            {"snr_msi_db": -math.inf},
         ],
     )
     def test_invalid_fields_rejected(self, kwargs):
         with pytest.raises(ValueError):
             DegradationConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: DegradationOperators(np.ones(3), np.eye(2), np.eye(2)),
+         "spatial_1 must be a matrix"),
+        (lambda: blur_downsample_matrix(0, DegradationConfig()), "full_dim must be positive"),
+        (lambda: band_aggregation_matrix(0, 1), "band counts must be positive"),
+        (lambda: build_operators((4, 4, 5), DegradationConfig(kernel_size=3, factor=2),
+                                 np.full((2, 4), 0.25)), "must have 5 columns"),
+        (lambda: add_noise(np.ones((2, 2, 2)), math.nan, 0), "snr_db must be finite or"),
+        (lambda: add_noise(np.ones((2, 2, 2)), -math.inf, 0), "snr_db must be finite or"),
+        (lambda: degrade(np.ones((4, 4)), build_operators((4, 4, 2), DegradationConfig(
+            kernel_size=3, factor=2, num_msi_bands=1))), "third-order tensor"),
+    ],
+    ids=["operator-not-a-matrix", "blur-zero-dim", "bands-zero", "spectral-columns",
+         "noise-nan", "noise-minus-inf", "degrade-2d"],
+)
+def test_invalid_input_raises(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -276,6 +276,13 @@ class TestResultsCsv:
         with pytest.raises(ValueError):
             read_results(path)
 
+    def test_malformed_row_rejected(self, tmp_path):
+        path = tmp_path / "results.csv"
+        emit_results(self.rows(), path)
+        path.write_text(path.read_text() + "nn-nls,5.0\n")
+        with pytest.raises(ValueError, match="malformed row"):
+            read_results(path)
+
 
 class TestCliPipeline:
     def simulate(self, tmp_path, dims=(12, 12, 8), rank=2):
@@ -664,6 +671,24 @@ class TestCliPipeline:
         err = capsys.readouterr().err
         assert "error:" in err and extra[0] in err
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["degrade", "--sri", "absent.dt3", "--out-hsi", "h.dt3", "--out-msi", "m.dt3",
+             "--snr-hsi", "nan"],
+            ["sweep", "--dims", "10", "10", "6", "--ranks", "2", "--noise-snr-db", "nan",
+             "--master-seed", "0", "--out-dir", "x"],
+        ],
+        ids=["degrade", "sweep"],
+    )
+    def test_invalid_snr_rejected_before_any_scene(self, tmp_path, capsys, monkeypatch, argv):
+        # The config rejects the SNR before the scene is read or simulated.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cpfuse.experiment, "simulate_scene", None)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: snr_hsi_db must be finite or +inf, got nan\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_fuse_als_rejects_grad_tol(self, tmp_path, capsys):
         sri = self.simulate(tmp_path)

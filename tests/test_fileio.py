@@ -157,3 +157,10 @@ class TestWriteErrors:
     def test_matrix_wrong_ndim(self, tmp_path):
         with pytest.raises(ValueError):
             write_matrix(tmp_path / "m.dm2", np.ones((2, 2, 2)))
+
+    def test_dimension_above_uint32_range(self, tmp_path):
+        # A zero-stride view: no payload is allocated, and none is written.
+        huge = np.broadcast_to(np.zeros(1), (2**32, 1, 1))
+        with pytest.raises(ValueError, match="uint32"):
+            write_tensor(tmp_path / "t.dt3", huge)
+        assert not (tmp_path / "t.dt3").exists()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -231,3 +232,31 @@ class TestMetricsReport:
         report = metrics_report(est, truth)
         assert report.cc_bands_skipped >= 1
         assert report.sam_fibers_skipped == 1
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda t: rmse(t[:, :, 0], t[:, :, 0]),
+        lambda t: metrics_report(t, t[:, :, 0]),
+        lambda t: spatial_smooth(t[:, :, 0], 3),
+    ],
+    ids=["estimate", "truth", "smooth"],
+)
+def test_two_dimensional_input_raises(call):
+    with pytest.raises(ValueError, match="third-order tensor"):
+        call(np.ones((3, 3, 2)))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_spatial_smooth_allocates_one_tensor_besides_its_output(order):
+    # The filtered tensor and the result are tensor-sized; the divisor is one
+    # (I, J) plane shared by every band.
+    t = np.asarray(RNG.uniform(size=(64, 48, 32)), order=order)
+    tracemalloc.start()
+    try:
+        spatial_smooth(t, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * t.nbytes

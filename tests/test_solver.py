@@ -919,6 +919,27 @@ class TestSolve:
         assert any(decisions)
         np.testing.assert_array_equal(state.gradient, gradient(state.latent, prob))
 
+    def test_rejected_step_reuses_the_model(self, monkeypatch):
+        # A rejected step leaves the point and gradient unchanged, so the next
+        # iteration runs no PCG and records no CG iterations.
+        real = solver_module.pcg
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(solver_module, "pcg", counted)
+        base, _, _ = make_problem(dims=(8, 8, 6))
+        prob = FusionProblem(add_noise(base.hsi, 10.0, 0), add_noise(base.msi, 10.0, 1),
+                             base.operators, base.rank)
+        _, _, trace = solve(prob, init_latent(prob.sri_dims, prob.rank, 0),
+                            SolverConfig(max_iters=30))
+        after_rejection = [r for prev, r in zip(trace, trace[1:]) if not prev.accepted]
+        assert after_rejection
+        assert len(calls) == 1 + sum(r.accepted for r in trace[:-1])
+        assert all(r.cg_iterations == 0 for r in after_rejection)
+
     def test_mismatched_init_raises(self):
         prob, _, _ = make_problem()
         bad = init_latent((3, 3, 3), prob.rank, rng_seed=0)
@@ -1044,3 +1065,27 @@ class TestFusionProblem:
             setattr(prob, name, getattr(other, name))
         assert getattr(prob, name) is not getattr(other, name)
         np.testing.assert_allclose(prob.norms_sq, [np.sum(t * t) for t in prob.images], rtol=1e-14)
+
+
+def _fresh_preconditioner(prob):
+    latent = init_latent(prob.sri_dims, prob.rank, rng_seed=0)
+    return block_jacobi_preconditioner(GramianOperator.from_latent(latent, prob.operators))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda prob: LatentTriple.from_vector(np.zeros(3), prob.sri_dims, prob.rank),
+         "latent vector has size"),
+        (lambda prob: _fresh_preconditioner(prob)(np.zeros(3)), "vector has shape"),
+        (lambda prob: FusionProblem(prob.hsi[:, :, 0], prob.msi, prob.operators, prob.rank),
+         "third-order tensor"),
+        (lambda prob: FusionProblem(prob.hsi, prob.msi[:, :, 0], prob.operators, prob.rank),
+         "third-order tensor"),
+    ],
+    ids=["latent-vector-size", "preconditioner-vector-shape", "hsi-2d", "msi-2d"],
+)
+def test_invalid_input_raises(call, message):
+    prob, _, _ = make_problem()
+    with pytest.raises(ValueError, match=message):
+        call(prob)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cpfuse.fileio import write_tensor
 from cpfuse.tensors import (
     CpdModel,
+    _check_triple,
     _mode1_partial,
     _partial_mttkrp,
     cpd_reconstruct,
@@ -329,3 +330,22 @@ class TestKernelProperties:
         t = cpd_reconstruct(*(rng.standard_normal((d, 4)) for d in (64, 64, 32)))
         peak = peak_traced_bytes(lambda: write_tensor(tmp_path / "t.dt3", t))
         assert peak < 0.1 * t.nbytes
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: _check_triple((np.eye(2), np.eye(2)), "factor"), "expected 3 two-dimensional"),
+        (lambda: _check_triple((np.eye(2), np.eye(2), np.ones(2)), "factor"),
+         "expected 3 two-dimensional"),
+        (lambda: mode_n_product(np.ones((2, 2, 2)), np.ones(2), 1), "expects a matrix"),
+        (lambda: khatri_rao([np.eye(2), np.ones(2)]), "must be matrices"),
+        (lambda: mttkrp(np.ones((2, 2, 2)), [np.eye(2), np.eye(2)], 1),
+         "expected 3 factor matrices"),
+    ],
+    ids=["triple-of-two", "triple-with-vector", "mode-product-vector", "khatri-rao-vector",
+         "mttkrp-two-factors"],
+)
+def test_invalid_operands_raise(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
