@@ -141,16 +141,20 @@ def spatial_smooth(t: np.ndarray, window: int) -> np.ndarray:
 
     Boundary cells average only the in-bounds taps (the divisor shrinks with
     the box), so a constant tensor is reproduced exactly.  ``window`` must be
-    odd; a window of 1 returns a copy.
+    odd; a window of 1 returns a copy.  The result is column-major, like
+    ``cpd_reconstruct`` and ``read_tensor``, so it is written to a file without
+    a copy.
     """
     t = _as_tensor(t)
     check_smooth_window(window)
     if window == 1:
-        return t.copy()
-    num = uniform_filter(t, size=(window, window, 1), mode="constant", cval=0.0)
+        return t.copy(order="F")
+    out = np.empty(t.shape, order="F")
+    uniform_filter(t, size=(window, window, 1), output=out, mode="constant", cval=0.0)
     # The divisor is the same for every band: one (I, J) plane.
     den = uniform_filter(np.ones(t.shape[:2]), size=(window, window), mode="constant", cval=0.0)
-    return num / den[:, :, None]
+    out /= den[:, :, None]
+    return out
 
 
 def metrics_report(est: np.ndarray, truth: np.ndarray) -> MetricsReport:

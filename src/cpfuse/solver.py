@@ -38,15 +38,31 @@ the symmetrized inverses of the ridged R x R block systems and the packed
 inverse scaling.  The applies that PCG repeats do only the products that
 involve the vector.
 
+Each point is evaluated once.  ``solve`` holds its iterate as one packed
+vector; every trial is ``x + p``, formed once, with its blocks unpacked once,
+and both are read-only.  The trial objective keeps its evaluation with the
+point: each image's projected factors, their Grams and mode-1 MTTKRP, and the
+objective value.  Once the step is accepted the gradient reads them and forms
+only each image's mode-2 and mode-3 MTTKRPs, and the Gramian operator reads
+the projections.  A ``LatentTriple`` from a caller keeps nothing, so its
+blocks may be written between calls.
+
+The misfit is a plain squared norm, so the model Hessian is ``H = 2 G`` for
+the Gramian ``G``.  PCG runs on ``G`` against half the gradient, which yields
+the same step, since scaling by a power of two is exact; ``p^T H p`` doubles
+the scalar ``p^T G p``, and only the Cauchy point applies ``2 G``.  No CG
+iteration makes a pass to scale a vector.  PCG's curvature exit,
+``d^T G d <= 1e-14 ||d||^2``, is ``2e-14`` against ``H``.
+
 A packed vector concatenates ``vec_F`` of the three ``(d_n, R)`` blocks, so each
 block is its transpose in C order, and the applies read and write it through
 ``(R x d_n)`` views without unpacking or repacking.  A Gramian apply makes, per
 scene mode, one product that projects the block and forms both images' cross
 Grams, one that maps the projection back, and one with inner dimension 4R that
 writes the output block; the cross-Gram combinations of all modes and both
-images take three batched elementwise operations.  A preconditioner apply is
-one R x R product per block.  PCG updates its iterate, residual and direction
-in place.
+images take three batched elementwise operations on contiguous copies.  A
+preconditioner apply is one R x R product per block.  PCG updates its
+iterate, residual and direction in place.
 """
 
 from __future__ import annotations
@@ -157,6 +173,21 @@ class LatentTriple:
 
     def copy(self) -> "LatentTriple":
         return LatentTriple(tuple(m.copy() for m in self.mats))
+
+
+class _Point(LatentTriple):
+    """A solver iterate: its packed vector ``vec`` and the blocks unpacked from
+    it, all read-only, and the ``evaluation`` that ``objective`` formed there."""
+
+    evaluation: _Evaluation | None = None
+
+    @classmethod
+    def at(cls, vec: np.ndarray, dims, rank: int) -> "_Point":
+        point = cls.from_vector(vec, dims, rank)
+        point.vec = vec
+        for a in (vec, *point.mats):
+            a.flags.writeable = False
+        return point
 
 
 def square_params(latent: LatentTriple) -> CpdModel:
@@ -294,17 +325,51 @@ def _decrease_below(previous: float, current: float, rel_f_tol: float) -> bool:
     return previous <= 0.0 or (previous - current) / previous < rel_f_tol
 
 
+@dataclass(eq=False)
+class _Evaluation:
+    """What ``objective`` forms at a solver point for ``prob``, kept for the
+    gradient and the Gramian there: each image's projected factors, their Grams
+    and its mode-1 MTTKRP, and the objective value.  ``mats`` are the point's
+    blocks it was formed from."""
+
+    prob: FusionProblem
+    mats: tuple[np.ndarray, ...]
+    projected: tuple[list[np.ndarray], ...]
+    grams: list[list[np.ndarray]]
+    mode1: list[np.ndarray]
+    f_value: float
+
+
+def _kept(latent: LatentTriple) -> _Evaluation | None:
+    """The evaluation a solver point keeps; None for a caller's ``LatentTriple``."""
+    ev = getattr(latent, "evaluation", None)
+    return ev if ev is not None and ev.mats is latent.mats else None
+
+
+def _projection(latent: LatentTriple, ops: DegradationOperators):
+    """Each image's projected factors at ``latent`` and their Grams."""
+    projected = ops.project(square_params(latent).factors)
+    return projected, [[f.T @ f for f in factors] for factors in projected]
+
+
 def objective(latent: LatentTriple, prob: FusionProblem) -> float:
     """Coupled squared-misfit objective at the squared-latent point.
 
     The guarded Gram expansion of ``FusionProblem.misfit`` from one mode-1
     MTTKRP per image: no image is reconstructed unless its misfit is below
-    ``GUARD`` times its squared norm.
+    ``GUARD`` times its squared norm.  At a solver point the evaluation is
+    kept for the gradient and the Gramian there.
     """
-    projected = prob.operators.project(square_params(latent).factors)
+    ev = _kept(latent)
+    if ev is not None and ev.prob is prob:
+        return ev.f_value
+    projected, grams = _projection(latent, prob.operators)
     mode1 = [mttkrp(image, factors, 1) for image, factors in zip(prob.images, projected)]
-    grams = [[f.T @ f for f in factors] for factors in projected]
-    return prob.misfit(projected, mode1, grams)
+    ev = _Evaluation(prob, latent.mats, projected, grams, mode1,
+                     prob.misfit(projected, mode1, grams))
+    if isinstance(latent, _Point):
+        latent.evaluation = ev
+    return ev.f_value
 
 
 def gradient(latent: LatentTriple, prob: FusionProblem) -> np.ndarray:
@@ -312,13 +377,20 @@ def gradient(latent: LatentTriple, prob: FusionProblem) -> np.ndarray:
 
     The chain rule through the entrywise square contributes a factor of twice
     the latent entry, so any zero latent entry yields a zero gradient entry.
+    At a solver point evaluated by ``objective`` the projections, Grams and
+    mode-1 MTTKRPs are read from its evaluation; only modes 2 and 3 are formed.
     """
-    model = square_params(latent)
     ops = prob.operators
+    ev = _kept(latent)
+    if ev is not None and ev.prob is prob:
+        projected, grams, mode1 = ev.projected, ev.grams, ev.mode1
+    else:
+        projected, grams = _projection(latent, ops)
+        mode1 = [mttkrp(image, factors, 1) for image, factors in zip(prob.images, projected)]
     terms = []
-    for image, factors in zip(prob.images, ops.project(model.factors)):
-        grams = [f.T @ f for f in factors]
-        terms.append([factors[n] @ (grams[a] * grams[b]) - mttkrp(image, factors, n + 1)
+    for image, factors, g, m1 in zip(prob.images, projected, grams, mode1):
+        mttkrps = [m1, mttkrp(image, factors, 2), mttkrp(image, factors, 3)]
+        terms.append([factors[n] @ (g[a] * g[b]) - mttkrps[n]
                       for n, (a, b) in enumerate(_OTHER_MODES)])
     # gradients with respect to the squared factors
     grads = [2.0 * ops.back_project(n, t) for n, t in enumerate(zip(*terms))]
@@ -356,7 +428,8 @@ class GramianOperator:
       holds both images' cross Grams, one product ``(Q B_n)^T Q`` and a copy
       of ``B_n^T`` into the rows;
     * for the three modes and both images at once, ``S^T`` in three batched
-      elementwise operations, written into the coefficients;
+      elementwise operations on contiguous copies of the cross Grams,
+      written into the coefficients;
     * per mode, one product with inner dimension ``4R`` written into the
       output view:
       ``out_n^T = [S_n^T | H^deg | H^keep] [K_n^T ; B_n^T Q^T Q ; B_n^T]``.
@@ -382,19 +455,22 @@ class GramianOperator:
         matrices = self.operators.matrices
         height = max(q.shape[0] for q in matrices) + 2 * rank
         # Scratch overwritten by every apply: B and the unscaled output, read
-        # through per-block views, and per mode [Q B ; W^T], with modes 0 and
-        # 1 repeated in slots 3 and 4 so that the two other modes of every
-        # mode are the slices 1:4 and 2:5.  The transposed cross Grams W^T,
-        # the transposed Grams and S^T are indexed (mode, image, row, column).
+        # through per-block views, and per mode [Q B ; W^T].  The transposed
+        # cross Grams W^T, the transposed Grams and S^T are indexed (mode,
+        # image, row, column); the combination runs on contiguous copies,
+        # with modes 0 and 1 repeated in slots 3 and 4 so that the two other
+        # modes of every mode are the slices 1:4 and 2:5.
         self._scaled = np.empty(self.size)
         self._unscaled = np.empty(self.size)
-        heads = np.empty((5, height, rank))
-        self._cross = heads[:, height - 2 * rank :].reshape(5, 2, rank, rank)
+        heads = np.empty((3, height, rank))
+        self._heads_cross = heads[:, height - 2 * rank :].reshape(3, 2, rank, rank)
+        self._cross = np.empty((5, 2, rank, rank))
         self._grams = np.empty((5, 2, rank, rank))
         self._grams[:3] = np.transpose(grams, (1, 0, 3, 2))
         self._grams[3:] = self._grams[:2]
         coefficients = np.empty((3, rank, 4 * rank))
         self._s = coefficients[:, :, : 2 * rank].reshape(3, rank, 2, rank).transpose(0, 2, 1, 3)
+        self._s_sum = np.empty((3, 2, rank, rank))
         self._s_term = np.empty((3, 2, rank, rank))
         self._products = []
         self._outputs = []
@@ -420,8 +496,14 @@ class GramianOperator:
 
     @classmethod
     def from_latent(cls, latent: LatentTriple, ops: DegradationOperators) -> "GramianOperator":
-        model = square_params(latent)
-        return cls([2.0 * m for m in latent.mats], ops.project(model.factors), ops)
+        """The Gramian at ``latent``; at a solver point evaluated by
+        ``objective`` the projections are read from its evaluation."""
+        ev = _kept(latent)
+        if ev is not None and ev.prob.operators is ops:
+            projected = ev.projected
+        else:
+            projected = ops.project(square_params(latent).factors)
+        return cls([2.0 * m for m in latent.mats], projected, ops)
 
     def apply(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=np.float64)
@@ -432,11 +514,13 @@ class GramianOperator:
             np.matmul(left, b, out=head)
             np.matmul(proj_t, q, out=proj_rows)
             b_rows[...] = b.T
-        cross, grams = self._cross, self._grams
+        cross, grams, s = self._cross, self._grams, self._s_sum
+        cross[:3] = self._heads_cross
         cross[3:] = cross[:2]
         np.multiply(cross[1:4], grams[2:5], out=self._s_term)
-        np.multiply(cross[2:5], grams[1:4], out=self._s)
-        self._s += self._s_term
+        np.multiply(cross[2:5], grams[1:4], out=s)
+        s += self._s_term
+        self._s[...] = s
         for coefficients, stacked, out_t in self._outputs:
             np.matmul(coefficients, stacked, out=out_t)
         return self.scale * self._unscaled
@@ -596,8 +680,9 @@ def trust_region_update(
         state.rho = -math.inf
         state.delta *= SHRINK_FACTOR
         return False
-    dims = state.latent.dims
-    trial = LatentTriple.from_vector(state.latent.to_vector() + p, dims, state.latent.rank)
+    latent = state.latent
+    x = latent.vec if isinstance(latent, _Point) else latent.to_vector()
+    trial = _Point.at(x + p, latent.dims, latent.rank)
     f_trial = float(objective_fn(trial))
     rho = (state.f_value - f_trial) / model_decrease
     state.rho = rho
@@ -642,8 +727,8 @@ def solve(
     cfg = cfg or SolverConfig()
     prob.check_init(init)
 
-    latent = init.copy()
-    delta0 = max(0.3 * float(np.linalg.norm(latent.to_vector())), 1.0)
+    latent = _Point.at(init.to_vector(), init.dims, init.rank)
+    delta0 = max(0.3 * float(np.linalg.norm(latent.vec)), 1.0)
 
     f = objective(latent, prob)
     g = gradient(latent, prob)
@@ -660,25 +745,25 @@ def solve(
             state.reason = "gradient norm below grad_tol"
             break
         # No step inside a radius this small changes the iterate in floating point.
-        if state.delta <= np.finfo(np.float64).eps * np.linalg.norm(state.latent.to_vector()):
+        if state.delta <= np.finfo(np.float64).eps * np.linalg.norm(state.latent.vec):
             state.reason = "trust radius below machine precision"
             break
 
         # A rejected step leaves the point and gradient unchanged, so the
         # Gramian, preconditioner and Newton point built there are reused.
         rebuilt = it == 0 or accepted
+        g = state.gradient
         if rebuilt:
             gram = GramianOperator.from_latent(state.latent, prob.operators)
-            # The misfit is a plain squared norm, so the model Hessian is twice the Gramian.
-            hop = lambda z: 2.0 * gram.apply(z)  # noqa: E731
             precond = block_jacobi_preconditioner(gram)
-            cg = pcg(hop, state.gradient, precond)
-        p_c = cauchy_point(state.gradient, hop, state.delta)
+            # The model Hessian is twice the Gramian: PCG solves G p = -g / 2.
+            cg = pcg(gram.apply, 0.5 * g, precond)
+        p_c = cauchy_point(g, lambda z: 2.0 * gram.apply(z), state.delta)
         p_n = cg.step if float(np.linalg.norm(cg.step)) > 0.0 else p_c
         p, step_type = dogleg_step(p_c, p_n, state.delta)
 
-        g_dot_p = float(state.gradient @ p)
-        p_h_p = float(p @ hop(p))
+        g_dot_p = float(g @ p)
+        p_h_p = 2.0 * float(p @ gram.apply(p))
         accepted = trust_region_update(
             state, p, g_dot_p, p_h_p, lambda t: objective(t, prob), cfg
         )

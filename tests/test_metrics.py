@@ -250,8 +250,8 @@ def test_two_dimensional_input_raises(call):
 
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_spatial_smooth_allocates_one_tensor_besides_its_output(order):
-    # The filtered tensor and the result are tensor-sized; the divisor is one
-    # (I, J) plane shared by every band.
+    # The result is the only tensor-sized array; the divisor is one (I, J)
+    # plane shared by every band.
     t = np.asarray(RNG.uniform(size=(64, 48, 32)), order=order)
     tracemalloc.start()
     try:
@@ -260,3 +260,26 @@ def test_spatial_smooth_allocates_one_tensor_besides_its_output(order):
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * t.nbytes
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_spatial_smooth_filters_into_its_output(order):
+    # Besides the result, only the divisor plane and the filter's line buffers.
+    t = np.asarray(RNG.uniform(size=(64, 48, 32)), order=order)
+    tracemalloc.start()
+    try:
+        spatial_smooth(t, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * t.nbytes
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("window", [1, 5])
+def test_spatial_smooth_returns_column_major(order, window):
+    # The package's tensor order, which write_tensor writes without a copy.
+    t = np.asarray(RNG.uniform(size=(9, 8, 4)), order=order)
+    out = spatial_smooth(t, window)
+    assert out.flags.f_contiguous
+    np.testing.assert_array_equal(out, spatial_smooth(np.ascontiguousarray(t), window))

@@ -964,6 +964,94 @@ class TestSolve:
         assert state.reason == "max_iters reached"
 
 
+def noisy_problem(seed=0):
+    base, _, _ = make_problem(dims=(8, 8, 6), seed=seed)
+    return FusionProblem(add_noise(base.hsi, 10.0, seed), add_noise(base.msi, 10.0, seed + 1),
+                         base.operators, base.rank)
+
+
+def point_values(latent, prob, z):
+    """Objective, gradient and Gramian apply at ``latent``."""
+    gram = GramianOperator.from_latent(latent, prob.operators)
+    return objective(latent, prob), gradient(latent, prob), gram.apply(z)
+
+
+def assert_same_values(found, expected):
+    assert found[0] == expected[0]
+    for a, b in zip(found[1:], expected[1:]):
+        np.testing.assert_array_equal(a, b)
+
+
+class TestEvaluationAtAPoint:
+    """A solver point keeps what its objective formed; a caller's LatentTriple keeps nothing."""
+
+    def count_mttkrps(self, monkeypatch):
+        real = solver_module.mttkrp
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2])
+            return real(*args)
+
+        monkeypatch.setattr(solver_module, "mttkrp", counted)
+        return calls
+
+    def test_standalone_gradient_makes_six_mttkrps(self, monkeypatch):
+        calls = self.count_mttkrps(monkeypatch)
+        prob = noisy_problem()
+        gradient(init_latent(prob.sri_dims, prob.rank, 0), prob)
+        assert sorted(calls) == [1, 1, 2, 2, 3, 3]
+
+    def test_solve_reuses_the_objectives_mode1_mttkrps(self, monkeypatch):
+        calls = self.count_mttkrps(monkeypatch)
+        counts = {"objective": 0, "gradient": 0}
+        for name in counts:
+            real = getattr(solver_module, name)
+
+            def counted(*args, _real=real, _name=name):
+                counts[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(solver_module, name, counted)
+        prob = noisy_problem()
+        _, _, trace = solve(prob, init_latent(prob.sri_dims, prob.rank, 0),
+                            SolverConfig(max_iters=20))
+        assert 0 < sum(r.accepted for r in trace) < len(trace)
+        assert counts["gradient"] == 1 + sum(r.accepted for r in trace)
+        assert counts["objective"] == 1 + len(trace)
+        assert len(calls) == 2 * counts["objective"] + 4 * counts["gradient"]
+
+    def test_a_callers_latent_is_evaluated_afresh(self):
+        prob = noisy_problem()
+        latent = init_latent(prob.sri_dims, prob.rank, 0)
+        z = np.random.default_rng(1).standard_normal(latent.to_vector().size)
+        point_values(latent, prob, z)
+        latent.mats[0][:] = 0.5
+        latent.mats[2][1, 0] = 2.0
+        fresh = LatentTriple(tuple(m.copy() for m in latent.mats))
+        assert_same_values(point_values(latent, prob, z), point_values(fresh, prob, z))
+
+    def test_a_solver_point_is_read_only(self):
+        prob = noisy_problem()
+        _, state, _ = solve(prob, init_latent(prob.sri_dims, prob.rank, 0),
+                            SolverConfig(max_iters=3))
+        with pytest.raises(ValueError):
+            state.latent.mats[0][0, 0] = 1.0
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**16), iters=st.integers(1, 6))
+    def test_a_solver_point_matches_a_plain_latent(self, seed, iters):
+        prob = noisy_problem(seed)
+        _, state, _ = solve(prob, init_latent(prob.sri_dims, prob.rank, seed),
+                            SolverConfig(max_iters=iters))
+        plain = LatentTriple(tuple(m.copy() for m in state.latent.mats))
+        z = np.random.default_rng(seed).standard_normal(plain.to_vector().size)
+        expected = point_values(plain, prob, z)
+        assert_same_values(point_values(state.latent, prob, z), expected)
+        assert state.f_value == expected[0]
+        np.testing.assert_array_equal(state.gradient, expected[1])
+
+
 class TestInitLatent:
     def test_values_bounded_away_from_zero(self):
         latent = init_latent((10, 9, 8), 4, rng_seed=0)
