@@ -52,7 +52,6 @@ __all__ = [
     "run_experiment",
     "emit_results",
     "emit_summary",
-    "read_results",
 ]
 
 ALGORITHMS = ("nn-nls", "als")
@@ -330,10 +329,6 @@ def _format_value(value) -> str:
     return str(value)
 
 
-# Parsers keyed by the (string) field annotations of the row dataclasses.
-_PARSERS = {"str": str, "int": int, "float": float, "bool": "true".__eq__}
-
-
 def _emit(rows, row_type, path) -> None:
     columns = [f.name for f in fields(row_type)]
     lines = [",".join(columns)]
@@ -354,17 +349,3 @@ def emit_summary(rows, path) -> None:
     """Write per-sweep-point medians as CSV, one column per :class:`SummaryRow` field."""
     _emit(rows, SummaryRow, path)
 
-
-def read_results(path) -> list[ResultRow]:
-    """Parse a results CSV back into rows (round trip of :func:`emit_results`)."""
-    columns = fields(ResultRow)
-    lines = Path(path).read_text().strip().split("\n")
-    if lines[0] != ",".join(f.name for f in columns):
-        raise ValueError(f"{path}: unexpected header {lines[0]!r}")
-    rows = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != len(columns):
-            raise ValueError(f"{path}: malformed row {line!r}")
-        rows.append(ResultRow(*(_PARSERS[f.type](p) for f, p in zip(columns, parts))))
-    return rows

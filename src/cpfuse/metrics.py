@@ -37,7 +37,9 @@ class MetricsReport:
 
 
 def _check_pair(est: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    est, truth = _as_tensor(est), _as_tensor(truth)
+    """Both tensors in Fortran order, the package's tensor order, so that every
+    reduction sums in the same order whatever layout the caller's arrays have."""
+    est, truth = (np.asfortranarray(_as_tensor(t)) for t in (est, truth))
     if est.shape != truth.shape:
         raise ValueError(f"shape mismatch: estimate {est.shape} vs truth {truth.shape}")
     return est, truth
@@ -57,7 +59,7 @@ def _band_correlations(est: np.ndarray, truth: np.ndarray) -> tuple[list[float],
     values: list[float] = []
     skipped = 0
     for k in range(truth.shape[2]):
-        # Centred band slices, reduced in whatever layout the slices have.
+        # Centred band slices, column-major like the tensors.
         xc = est[:, :, k] - est[:, :, k].mean()
         yc = truth[:, :, k] - truth[:, :, k].mean()
         sxx, syy, sxy = (

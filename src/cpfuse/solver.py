@@ -38,14 +38,13 @@ the symmetrized inverses of the ridged R x R block systems and the packed
 inverse scaling.  The applies that PCG repeats do only the products that
 involve the vector.
 
-Each point is evaluated once.  ``solve`` holds its iterate as one packed
-vector; every trial is ``x + p``, formed once, with its blocks unpacked once,
-and both are read-only.  The trial objective keeps its evaluation with the
-point: each image's projected factors, their Grams and mode-1 MTTKRP, and the
-objective value.  Once the step is accepted the gradient reads them and forms
-only each image's mode-2 and mode-3 MTTKRPs, and the Gramian operator reads
-the projections.  A ``LatentTriple`` from a caller keeps nothing, so its
-blocks may be written between calls.
+Each point is evaluated once.  A ``LatentTriple`` is read-only: it holds its
+packed vector and the blocks unpacked from it, writing into either raises
+``ValueError``, and it keeps its evaluation: each image's projected factors,
+their Grams and mode-1 MTTKRP, and the objective value.  Every trial is
+``x + p``, formed once; once the step is accepted the gradient reads the trial
+objective's evaluation and forms only each image's mode-2 and mode-3 MTTKRPs,
+and the Gramian operator reads the projections.
 
 The misfit is a plain squared norm, so the model Hessian is ``H = 2 G`` for
 the Gramian ``G``.  PCG runs on ``G`` against half the gradient, which yields
@@ -68,7 +67,7 @@ iterate, residual and direction in place.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -140,14 +139,29 @@ def _block_views(vec: np.ndarray, shapes) -> list[np.ndarray]:
     return views
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class LatentTriple:
-    """Unconstrained latent matrices whose entrywise squares are the CP factors."""
+    """Unconstrained latent matrices whose entrywise squares are the CP factors.
+
+    A read-only value: the packed vector ``vec`` is built once from a copy of
+    the input and the blocks ``mats`` are C-ordered copies unpacked from it;
+    an in-place write into either raises ``ValueError``, and the fields cannot
+    be rebound.  The caller's arrays stay writeable.  The point keeps the
+    evaluation that ``objective`` or ``gradient`` forms there.
+    """
 
     mats: tuple[np.ndarray, np.ndarray, np.ndarray]
+    vec: np.ndarray = field(init=False, repr=False)
+    _evaluation: _Evaluation | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.mats = _check_triple(self.mats, "latent")
+        mats = _check_triple(self.mats, "latent")
+        vec = _pack(mats)
+        blocks = tuple(b.T.copy() for b in _block_views(vec, [m.shape for m in mats]))
+        for a in (vec, *blocks):
+            a.flags.writeable = False
+        object.__setattr__(self, "vec", vec)
+        object.__setattr__(self, "mats", blocks)
 
     @property
     def rank(self) -> int:
@@ -156,9 +170,6 @@ class LatentTriple:
     @property
     def dims(self) -> tuple[int, int, int]:
         return tuple(m.shape[0] for m in self.mats)  # type: ignore[return-value]
-
-    def to_vector(self) -> np.ndarray:
-        return _pack(self.mats)
 
     @classmethod
     def from_vector(
@@ -169,25 +180,7 @@ class LatentTriple:
         expected = sum(d * rank for d in dims)
         if vec.ndim != 1 or vec.size != expected:
             raise ValueError(f"latent vector has size {vec.size}, expected {expected}")
-        return cls(tuple(b.T.copy() for b in _block_views(vec, shapes)))
-
-    def copy(self) -> "LatentTriple":
-        return LatentTriple(tuple(m.copy() for m in self.mats))
-
-
-class _Point(LatentTriple):
-    """A solver iterate: its packed vector ``vec`` and the blocks unpacked from
-    it, all read-only, and the ``evaluation`` that ``objective`` formed there."""
-
-    evaluation: _Evaluation | None = None
-
-    @classmethod
-    def at(cls, vec: np.ndarray, dims, rank: int) -> "_Point":
-        point = cls.from_vector(vec, dims, rank)
-        point.vec = vec
-        for a in (vec, *point.mats):
-            a.flags.writeable = False
-        return point
+        return cls(tuple(b.T for b in _block_views(vec, shapes)))
 
 
 def square_params(latent: LatentTriple) -> CpdModel:
@@ -325,31 +318,29 @@ def _decrease_below(previous: float, current: float, rel_f_tol: float) -> bool:
     return previous <= 0.0 or (previous - current) / previous < rel_f_tol
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class _Evaluation:
-    """What ``objective`` forms at a solver point for ``prob``, kept for the
-    gradient and the Gramian there: each image's projected factors, their Grams
-    and its mode-1 MTTKRP, and the objective value.  ``mats`` are the point's
-    blocks it was formed from."""
+    """What a ``LatentTriple`` keeps from its evaluation for ``prob``: each
+    image's projected factors, their Grams and its mode-1 MTTKRP, and the
+    objective value."""
 
     prob: FusionProblem
-    mats: tuple[np.ndarray, ...]
     projected: tuple[list[np.ndarray], ...]
     grams: list[list[np.ndarray]]
     mode1: list[np.ndarray]
     f_value: float
 
 
-def _kept(latent: LatentTriple) -> _Evaluation | None:
-    """The evaluation a solver point keeps; None for a caller's ``LatentTriple``."""
-    ev = getattr(latent, "evaluation", None)
-    return ev if ev is not None and ev.mats is latent.mats else None
-
-
-def _projection(latent: LatentTriple, ops: DegradationOperators):
-    """Each image's projected factors at ``latent`` and their Grams."""
-    projected = ops.project(square_params(latent).factors)
-    return projected, [[f.T @ f for f in factors] for factors in projected]
+def _evaluate(latent: LatentTriple, prob: FusionProblem) -> _Evaluation:
+    """The evaluation ``latent`` keeps for ``prob``, formed and kept on first use."""
+    ev = latent._evaluation
+    if ev is None or ev.prob is not prob:
+        projected = prob.operators.project(square_params(latent).factors)
+        grams = [[f.T @ f for f in factors] for factors in projected]
+        mode1 = [mttkrp(image, factors, 1) for image, factors in zip(prob.images, projected)]
+        ev = _Evaluation(prob, projected, grams, mode1, prob.misfit(projected, mode1, grams))
+        object.__setattr__(latent, "_evaluation", ev)
+    return ev
 
 
 def objective(latent: LatentTriple, prob: FusionProblem) -> float:
@@ -357,19 +348,9 @@ def objective(latent: LatentTriple, prob: FusionProblem) -> float:
 
     The guarded Gram expansion of ``FusionProblem.misfit`` from one mode-1
     MTTKRP per image: no image is reconstructed unless its misfit is below
-    ``GUARD`` times its squared norm.  At a solver point the evaluation is
-    kept for the gradient and the Gramian there.
+    ``GUARD`` times its squared norm.
     """
-    ev = _kept(latent)
-    if ev is not None and ev.prob is prob:
-        return ev.f_value
-    projected, grams = _projection(latent, prob.operators)
-    mode1 = [mttkrp(image, factors, 1) for image, factors in zip(prob.images, projected)]
-    ev = _Evaluation(prob, latent.mats, projected, grams, mode1,
-                     prob.misfit(projected, mode1, grams))
-    if isinstance(latent, _Point):
-        latent.evaluation = ev
-    return ev.f_value
+    return _evaluate(latent, prob).f_value
 
 
 def gradient(latent: LatentTriple, prob: FusionProblem) -> np.ndarray:
@@ -377,23 +358,17 @@ def gradient(latent: LatentTriple, prob: FusionProblem) -> np.ndarray:
 
     The chain rule through the entrywise square contributes a factor of twice
     the latent entry, so any zero latent entry yields a zero gradient entry.
-    At a solver point evaluated by ``objective`` the projections, Grams and
-    mode-1 MTTKRPs are read from its evaluation; only modes 2 and 3 are formed.
+    The projections, Grams and mode-1 MTTKRPs come from the point's
+    evaluation; only modes 2 and 3 are formed here.
     """
-    ops = prob.operators
-    ev = _kept(latent)
-    if ev is not None and ev.prob is prob:
-        projected, grams, mode1 = ev.projected, ev.grams, ev.mode1
-    else:
-        projected, grams = _projection(latent, ops)
-        mode1 = [mttkrp(image, factors, 1) for image, factors in zip(prob.images, projected)]
+    ev = _evaluate(latent, prob)
     terms = []
-    for image, factors, g, m1 in zip(prob.images, projected, grams, mode1):
+    for image, factors, g, m1 in zip(prob.images, ev.projected, ev.grams, ev.mode1):
         mttkrps = [m1, mttkrp(image, factors, 2), mttkrp(image, factors, 3)]
         terms.append([factors[n] @ (g[a] * g[b]) - mttkrps[n]
                       for n, (a, b) in enumerate(_OTHER_MODES)])
     # gradients with respect to the squared factors
-    grads = [2.0 * ops.back_project(n, t) for n, t in enumerate(zip(*terms))]
+    grads = [2.0 * prob.operators.back_project(n, t) for n, t in enumerate(zip(*terms))]
     return _pack([2.0 * m * g for m, g in zip(latent.mats, grads)])
 
 
@@ -496,9 +471,9 @@ class GramianOperator:
 
     @classmethod
     def from_latent(cls, latent: LatentTriple, ops: DegradationOperators) -> "GramianOperator":
-        """The Gramian at ``latent``; at a solver point evaluated by
-        ``objective`` the projections are read from its evaluation."""
-        ev = _kept(latent)
+        """The Gramian at ``latent``, with the projections read from its
+        evaluation when that was formed for a problem with ``ops``."""
+        ev = latent._evaluation
         if ev is not None and ev.prob.operators is ops:
             projected = ev.projected
         else:
@@ -681,8 +656,7 @@ def trust_region_update(
         state.delta *= SHRINK_FACTOR
         return False
     latent = state.latent
-    x = latent.vec if isinstance(latent, _Point) else latent.to_vector()
-    trial = _Point.at(x + p, latent.dims, latent.rank)
+    trial = LatentTriple.from_vector(latent.vec + p, latent.dims, latent.rank)
     f_trial = float(objective_fn(trial))
     rho = (state.f_value - f_trial) / model_decrease
     state.rho = rho
@@ -727,14 +701,13 @@ def solve(
     cfg = cfg or SolverConfig()
     prob.check_init(init)
 
-    latent = _Point.at(init.to_vector(), init.dims, init.rank)
-    delta0 = max(0.3 * float(np.linalg.norm(latent.vec)), 1.0)
+    delta0 = max(0.3 * float(np.linalg.norm(init.vec)), 1.0)
 
-    f = objective(latent, prob)
-    g = gradient(latent, prob)
+    f = objective(init, prob)
+    g = gradient(init, prob)
     _check_finite(f, g, 0)
     state = SolverState(
-        latent=latent, delta=delta0, delta_max=1e3 * delta0, f_value=f, gradient=g
+        latent=init, delta=delta0, delta_max=1e3 * delta0, f_value=f, gradient=g
     )
     trace: list[IterationRecord] = []
 

@@ -77,7 +77,7 @@ def test_criterion_1_gradient_oracle():
     for seed in range(20):
         prob, latent = random_instance(seed)
         dims, rank = prob.sri_dims, prob.rank
-        x = latent.to_vector()
+        x = latent.vec
         g = gradient(latent, prob)
         fd = np.zeros_like(x)
         h = 1e-6

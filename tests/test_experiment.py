@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from cpfuse.experiment import (
     SceneConfig,
     emit_results,
     fuse,
-    read_results,
     run_experiment,
     simulate_scene,
 )
@@ -224,6 +223,26 @@ class TestRunExperiment:
     def test_both_scene_sources_raise(self):
         with pytest.raises(ValueError):
             run_experiment(small_config(sri_path="x.dt3"))
+
+
+# Parsers keyed by the (string) field annotations of ResultRow.
+_PARSERS = {"str": str, "int": int, "float": float, "bool": "true".__eq__}
+
+
+def read_results(path) -> list[ResultRow]:
+    """Oracle: parse a results CSV back into rows, the round trip of
+    ``emit_results``; a wrong header or a malformed row raises ``ValueError``."""
+    columns = fields(ResultRow)
+    lines = path.read_text().strip().split("\n")
+    if lines[0] != ",".join(f.name for f in columns):
+        raise ValueError(f"{path}: unexpected header {lines[0]!r}")
+    rows = []
+    for line in lines[1:]:
+        parts = line.split(",")
+        if len(parts) != len(columns):
+            raise ValueError(f"{path}: malformed row {line!r}")
+        rows.append(ResultRow(*(_PARSERS[f.type](p) for f, p in zip(columns, parts))))
+    return rows
 
 
 class TestResultsCsv:

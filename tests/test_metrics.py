@@ -233,6 +233,16 @@ class TestMetricsReport:
         assert report.cc_bands_skipped >= 1
         assert report.sam_fibers_skipped == 1
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_memory_order_does_not_change_the_metrics(self, seed):
+        rng = np.random.default_rng(seed)
+        truth = np.asfortranarray(rng.uniform(size=(24, 24, 16)))
+        est = np.asfortranarray(truth + 0.1 * rng.standard_normal(truth.shape))
+        c_est, c_truth = np.ascontiguousarray(est), np.ascontiguousarray(truth)
+        for metric in (metrics_report, rmse, rsnr, sam, cross_correlation):
+            assert metric(c_est, c_truth) == metric(est, truth)
+            assert metric(c_est, truth) == metric(est, c_truth) == metric(est, truth)
+
 
 @pytest.mark.parametrize(
     "call",

@@ -150,7 +150,7 @@ def reference_gramian_apply(gram, z):
     out_v = _reference_term(blocks, v, [None, None, ops.spectral], v_grams)
     return LatentTriple(
         tuple(lam * (x + y) for lam, x, y in zip(gram.lam_blocks, out_u, out_v))
-    ).to_vector()
+    ).vec
 
 
 def ridged_block_systems(gram):
@@ -178,7 +178,7 @@ def reference_preconditioner(gram):
             cho_solve(cho, (block / scale).T).T / scale
             for block, scale, cho in zip(_blocks(vec, gram), scales, factorizations)
         ]
-        return LatentTriple(tuple(out)).to_vector()
+        return LatentTriple(tuple(out)).vec
 
     return apply
 
@@ -225,21 +225,15 @@ class TestLatentTriple:
         rng = np.random.default_rng(0)
         mats = tuple(rng.standard_normal((d, 3)) for d in (4, 3, 5))
         latent = LatentTriple(mats)
-        back = LatentTriple.from_vector(latent.to_vector(), (4, 3, 5), 3)
+        back = LatentTriple.from_vector(latent.vec, (4, 3, 5), 3)
         for m, b in zip(latent.mats, back.mats):
             np.testing.assert_array_equal(m, b)
 
     def test_vector_layout_is_column_major(self):
         latent = LatentTriple((np.array([[1.0, 3.0], [2.0, 4.0]]),) * 3)
         np.testing.assert_array_equal(
-            latent.to_vector(), np.array([1.0, 2.0, 3.0, 4.0] * 3)
+            latent.vec, np.array([1.0, 2.0, 3.0, 4.0] * 3)
         )
-
-    def test_copy_is_independent(self):
-        latent = LatentTriple(tuple(np.ones((2, 2)) for _ in range(3)))
-        dup = latent.copy()
-        dup.mats[0][0, 0] = 5.0
-        assert latent.mats[0][0, 0] == 1.0
 
     def test_inconsistent_rank_raises(self):
         with pytest.raises(ValueError):
@@ -317,7 +311,7 @@ class TestObjective:
             objective(permuted, prob), objective(latent, prob), rtol=1e-12
         )
         blocks = LatentTriple.from_vector(gradient(latent, prob), prob.sri_dims, rank)
-        want = LatentTriple(tuple(m[:, perm] for m in blocks.mats)).to_vector()
+        want = LatentTriple(tuple(m[:, perm] for m in blocks.mats)).vec
         got = gradient(permuted, prob)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -398,7 +392,7 @@ class TestGradient:
         prob, _, _ = make_problem(dims=(5, 4, 3), rank=2, seed=2)
         dims, rank = prob.sri_dims, prob.rank
         latent = init_latent(dims, rank, rng_seed=4)
-        x = latent.to_vector()
+        x = latent.vec
         g = gradient(latent, prob)
         h = 1e-6
         for i in range(x.size):
@@ -413,8 +407,9 @@ class TestGradient:
 
     def test_zero_latent_entry_gives_zero_gradient_entry(self):
         prob, _, _ = make_problem()
-        latent = init_latent(prob.sri_dims, prob.rank, rng_seed=0)
-        latent.mats[0][0, 0] = 0.0
+        mats = [m.copy() for m in init_latent(prob.sri_dims, prob.rank, rng_seed=0).mats]
+        mats[0][0, 0] = 0.0
+        latent = LatentTriple(tuple(mats))
         # entry (0, 0) of the first block sits at packed position 0
         assert gradient(latent, prob)[0] == 0.0
 
@@ -438,7 +433,7 @@ class TestGramianOperator:
         latent = init_latent(dims, rank, rng_seed=9)
         gram = GramianOperator.from_latent(latent, prob.operators)
         dense = dense_operator(gram.apply, gram.size)
-        jac = fd_jacobian(latent.to_vector(), prob, dims, rank)
+        jac = fd_jacobian(latent.vec, prob, dims, rank)
         oracle = jac.T @ jac
         np.testing.assert_allclose(dense, oracle, rtol=1e-6, atol=1e-9)
 
@@ -537,8 +532,9 @@ class TestBlockJacobiPreconditioner:
 
     def test_linear_map(self):
         prob, _, _ = make_problem(dims=(4, 3, 3), rank=2, seed=1)
-        latent = init_latent(prob.sri_dims, prob.rank, rng_seed=3)
-        latent.mats[1][0, 0] = 0.0
+        mats = [m.copy() for m in init_latent(prob.sri_dims, prob.rank, rng_seed=3).mats]
+        mats[1][0, 0] = 0.0
+        latent = LatentTriple(tuple(mats))
         precond = block_jacobi_preconditioner(
             GramianOperator.from_latent(latent, prob.operators)
         )
@@ -733,15 +729,15 @@ def make_state(x0, delta, delta_max=1e6):
     # vector round trip matters
     mats = tuple(x0[i::3].reshape(-1, 1) for i in range(3))
     latent = LatentTriple(mats)
-    f = float(np.sum(latent.to_vector() ** 2))
-    g = 2.0 * latent.to_vector()
+    f = float(np.sum(latent.vec ** 2))
+    g = 2.0 * latent.vec
     return SolverState(
         latent=latent, delta=delta, delta_max=delta_max, f_value=f, gradient=g
     )
 
 
 def quadratic_objective(latent):
-    return float(np.sum(latent.to_vector() ** 2))
+    return float(np.sum(latent.vec ** 2))
 
 
 class TestTrustRegionUpdate:
@@ -749,7 +745,7 @@ class TestTrustRegionUpdate:
         x0 = np.array([1.0, -2.0, 0.5, 1.5, -0.5, 2.0])
         delta = float(np.linalg.norm(x0))
         state = make_state(x0, delta)
-        p = -state.latent.to_vector()
+        p = -state.latent.vec
         g_dot_p = float(state.gradient @ p)
         p_h_p = float(2.0 * p @ p)
         assert trust_region_update(
@@ -758,7 +754,7 @@ class TestTrustRegionUpdate:
         np.testing.assert_allclose(state.rho, 1.0, rtol=1e-12)
         assert state.f_value < 1e-20
         np.testing.assert_allclose(state.delta, 2.0 * delta, rtol=1e-12)
-        np.testing.assert_array_equal(state.latent.to_vector(), np.zeros(6))
+        np.testing.assert_array_equal(state.latent.vec, np.zeros(6))
 
     def test_nonpositive_model_decrease_rejects_and_shrinks(self):
         x0 = np.ones(6)
@@ -771,7 +767,7 @@ class TestTrustRegionUpdate:
         )
         assert state.rho == -math.inf
         assert state.delta == 0.25
-        np.testing.assert_array_equal(state.latent.to_vector(), x0)
+        np.testing.assert_array_equal(state.latent.vec, x0)
 
     def test_bad_actual_decrease_rejects_and_shrinks(self):
         x0 = np.ones(6)
@@ -786,7 +782,7 @@ class TestTrustRegionUpdate:
         )
         assert state.rho < 0.0
         assert state.delta == 0.25
-        np.testing.assert_array_equal(state.latent.to_vector(), x0)
+        np.testing.assert_array_equal(state.latent.vec, x0)
         assert state.f_value == f0
 
     def test_non_finite_trial_rejects_and_shrinks(self):
@@ -799,7 +795,7 @@ class TestTrustRegionUpdate:
             state, p, g_dot_p, p_h_p, lambda t: math.nan, SolverConfig()
         )
         assert state.delta == 0.25
-        np.testing.assert_array_equal(state.latent.to_vector(), x0)
+        np.testing.assert_array_equal(state.latent.vec, x0)
 
     def test_infinite_ratio_is_accepted(self):
         # a predicted decrease that underflows makes rho = +inf; the trial is
@@ -813,7 +809,7 @@ class TestTrustRegionUpdate:
         )
         assert state.rho == math.inf
         assert state.f_value == f_trial
-        np.testing.assert_array_equal(state.latent.to_vector(), x0 + p)
+        np.testing.assert_array_equal(state.latent.vec, x0 + p)
 
     def test_small_accepted_decrease_flags_convergence(self):
         x0 = np.ones(6)
@@ -832,7 +828,7 @@ class TestTrustRegionUpdate:
     def test_interior_step_does_not_grow_radius(self):
         x0 = np.array([1.0, -2.0, 0.5, 1.5, -0.5, 2.0])
         state = make_state(x0, delta=100.0)
-        p = -state.latent.to_vector()  # well inside the region
+        p = -state.latent.vec  # well inside the region
         g_dot_p = float(state.gradient @ p)
         p_h_p = float(2.0 * p @ p)
         trust_region_update(state, p, g_dot_p, p_h_p, quadratic_objective, SolverConfig())
@@ -897,7 +893,7 @@ class TestSolve:
         assert state.reason == "trust radius below machine precision"
         assert not state.converged
         assert len(trace) < 600
-        assert 0.0 < state.delta <= np.finfo(float).eps * np.linalg.norm(state.latent.to_vector())
+        assert 0.0 < state.delta <= np.finfo(float).eps * np.linalg.norm(state.latent.vec)
 
     def test_trace_records_the_update_decision(self, monkeypatch):
         # solve must log and act on the flag trust_region_update returns, even
@@ -983,7 +979,7 @@ def assert_same_values(found, expected):
 
 
 class TestEvaluationAtAPoint:
-    """A solver point keeps what its objective formed; a caller's LatentTriple keeps nothing."""
+    """A LatentTriple is read-only and keeps what its objective formed."""
 
     def count_mttkrps(self, monkeypatch):
         real = solver_module.mttkrp
@@ -1021,22 +1017,45 @@ class TestEvaluationAtAPoint:
         assert counts["objective"] == 1 + len(trace)
         assert len(calls) == 2 * counts["objective"] + 4 * counts["gradient"]
 
-    def test_a_callers_latent_is_evaluated_afresh(self):
+    def assert_read_only(self, latent):
+        for a in (latent.vec, *latent.mats):
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+        for name in ("mats", "vec"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(latent, name, getattr(latent, name))
+
+    @pytest.mark.parametrize("build", ["constructor", "from_vector", "init_latent"])
+    def test_a_latent_is_read_only(self, build):
         prob = noisy_problem()
-        latent = init_latent(prob.sri_dims, prob.rank, 0)
-        z = np.random.default_rng(1).standard_normal(latent.to_vector().size)
-        point_values(latent, prob, z)
-        latent.mats[0][:] = 0.5
-        latent.mats[2][1, 0] = 2.0
-        fresh = LatentTriple(tuple(m.copy() for m in latent.mats))
-        assert_same_values(point_values(latent, prob, z), point_values(fresh, prob, z))
+        dims, rank = prob.sri_dims, prob.rank
+        mats = tuple(np.random.default_rng(1).uniform(0.1, 1.0, (d, rank)) for d in dims)
+        vec = np.concatenate([m.ravel(order="F") for m in mats])
+        latent = {
+            "constructor": lambda: LatentTriple(mats),
+            "from_vector": lambda: LatentTriple.from_vector(vec, dims, rank),
+            "init_latent": lambda: init_latent(dims, rank, 0),
+        }[build]()
+        objective(latent, prob)
+        self.assert_read_only(latent)
+        # The caller's arrays are copied, not frozen.
+        for a in (vec, *mats):
+            a[0] = 1.0
 
     def test_a_solver_point_is_read_only(self):
         prob = noisy_problem()
         _, state, _ = solve(prob, init_latent(prob.sri_dims, prob.rank, 0),
                             SolverConfig(max_iters=3))
-        with pytest.raises(ValueError):
-            state.latent.mats[0][0, 0] = 1.0
+        self.assert_read_only(state.latent)
+
+    def test_a_latent_is_evaluated_afresh_for_another_problem(self):
+        probs = (noisy_problem(0), noisy_problem(1))
+        latent = init_latent(probs[0].sri_dims, probs[0].rank, 0)
+        z = np.random.default_rng(1).standard_normal(latent.vec.size)
+        values = [point_values(latent, prob, z) for prob in probs + probs]
+        assert values[0][0] != values[1][0]
+        for prob, found in zip(probs + probs, values):
+            assert_same_values(found, point_values(LatentTriple(latent.mats), prob, z))
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2**16), iters=st.integers(1, 6))
@@ -1044,8 +1063,8 @@ class TestEvaluationAtAPoint:
         prob = noisy_problem(seed)
         _, state, _ = solve(prob, init_latent(prob.sri_dims, prob.rank, seed),
                             SolverConfig(max_iters=iters))
-        plain = LatentTriple(tuple(m.copy() for m in state.latent.mats))
-        z = np.random.default_rng(seed).standard_normal(plain.to_vector().size)
+        plain = LatentTriple(state.latent.mats)
+        z = np.random.default_rng(seed).standard_normal(plain.vec.size)
         expected = point_values(plain, prob, z)
         assert_same_values(point_values(state.latent, prob, z), expected)
         assert state.f_value == expected[0]
