@@ -2,6 +2,18 @@
 
 All metrics compare an estimate against a ground truth of identical shape
 ``(I, J, K)`` with the spectral axis last.
+
+Every metric comes from one pass over the spectral bands, ``_band_sums``.
+Band ``k`` of a Fortran-ordered tensor is a contiguous ``(I, J)`` slice and
+is read in place; a tensor in any other layout is copied into one reused
+Fortran-ordered band buffer, one band at a time, so each band is summed in
+the same order whatever the caller's layout.  Per band the pass forms the
+squared error from the band's difference (not from ``x*x - 2*x*y + y*y``,
+which would cost R-SNR digits), the centred correlation sums, and adds the
+products ``x*x``, ``y*y`` and ``x*y`` into three ``(I, J)`` per-fiber
+accumulators for the spectral angle.  Besides those and the band buffers it
+holds two ``(I, J)`` scratch planes and no tensor-sized array.  Each public
+metric runs the same pass, so it equals its ``metrics_report`` field exactly.
 """
 
 from __future__ import annotations
@@ -13,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import uniform_filter
 
-from .tensors import _as_tensor, _sum_squares
+from .tensors import _as_tensor
 
 __all__ = [
     "MetricsReport",
@@ -36,43 +48,75 @@ class MetricsReport:
     sam_fibers_skipped: int = 0
 
 
-def _check_pair(est: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both tensors in Fortran order, the package's tensor order, so that every
-    reduction sums in the same order whatever layout the caller's arrays have."""
-    est, truth = (np.asfortranarray(_as_tensor(t)) for t in (est, truth))
+@dataclass(frozen=True)
+class _BandSums:
+    """What one pass over the bands of an estimate and its truth leaves."""
+
+    size: int
+    squared_error: float
+    signal: float
+    band_sums: np.ndarray  # (K, 3): centred sxx, syy, sxy of each band
+    fiber_sums: tuple[np.ndarray, np.ndarray, np.ndarray]  # (I, J): ee, tt, et
+
+
+def _bands(t: np.ndarray):
+    """Each spectral band as a Fortran-ordered ``(I, J)`` plane."""
+    if t.flags.f_contiguous:
+        for k in range(t.shape[2]):
+            yield t[:, :, k]
+        return
+    band = np.empty(t.shape[:2], order="F")
+    for k in range(t.shape[2]):
+        np.copyto(band, t[:, :, k])
+        yield band
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> float:
+    return float(u.ravel(order="K") @ v.ravel(order="K"))
+
+
+def _band_sums(est: np.ndarray, truth: np.ndarray) -> _BandSums:
+    est, truth = _as_tensor(est), _as_tensor(truth)
     if est.shape != truth.shape:
         raise ValueError(f"shape mismatch: estimate {est.shape} vs truth {truth.shape}")
-    return est, truth
+    plane = est.shape[:2]
+    fibers = tuple(np.zeros(plane, order="F") for _ in range(3))
+    ee, tt, et = fibers
+    # Two scratch planes serve every step; fewer planes stay in cache.
+    u, v = (np.empty(plane, order="F") for _ in range(2))
+    band_sums = np.empty((est.shape[2], 3))
+    squared_error = 0.0
+    for k, (x, y) in enumerate(zip(_bands(est), _bands(truth))):
+        np.subtract(x, y, out=u)
+        squared_error += _dot(u, u)
+        # sum / size is np.mean's value without its overhead.
+        np.subtract(x, x.sum() / x.size, out=u)
+        np.subtract(y, y.sum() / y.size, out=v)
+        band_sums[k] = _dot(u, u), _dot(v, v), _dot(u, v)
+        ee += np.multiply(x, x, out=u)
+        tt += np.multiply(y, y, out=v)
+        et += np.multiply(x, y, out=u)
+    return _BandSums(est.size, squared_error, float(tt.sum()), band_sums, fibers)
 
 
-def _rmse(squared_error: float, size: int) -> float:
-    return math.sqrt(squared_error) / math.sqrt(size)
+def _rmse(s: _BandSums) -> float:
+    return math.sqrt(s.squared_error) / math.sqrt(s.size)
 
 
 def rmse(est: np.ndarray, truth: np.ndarray) -> float:
     """Root mean squared error over all entries."""
-    est, truth = _check_pair(est, truth)
-    return _rmse(_sum_squares(est - truth), est.size)
+    return _rmse(_band_sums(est, truth))
 
 
-def _band_correlations(est: np.ndarray, truth: np.ndarray) -> tuple[list[float], int]:
+def _cc(s: _BandSums) -> tuple[float, int]:
     values: list[float] = []
-    skipped = 0
-    for k in range(truth.shape[2]):
-        # Centred band slices, column-major like the tensors.
-        xc = est[:, :, k] - est[:, :, k].mean()
-        yc = truth[:, :, k] - truth[:, :, k].mean()
-        sxx, syy, sxy = (
-            float(np.einsum("ij,ij->", u, v)) for u, v in ((xc, xc), (yc, yc), (xc, yc))
-        )
+    for sxx, syy, sxy in s.band_sums.tolist():
         denom = math.sqrt(sxx * syy)
-        if denom == 0.0:
-            skipped += 1
-            continue
-        values.append(sxy / denom)
+        if denom != 0.0:
+            values.append(sxy / denom)
     if not values:
         raise ValueError("every spectral band is constant; correlation undefined")
-    return values, skipped
+    return float(np.mean(values)), len(s.band_sums) - len(values)
 
 
 def cross_correlation(est: np.ndarray, truth: np.ndarray) -> float:
@@ -82,11 +126,10 @@ def cross_correlation(est: np.ndarray, truth: np.ndarray) -> float:
     skipped (with a warning); if every band is skipped a ``ValueError`` is
     raised.
     """
-    est, truth = _check_pair(est, truth)
-    values, skipped = _band_correlations(est, truth)
+    cc, skipped = _cc(_band_sums(est, truth))
     if skipped:
         warnings.warn(f"skipped {skipped} constant band(s) in cross_correlation")
-    return float(np.mean(values))
+    return cc
 
 
 def rsnr(est: np.ndarray, truth: np.ndarray) -> float:
@@ -95,31 +138,25 @@ def rsnr(est: np.ndarray, truth: np.ndarray) -> float:
     ``10 * log10(sum ||truth_k||_F^2 / sum ||est_k - truth_k||_F^2)`` over
     spectral bands; a zero-error estimate returns ``math.inf``.
     """
-    est, truth = _check_pair(est, truth)
-    return _rsnr_db(_sum_squares(est - truth), truth)
+    return _rsnr_db(_band_sums(est, truth))
 
 
-def _rsnr_db(squared_error: float, truth: np.ndarray) -> float:
-    signal = _sum_squares(truth)
-    if signal == 0.0:
+def _rsnr_db(s: _BandSums) -> float:
+    if s.signal == 0.0:
         raise ValueError("rsnr is undefined for an all-zero truth tensor")
-    if squared_error == 0.0:
+    if s.squared_error == 0.0:
         return math.inf
-    return 10.0 * math.log10(signal / squared_error)
+    return 10.0 * math.log10(s.signal / s.squared_error)
 
 
-def _fiber_angles(est: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, int]:
-    # Per-fiber reductions over the spectral axis: (I, J) outputs, no reshape
-    # or masked copy of either tensor.
-    norm_e = np.sqrt(np.einsum("ijk,ijk->ij", est, est))
-    norm_t = np.sqrt(np.einsum("ijk,ijk->ij", truth, truth))
-    dots = np.einsum("ijk,ijk->ij", est, truth)
+def _sam(s: _BandSums) -> tuple[float, int]:
+    ee, tt, et = s.fiber_sums
+    norm_e, norm_t = np.sqrt(ee), np.sqrt(tt)
     keep = (norm_e > 0.0) & (norm_t > 0.0)
     if not keep.any():
         raise ValueError("every spectral fiber is zero; spectral angle undefined")
-    skipped = int(np.count_nonzero(~keep))
-    cosines = np.clip(dots[keep] / (norm_e[keep] * norm_t[keep]), -1.0, 1.0)
-    return np.arccos(cosines), skipped
+    cosines = np.clip(et[keep] / (norm_e[keep] * norm_t[keep]), -1.0, 1.0)
+    return float(np.mean(np.arccos(cosines))), int(np.count_nonzero(~keep))
 
 
 def sam(est: np.ndarray, truth: np.ndarray) -> float:
@@ -128,8 +165,7 @@ def sam(est: np.ndarray, truth: np.ndarray) -> float:
     The angle is computed per spatial position between the two spectral
     fibers; positions where either fiber is all-zero are skipped.
     """
-    est, truth = _check_pair(est, truth)
-    return float(np.mean(_fiber_angles(est, truth)[0]))
+    return _sam(_band_sums(est, truth))[0]
 
 
 def check_smooth_window(window: int) -> None:
@@ -161,15 +197,14 @@ def spatial_smooth(t: np.ndarray, window: int) -> np.ndarray:
 
 def metrics_report(est: np.ndarray, truth: np.ndarray) -> MetricsReport:
     """Bundle all four metrics (plus skip counters) for one reconstruction."""
-    est, truth = _check_pair(est, truth)
-    cc_values, cc_skipped = _band_correlations(est, truth)
-    angles, sam_skipped = _fiber_angles(est, truth)
-    squared_error = _sum_squares(est - truth)
+    s = _band_sums(est, truth)
+    cc, cc_skipped = _cc(s)
+    sam_radians, sam_skipped = _sam(s)
     return MetricsReport(
-        rmse=_rmse(squared_error, est.size),
-        cc=float(np.mean(cc_values)),
-        rsnr_db=_rsnr_db(squared_error, truth),
-        sam_radians=float(np.mean(angles)),
+        rmse=_rmse(s),
+        cc=cc,
+        rsnr_db=_rsnr_db(s),
+        sam_radians=sam_radians,
         cc_bands_skipped=cc_skipped,
         sam_fibers_skipped=sam_skipped,
     )

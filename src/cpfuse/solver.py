@@ -589,10 +589,11 @@ def pcg(hop, g: np.ndarray, precond, max_iters: int = CG_MAX_ITERS,
     return PcgResult(p, max_iters, res_norm, False)
 
 
-def cauchy_point(g: np.ndarray, hop, delta: float) -> np.ndarray:
+def cauchy_point(g: np.ndarray, curvature: float, delta: float) -> np.ndarray:
     """Minimizer of the quadratic model along the steepest descent direction.
 
-    Returns ``-tau * (delta / ||g||) * g`` with ``tau = 1`` under nonpositive
+    ``curvature`` is the model's ``g^T H g``.  Returns
+    ``-tau * (delta / ||g||) * g`` with ``tau = 1`` under nonpositive
     curvature and ``min(1, ||g||^3 / (delta g^T H g))`` otherwise; the zero
     vector when ``g`` is zero.
     """
@@ -600,7 +601,6 @@ def cauchy_point(g: np.ndarray, hop, delta: float) -> np.ndarray:
     g_norm = float(np.linalg.norm(g))
     if g_norm == 0.0:
         return np.zeros_like(g)
-    curvature = float(g @ hop(g))
     if curvature <= 0.0:
         tau = 1.0
     else:
@@ -723,7 +723,8 @@ def solve(
             break
 
         # A rejected step leaves the point and gradient unchanged, so the
-        # Gramian, preconditioner and Newton point built there are reused.
+        # Gramian, preconditioner, Newton point and Cauchy curvature formed
+        # there are reused.
         rebuilt = it == 0 or accepted
         g = state.gradient
         if rebuilt:
@@ -731,7 +732,8 @@ def solve(
             precond = block_jacobi_preconditioner(gram)
             # The model Hessian is twice the Gramian: PCG solves G p = -g / 2.
             cg = pcg(gram.apply, 0.5 * g, precond)
-        p_c = cauchy_point(g, lambda z: 2.0 * gram.apply(z), state.delta)
+            g_h_g = 2.0 * float(g @ gram.apply(g))
+        p_c = cauchy_point(g, g_h_g, state.delta)
         p_n = cg.step if float(np.linalg.norm(cg.step)) > 0.0 else p_c
         p, step_type = dogleg_step(p_c, p_n, state.delta)
 

@@ -6,6 +6,7 @@ import pytest
 
 from cpfuse.degradation import add_noise
 from cpfuse.metrics import (
+    MetricsReport,
     cross_correlation,
     metrics_report,
     rmse,
@@ -31,6 +32,38 @@ def smooth_by_enumeration(t, window):
                 patch = t[lo_i:hi_i, lo_j:hi_j, k]
                 out[i, j, k] = patch.mean()
     return out
+
+
+def report_by_einsum(est, truth):
+    """Oracle: the per-band and per-fiber einsum formulas over whole tensors."""
+    values, cc_skipped = [], 0
+    for k in range(truth.shape[2]):
+        xc = est[:, :, k] - est[:, :, k].mean()
+        yc = truth[:, :, k] - truth[:, :, k].mean()
+        sxx, syy, sxy = (
+            float(np.einsum("ij,ij->", u, v)) for u, v in ((xc, xc), (yc, yc), (xc, yc))
+        )
+        denom = math.sqrt(sxx * syy)
+        if denom == 0.0:
+            cc_skipped += 1
+        else:
+            values.append(sxy / denom)
+    norm_e = np.sqrt(np.einsum("ijk,ijk->ij", est, est))
+    norm_t = np.sqrt(np.einsum("ijk,ijk->ij", truth, truth))
+    dots = np.einsum("ijk,ijk->ij", est, truth)
+    keep = (norm_e > 0.0) & (norm_t > 0.0)
+    cosines = np.clip(dots[keep] / (norm_e[keep] * norm_t[keep]), -1.0, 1.0)
+    diff = est - truth
+    squared_error = float(np.einsum("ijk,ijk->", diff, diff))
+    signal = float(np.einsum("ijk,ijk->", truth, truth))
+    return MetricsReport(
+        rmse=math.sqrt(squared_error) / math.sqrt(est.size),
+        cc=float(np.mean(values)),
+        rsnr_db=10.0 * math.log10(signal / squared_error),
+        sam_radians=float(np.mean(np.arccos(cosines))),
+        cc_bands_skipped=cc_skipped,
+        sam_fibers_skipped=int(np.count_nonzero(~keep)),
+    )
 
 
 class TestRmse:
@@ -242,6 +275,65 @@ class TestMetricsReport:
         for metric in (metrics_report, rmse, rsnr, sam, cross_correlation):
             assert metric(c_est, c_truth) == metric(est, truth)
             assert metric(c_est, truth) == metric(est, c_truth) == metric(est, truth)
+
+
+    @pytest.mark.parametrize("est_order", ["C", "F"])
+    @pytest.mark.parametrize("truth_order", ["C", "F"])
+    def test_matches_einsum_oracle(self, est_order, truth_order):
+        rng = np.random.default_rng(7)
+        truth = rng.uniform(size=(7, 5, 6)) + 0.1
+        truth[:, :, 2] = 3.0  # a constant band
+        est = truth + 0.2 * rng.standard_normal(truth.shape)
+        est[1, 3, :] = 0.0  # a zero fiber
+        est, truth = np.asarray(est, order=est_order), np.asarray(truth, order=truth_order)
+        report, expected = metrics_report(est, truth), report_by_einsum(est, truth)
+        for name in ("rmse", "cc", "rsnr_db", "sam_radians"):
+            np.testing.assert_allclose(
+                getattr(report, name), getattr(expected, name), rtol=1e-12, err_msg=name
+            )
+        skips = [(r.cc_bands_skipped, r.sam_fibers_skipped) for r in (report, expected)]
+        assert skips == [(1, 1), (1, 1)]
+
+    @pytest.mark.parametrize("k", range(-3, 4))
+    def test_power_of_two_scaling(self, k):
+        # Scaling both tensors by 2**k scales every product and sum exactly.
+        truth = RNG.uniform(size=(6, 5, 4)) + 0.1
+        truth[:, :, 1] = 2.0
+        truth[0, 0, :] = 0.0
+        est = truth + 0.1 * RNG.standard_normal(truth.shape)
+        base, scaled = metrics_report(est, truth), metrics_report(2.0**k * est, 2.0**k * truth)
+        assert scaled.rmse == 2.0**k * base.rmse
+        for name in (
+            "cc", "sam_radians", "rsnr_db", "cc_bands_skipped", "sam_fibers_skipped"
+        ):
+            assert getattr(scaled, name) == getattr(base, name), name
+
+
+@pytest.mark.parametrize(
+    "metric, field",
+    [(rmse, "rmse"), (cross_correlation, "cc"), (rsnr, "rsnr_db"), (sam, "sam_radians")],
+)
+def test_each_metric_equals_its_report_field(metric, field):
+    # Every metric comes from the same pass over the bands.
+    truth = RNG.uniform(size=(9, 7, 5)) + 0.1
+    est = np.ascontiguousarray(truth + 0.05 * RNG.standard_normal(truth.shape))
+    assert metric(est, truth) == getattr(metrics_report(est, truth), field)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_metrics_report_forms_no_tensor_sized_array(order):
+    # A band at a time: per-fiber accumulators, scratch planes and, for a
+    # C-ordered tensor, a band buffer, each one (I, J) plane.
+    truth = np.asarray(RNG.uniform(size=(64, 48, 32)), order=order)
+    est = truth + 0.1 * RNG.standard_normal(truth.shape)
+    est = np.asarray(est, order=order)
+    tracemalloc.start()
+    try:
+        metrics_report(est, truth)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * truth.nbytes
 
 
 @pytest.mark.parametrize(
