@@ -10,12 +10,15 @@ where ``L = Q^T Q`` for the operator ``Q`` of that mode, ``G_s`` is the
 Hadamard product of the other modes' Grams in the image that degrades the mode
 (``DEGRADED_IN``), ``G_p`` the other image's, and ``rhs`` the two images'
 MTTKRPs mapped back by ``DegradationOperators.back_project``.  It is solved
-exactly: ``L`` is eigendecomposed once per solve, which splits the system into
-one R x R system ``e_i G_s + G_p`` per row, and one eigendecomposition of the
-symmetric-definite pencil ``(G_s, G_p)`` per update diagonalizes all of them
-at once (``_sylvester_rows``).  Each image's projected factors and their Grams
-are kept current, so an update forms only the two Grams of the mode it
-changed.
+exactly.  Each operator's thin SVD, taken once per solve, gives
+``L = V diag(s^2) V^T`` with ``V`` of shape d x min(rows, d), which splits the
+system into one R x R system ``e_i G_s + G_p`` per row of ``V^T X``, and one
+eigendecomposition of the symmetric-definite pencil ``(G_s, G_p)`` per update
+diagonalizes all of them at once (``_sylvester_rows``).  The complement of
+``V`` has eigenvalue 0, so its rows solve ``G_p`` alone: an update is the
+``G_p`` solve of every row plus a correction inside ``V``, at the operator's
+rank rather than at d.  Each image's projected factors and their Grams are
+kept current, so an update forms only the two Grams of the mode it changed.
 
 The right-hand sides share work across modes (a dimension tree): mode 1 takes
 a full ``mttkrp`` per image, and once it is updated each image is contracted
@@ -35,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 from scipy.linalg.lapack import dsygv
 
 from .degradation import DEGRADED_IN
@@ -70,21 +72,39 @@ def random_init(dims: tuple[int, int, int], rank: int, rng_seed: int) -> CpdMode
     return CpdModel(tuple(rng.standard_normal((int(d), rank)) for d in dims))
 
 
+def _gram_eigenbasis(q):
+    """``(s^2, V)`` with ``Q^T Q = V diag(s^2) V^T`` from the thin SVD of ``q``:
+    ``V`` has min(rows, d) orthonormal columns, and its complement is the null
+    space of ``Q``."""
+    _, s, vt = np.linalg.svd(q, full_matrices=False)
+    return s * s, vt.T
+
+
 def _sylvester_rows(evals, evecs, gamma_scaled, gamma_plain, rhs):
     """Solve  evecs diag(evals) evecs^T X gamma_scaled + X gamma_plain = rhs.
 
-    Row i of ``Y = evecs^T X`` solves ``y_i (e_i G_s + G_p) = r_i`` with
-    ``r = evecs^T rhs``.  The pencil eigendecomposition ``G_s W = G_p W diag(lam)``,
-    ``W^T G_p W = I`` gives ``(e G_s + G_p)^-1 = W diag(1 / (1 + e lam)) W^T``
-    for every row, so all rows take two R-wide products and one division.
+    ``evecs`` (d x m, m <= d) has orthonormal columns, and its complement in
+    R^d has eigenvalue 0.  In a square basis completing it, row i of
+    ``Y = basis^T X`` solves ``y_i (e_i G_s + G_p) = r_i``.  The pencil
+    eigendecomposition ``G_s W = G_p W diag(lam)``, ``W^T G_p W = I`` gives
+    ``(e G_s + G_p)^-1 = W diag(1 / (1 + e lam)) W^T`` for every row, so with
+    ``Z = rhs W``, ``X = [Z - evecs ((evecs^T Z) * e lam / (1 + e lam))] W^T``:
+    the complement's rows keep ``Z``, and no product has a d x d operand.
     When ``G_p`` is not numerically positive definite the pencil has no such
-    ``W`` (LAPACK ``dsygv`` reports it); then each row system is LU-solved,
-    with a trace-scaled ridge if any of them is singular.
+    ``W`` (LAPACK ``dsygv`` reports it); then each row system of the completed
+    basis is LU-solved, with a trace-scaled ridge if any of them is singular.
     """
-    rt = evecs.T @ rhs
     lam, w, info = dsygv(gamma_scaled, gamma_plain)
     if info == 0:
-        return evecs @ (((rt @ w) / (1.0 + np.outer(evals, lam))) @ w.T)
+        scaled = evals[:, None] * lam
+        z = rhs @ w
+        return (z - evecs @ ((evecs.T @ z) * (scaled / (1.0 + scaled)))) @ w.T
+    rows, cols = evecs.shape
+    if cols < rows:
+        complement = np.linalg.qr(evecs, mode="complete")[0][:, cols:]
+        evecs = np.hstack([evecs, complement])
+        evals = np.concatenate([evals, np.zeros(rows - cols)])
+    rt = evecs.T @ rhs
     rank = gamma_plain.shape[0]
     systems = evals[:, None, None] * gamma_scaled + gamma_plain
     try:
@@ -116,7 +136,7 @@ def solve_als(
     prob.check_init(init)
 
     ops = prob.operators
-    bases = [eigh(q.T @ q) for q in ops.matrices]
+    bases = [_gram_eigenbasis(q) for q in ops.matrices]
 
     factors = [f.copy() for f in init.factors]
     # Each image's CP factors and their Grams, kept current as the scene factors change.

@@ -84,8 +84,12 @@ def _cmd_degrade(args) -> int:
     cfg = _degradation_config(
         args, **_given(args, {"snr_hsi": "snr_hsi_db", "snr_msi": "snr_msi_db"})
     )
+    spectral = None
+    if args.spectral_matrix:
+        # The matrix's rows are the MSI's bands.
+        _reject_flags(args, {"num_msi_bands": "msi_bands"}, "--spectral-matrix")
+        spectral = read_matrix(args.spectral_matrix)
     sri = read_tensor(args.sri)
-    spectral = read_matrix(args.spectral_matrix) if args.spectral_matrix else None
     ops = build_operators(sri.shape, cfg, spectral)
     hsi, msi = degrade(sri, ops)
     hsi, msi = _add_pair_noise(hsi, msi, cfg.snr_hsi_db, cfg.snr_msi_db, args.seed)
@@ -103,7 +107,9 @@ def _cmd_degrade(args) -> int:
 
 
 def _reject_flags(args, names, context: str) -> None:
-    """Raise if any of the flags ``names`` (default ``None``) was given."""
+    """Raise if any of the flags ``names`` (default ``None``) was given:
+    ``names`` lists dests named like their flags, or maps each dest to its
+    flag's name, as ``_given`` maps them to fields."""
     given = ["--" + n.replace("_", "-") for n in _given(args, names)]
     if given:
         raise ValueError(f"{', '.join(given)} cannot be combined with {context}")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import _as_tensor, frobenius_norm, mode_n_product
+from .tensors import _as_tensor, frobenius_norm
 
 # The image (0: HSI, 1: MSI) that degrades each scene mode, by blur-downsampling
 # or band aggregation; the other image keeps that mode at the scene's size.
@@ -218,20 +218,31 @@ def degrade(sri: np.ndarray, ops: DegradationOperators) -> tuple[np.ndarray, np.
     """Apply both degradation paths to a scene.
 
     Returns ``(hsi, msi)``: the scene multiplied, mode by mode, by the operator
-    of each mode in the image that ``DEGRADED_IN`` names, both in Fortran order.
+    of each mode in the image that ``DEGRADED_IN`` names (modes 1 and 2 in the
+    HSI, mode 3 in the MSI), both in Fortran order.  Each product reads the
+    scene through a matricizing view in the scene's own memory order, so a C-
+    or Fortran-ordered scene is not copied: the mode-1 product is one GEMM on
+    the ``(I, J * K)`` view, the mode-2 product one ``(J_H x J)(J x K)``
+    product per HSI row, and the spectral product one GEMM on the
+    ``(K, I * J)`` view.
     """
     sri = _as_tensor(sri)
-    images = [sri, sri]
-    for n, (s, q) in enumerate(zip(DEGRADED_IN, ops.matrices)):
+    for n, q in enumerate(ops.matrices):
         if q.shape[1] != sri.shape[n]:
             raise ValueError(
                 f"the mode-{n + 1} operator has {q.shape[1]} columns but scene "
                 f"mode {n + 1} has size {sri.shape[n]}"
             )
-        images[s] = mode_n_product(images[s], q, n + 1)
-    # The mode products fold through ``moveaxis`` views; copying only what
-    # is not yet column-major keeps the package's layout.
-    return np.asfortranarray(images[0]), np.asfortranarray(images[1])
+    p1, p2, pm = ops.matrices
+    i_dim, j_dim, k_dim = sri.shape
+    order = "F" if sri.flags.f_contiguous else "C"
+    blurred = (p1 @ sri.reshape(i_dim, j_dim * k_dim, order=order)).reshape(
+        -1, j_dim, k_dim, order=order
+    )
+    hsi = np.matmul(p2, blurred)
+    del blurred  # before the HSI's column-major copy, which then outlives no partial product
+    msi = (pm @ sri.reshape(i_dim * j_dim, k_dim, order=order).T).T
+    return np.asfortranarray(hsi), np.asfortranarray(msi.reshape(i_dim, j_dim, -1, order=order))
 
 
 def add_noise(t: np.ndarray, snr_db: float, rng_seed: int) -> np.ndarray:

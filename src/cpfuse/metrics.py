@@ -23,7 +23,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import uniform_filter
 
 from .tensors import _as_tensor
 
@@ -183,6 +182,9 @@ def spatial_smooth(t: np.ndarray, window: int) -> np.ndarray:
     ``cpd_reconstruct`` and ``read_tensor``, so it is written to a file without
     a copy.
     """
+    # Imported here: loading scipy.ndimage costs memory that no unsmoothed run needs.
+    from scipy.ndimage import uniform_filter
+
     t = _as_tensor(t)
     check_smooth_window(window)
     if window == 1:

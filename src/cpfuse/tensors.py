@@ -26,8 +26,10 @@ plans a contraction.  On the C-ordered view ``(I, J, K)`` with factors
 * ``mttkrp`` mode 2: ``t.reshape(I * J, K) @ c``, then a two-operand
   ``einsum`` with ``a``.  On a Fortran-ordered tensor this contracts scene
   mode 1 first, so the partial product of an MSI with few bands stays small;
-* ``cpd_reconstruct``: one product ``khatri_rao([c, b]) @ a.T`` of shape
-  ``(K * J, I)``, whose transpose is the Fortran-ordered ``(I, J, K)`` tensor.
+* ``cpd_reconstruct``: one ``(J x R)(R x I)`` product ``(b * c[k]) @ a.T``
+  per frontal slice ``k``, written in place into the transpose of a
+  Fortran-ordered ``(I, J, K)`` output; its only temporary is the ``(K, J, R)``
+  stack of scaled ``b``.
 
 A sweep that updates mode 1 before modes 2 and 3 can share one partial
 product between the two later modes (a dimension tree): ``_mode1_partial``
@@ -247,8 +249,11 @@ def _partial_mttkrp(z: np.ndarray, factors, mode: int) -> np.ndarray:
 def cpd_reconstruct(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Evaluate the dense tensor of the CP model ``[[a, b, c]]``, in Fortran order."""
     a, b, c = _check_triple((a, b, c), "factor")
-    # unfold(t, 1).T == khatri_rao([c, b]) @ a.T, whose C-ordered rows run over (k, j).
-    return (khatri_rao([c, b]) @ a.T).reshape(c.shape[0], b.shape[0], a.shape[0]).T
+    out = np.empty((a.shape[0], b.shape[0], c.shape[0]), order="F")
+    # out.T[k] == (b * c[k]) @ a.T: the (K, J, I) C-ordered view, one slice per
+    # product.  A broadcast multiply would also allocate ufunc buffers.
+    np.matmul(np.einsum("jr,kr->kjr", b, c), a.T, out=out.T)
+    return out
 
 
 def _sum_squares(t: np.ndarray) -> float:

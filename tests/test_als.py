@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh, null_space
 from scipy.linalg.lapack import dsygv
 
-from cpfuse.als import AlsTrace, _sylvester_rows, random_init, solve_als
+from cpfuse.als import AlsTrace, _gram_eigenbasis, _sylvester_rows, random_init, solve_als
 from cpfuse.degradation import DegradationConfig, add_noise, build_operators, degrade
 from cpfuse.metrics import rsnr
 from cpfuse.solver import FusionProblem, _squared_misfit
@@ -135,6 +136,58 @@ class TestSylvesterRows:
             got = _sylvester_rows(evals, evecs, gamma_scaled, gamma_plain, rhs)
         ridged = gamma_scaled + (1e-10 * (1.0 + 1e-300) + 1e-300) * np.eye(2)
         np.testing.assert_array_equal(got, np.linalg.solve(ridged, rhs[0])[None, :])
+
+
+class TestThinBasis:
+    """The operator's thin SVD basis against QᵀQ's full eigenbasis."""
+
+    @pytest.mark.parametrize("shape", ["rows < d", "rows = d", "rows > d"])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rank=st.integers(1, 6),
+        dim=st.integers(1, 12),
+        offset=st.integers(1, 6),
+        repeats=st.integers(0, 3),
+        seed=st.integers(0, 2**31),
+    )
+    def test_matches_per_row_solve_in_full_eigenbasis(
+        self, shape, rank, dim, offset, repeats, seed
+    ):
+        assume(shape != "rows < d" or dim > 1)
+        rows = {"rows < d": max(dim - offset, 1), "rows = d": dim, "rows > d": dim + offset}
+        rng = np.random.default_rng(seed)
+        q = rng.standard_normal((rows[shape], dim))
+        # Repeated rows leave Q rank-deficient, with zero singular values in V.
+        q[1 : 1 + repeats] = q[0]
+        gamma_scaled, gamma_plain = hadamard_gram(rng, rank), hadamard_gram(rng, rank)
+        rhs = rng.standard_normal((dim, rank))
+
+        evals, evecs = eigh(q.T @ q)
+        rt = evecs.T @ rhs
+        want = evecs @ np.array(
+            [np.linalg.solve(e * gamma_scaled + gamma_plain, r) for e, r in zip(evals, rt)]
+        )
+        thin = _gram_eigenbasis(q)
+        assert thin[1].shape == (dim, min(rows[shape], dim))
+        got = _sylvester_rows(*thin, gamma_scaled, gamma_plain, rhs)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
+
+    def test_singular_plain_gram_falls_back_on_the_completed_basis(self):
+        rng = np.random.default_rng(4)
+        rank, rows, dim = 4, 3, 7
+        gamma_plain = hadamard_gram(rng, rank, zero_column=2)
+        gamma_scaled = hadamard_gram(rng, rank)
+        assert dsygv(gamma_scaled, gamma_plain)[2] != 0
+        evals, evecs = _gram_eigenbasis(rng.standard_normal((rows, dim)))
+        assert evecs.shape == (dim, rows)
+        rhs = rng.standard_normal((dim, rank))
+        got = _sylvester_rows(evals, evecs, gamma_scaled, gamma_plain, rhs)
+        assert np.all(np.isfinite(got))
+        # Any orthonormal completion: the null space of Q has eigenvalue 0.
+        completed = np.hstack([evecs, null_space(evecs.T)])
+        full_evals = np.concatenate([evals, np.zeros(dim - rows)])
+        want = lu_sylvester_rows(full_evals, completed, gamma_scaled, gamma_plain, rhs)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
 
 
 class TestSolveAls:

@@ -187,9 +187,8 @@ class TestDegrade:
             assert image.flags.f_contiguous
 
     def test_peak_memory_of_column_major_scene(self):
-        # The mode-1 partial product and its mode-2 unfolding copy are the
-        # largest temporaries; making the HSI column-major adds none that
-        # outlives them.
+        # The mode-1 partial product and the C-ordered HSI are the largest
+        # temporaries; making the HSI column-major adds none that outlives them.
         dims = (48, 40, 32)
         cfg = DegradationConfig(kernel_size=3, sigma=1.0, factor=2, num_msi_bands=4)
         ops = build_operators(dims, cfg)
@@ -203,6 +202,63 @@ class TestDegrade:
             tracemalloc.stop()
         partial = ops.spatial_1.shape[0] * dims[1] * dims[2] * 8
         assert peak <= 2 * partial + hsi.nbytes + 4096
+
+
+def mode_product_route(sri, ops):
+    """Both images as mode products through ``unfold`` and ``fold``."""
+    hsi = mode_n_product(mode_n_product(sri, ops.spatial_1, 1), ops.spatial_2, 2)
+    return hsi, mode_n_product(sri, ops.spectral, 3)
+
+
+def scene_layouts(t):
+    """The values of ``t`` C-ordered, Fortran-ordered and as a strided view."""
+    padded = np.zeros((t.shape[0], 2 * t.shape[1], t.shape[2]))
+    padded[:, ::2, :] = t
+    return {"C": np.ascontiguousarray(t), "F": np.asfortranarray(t), "sliced": padded[:, ::2, :]}
+
+
+class TestDegradeViews:
+    @pytest.mark.parametrize("layout", ["C", "F", "sliced"])
+    @pytest.mark.parametrize("dims, factor", [((64, 48, 32), 2), ((33, 21, 7), 3), ((1, 9, 5), 1)])
+    def test_matches_mode_product_route_in_every_layout(self, layout, dims, factor):
+        cfg = DegradationConfig(kernel_size=min(3, dims[0]), factor=factor, num_msi_bands=2)
+        ops = build_operators(dims, cfg)
+        sri = scene_layouts(np.random.default_rng(3).uniform(size=dims))[layout]
+        for got, want in zip(degrade(sri, ops), mode_product_route(sri, ops)):
+            assert got.flags.f_contiguous
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+    @pytest.mark.parametrize(
+        "dims, cfg",
+        [
+            ((24, 24, 16), DegradationConfig(kernel_size=3, factor=2, num_msi_bands=4)),
+            ((192, 192, 100), DegradationConfig(kernel_size=9, factor=4, num_msi_bands=6)),
+        ],
+        ids=["s5-budget", "l-tensor"],
+    )
+    def test_benchmark_scenes_match_mode_product_route_bit_for_bit(self, dims, cfg):
+        # The benchmark's scene shapes and operators, column-major as
+        # ``simulate_scene`` and ``read_tensor`` return them.
+        ops = build_operators(dims, cfg)
+        sri = np.asfortranarray(np.random.default_rng(4).uniform(size=dims))
+        for got, want in zip(degrade(sri, ops), mode_product_route(sri, ops)):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("order, bound", [("F", 1.0), ("C", 1.5)])
+    def test_makes_no_scene_sized_copy(self, order, bound):
+        # At this size the mode-product route peaks at 1.25x the scene for a
+        # column-major scene and 1.50x for a C-ordered one.
+        dims = (64, 48, 32)
+        ops = build_operators(dims, DegradationConfig(kernel_size=3, factor=2, num_msi_bands=6))
+        sri = np.asarray(np.random.default_rng(5).uniform(size=dims), order=order)
+        degrade(sri, ops)
+        tracemalloc.start()
+        try:
+            degrade(sri, ops)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * sri.nbytes
 
 
 class TestProject:

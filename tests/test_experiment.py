@@ -7,7 +7,12 @@ import pytest
 import cpfuse.cli
 import cpfuse.experiment
 from cpfuse.cli import main
-from cpfuse.degradation import DegradationConfig, build_operators, degrade
+from cpfuse.degradation import (
+    DegradationConfig,
+    band_aggregation_matrix,
+    build_operators,
+    degrade,
+)
 from cpfuse.experiment import (
     ExperimentConfig,
     ResultRow,
@@ -417,6 +422,21 @@ class TestCliPipeline:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "x.dt3").exists()
+
+    def test_degrade_rejects_msi_bands_with_spectral_matrix(self, tmp_path, capsys):
+        # The matrix's rows set the MSI's band count, so --msi-bands would have no effect.
+        sri = self.simulate(tmp_path)
+        spectral = tmp_path / "pm3.dm2"
+        write_matrix(spectral, band_aggregation_matrix(8, 3))
+        common = ["degrade", "--sri", str(sri), "--out-hsi", str(tmp_path / "hsi.dt3"),
+                  "--out-msi", str(tmp_path / "msi.dt3"), "--kernel-size", "3",
+                  "--factor", "2", "--spectral-matrix", str(spectral)]
+        assert main([*common, "--msi-bands", "5"]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "--msi-bands" in err
+        assert not (tmp_path / "msi.dt3").exists()
+        assert main(common) == 0
+        assert read_tensor(tmp_path / "msi.dt3").shape == (12, 12, 3)
 
     def test_fuse_flag_route_reports_factor_mismatch(self, tmp_path, capsys):
         sri = self.simulate(tmp_path)

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cpfuse.fileio import write_tensor
@@ -212,6 +212,36 @@ class TestCpdReconstruct:
         np.testing.assert_allclose(
             unfold(t, 1), a @ khatri_rao([c, b]).T, rtol=1e-13, atol=1e-13
         )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dims=st.tuples(*(st.integers(min_value=1, max_value=9),) * 3),
+        rank=st.integers(min_value=1, max_value=6),
+        seed=st.integers(0, 2**31),
+    )
+    @example(dims=(1, 1, 1), rank=1, seed=0)
+    @example(dims=(1, 7, 1), rank=1, seed=1)
+    @example(dims=(6, 1, 5), rank=3, seed=2)
+    def test_slice_wise_products_match_one_unfolded_product(self, dims, rank, seed):
+        rng = np.random.default_rng(seed)
+        a, b, c = (rng.standard_normal((d, rank)) for d in dims)
+        t = cpd_reconstruct(a, b, c)
+        assert t.flags.f_contiguous
+        w = khatri_rao([c, b])
+        scale = (np.abs(a) @ np.abs(w).T).max()
+        np.testing.assert_allclose(unfold(t, 1), a @ w.T, rtol=1e-13, atol=1e-13 * scale)
+
+    @pytest.mark.parametrize(
+        "dims, rank", [((64, 48, 32), 8), ((40, 30, 1), 5), ((1, 50, 40), 1)]
+    )
+    def test_peak_is_the_output_plus_one_scaled_factor_stack(self, dims, rank):
+        rng = np.random.default_rng(7)
+        factors = [rng.standard_normal((d, rank)) for d in dims]
+        i_dim, j_dim, k_dim = dims
+        stack = k_dim * j_dim * rank * 8  # the (K, J, R) stack of b scaled by each row of c
+        peak = peak_traced_bytes(lambda: cpd_reconstruct(*factors))
+        # 4 KiB of slack for array headers and iterator bookkeeping.
+        assert peak <= i_dim * j_dim * k_dim * 8 + stack + 4096
 
     def test_rank_mismatch_raises(self):
         with pytest.raises(ValueError):
