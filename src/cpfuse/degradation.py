@@ -222,9 +222,13 @@ def degrade(sri: np.ndarray, ops: DegradationOperators) -> tuple[np.ndarray, np.
     HSI, mode 3 in the MSI), both in Fortran order.  Each product reads the
     scene through a matricizing view in the scene's own memory order, so a C-
     or Fortran-ordered scene is not copied: the mode-1 product is one GEMM on
-    the ``(I, J * K)`` view, the mode-2 product one ``(J_H x J)(J x K)``
-    product per HSI row, and the spectral product one GEMM on the
-    ``(K, I * J)`` view.
+    the ``(I, J * K)`` view and the spectral product one GEMM on the
+    ``(K, I * J)`` view.  On a Fortran-ordered scene the mode-2 product is
+    one GEMM on the ``(J, K * I_H)`` view of the mode-1 product: the shape of
+    the GEMM on the mode-2 unfolding, with its columns reordered, so where
+    ``I_H * K`` is a multiple of the BLAS kernel's block, each entry matches
+    ``tensors.mode_n_product`` bit for bit.  On a C-ordered scene it is one
+    ``(J_H x J)(J x K)`` product per HSI row.
     """
     sri = _as_tensor(sri)
     for n, q in enumerate(ops.matrices):
@@ -236,10 +240,14 @@ def degrade(sri: np.ndarray, ops: DegradationOperators) -> tuple[np.ndarray, np.
     p1, p2, pm = ops.matrices
     i_dim, j_dim, k_dim = sri.shape
     order = "F" if sri.flags.f_contiguous else "C"
-    blurred = (p1 @ sri.reshape(i_dim, j_dim * k_dim, order=order)).reshape(
-        -1, j_dim, k_dim, order=order
-    )
-    hsi = np.matmul(p2, blurred)
+    blurred = p1 @ sri.reshape(i_dim, j_dim * k_dim, order=order)
+    if order == "F":
+        # Row i of ``blurred`` holds (j, k) with j fastest: transposed, the
+        # C-ordered (I_H, K, J) view is the Fortran-ordered (J, K, I_H) tensor.
+        hsi = p2 @ blurred.reshape(-1, k_dim, j_dim).T.reshape(j_dim, -1, order="F")
+        hsi = hsi.reshape(-1, blurred.shape[0], k_dim).transpose(1, 0, 2)
+    else:
+        hsi = np.matmul(p2, blurred.reshape(-1, j_dim, k_dim))
     del blurred  # before the HSI's column-major copy, which then outlives no partial product
     msi = (pm @ sri.reshape(i_dim * j_dim, k_dim, order=order).T).T
     return np.asfortranarray(hsi), np.asfortranarray(msi.reshape(i_dim, j_dim, -1, order=order))
