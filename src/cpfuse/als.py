@@ -19,6 +19,8 @@ diagonalizes all of them at once (``_sylvester_rows``).  The complement of
 ``G_p`` solve of every row plus a correction inside ``V``, at the operator's
 rank rather than at d.  Each image's projected factors and their Grams are
 kept current, so an update forms only the two Grams of the mode it changed.
+The Grams and the pencil path make their 2-D products with ``a.dot(b)``, as
+``solver`` does; the LU fallback keeps ``np.matmul``.
 
 The right-hand sides share work across modes (a dimension tree): mode 1 takes
 a full ``mttkrp`` per image, and once it is updated each image is contracted
@@ -97,8 +99,8 @@ def _sylvester_rows(evals, evecs, gamma_scaled, gamma_plain, rhs):
     lam, w, info = dsygv(gamma_scaled, gamma_plain)
     if info == 0:
         scaled = evals[:, None] * lam
-        z = rhs @ w
-        return (z - evecs @ ((evecs.T @ z) * (scaled / (1.0 + scaled)))) @ w.T
+        z = rhs.dot(w)
+        return (z - evecs.dot(evecs.T.dot(z) * (scaled / (1.0 + scaled)))).dot(w.T)
     rows, cols = evecs.shape
     if cols < rows:
         complement = np.linalg.qr(evecs, mode="complete")[0][:, cols:]
@@ -141,7 +143,7 @@ def solve_als(
     factors = [f.copy() for f in init.factors]
     # Each image's CP factors and their Grams, kept current as the scene factors change.
     projected = ops.project(factors)
-    grams = [[f.T @ f for f in proj] for proj in projected]
+    grams = [[f.T.dot(f) for f in proj] for proj in projected]
     mode1 = [mttkrp(image, proj, 1) for image, proj in zip(prob.images, projected)]
     objectives = [prob.misfit(projected, mode1, grams)]
     converged = False
@@ -156,7 +158,7 @@ def solve_als(
             factors[n] = _sylvester_rows(*bases[n], gammas[s], gammas[1 - s], rhs)
             for proj, g, f in zip(projected, grams, ops.project_mode(n, factors[n])):
                 proj[n] = f
-                g[n] = f.T @ f
+                g[n] = f.T.dot(f)
             if n == 0:
                 # Modes 2 and 3 both contract each image with its new mode-1 factor.
                 partials = [_mode1_partial(image, proj[0])

@@ -84,6 +84,9 @@ def _cmd_degrade(args) -> int:
     cfg = _degradation_config(
         args, **_given(args, {"snr_hsi": "snr_hsi_db", "snr_msi": "snr_msi_db"})
     )
+    if cfg.snr_hsi_db == math.inf and cfg.snr_msi_db == math.inf:
+        # No noise is drawn, so the seed would have no effect.
+        _reject_flags(args, ("seed",), "two noiseless images (no finite --snr-hsi or --snr-msi)")
     spectral = None
     if args.spectral_matrix:
         # The matrix's rows are the MSI's bands.
@@ -92,7 +95,8 @@ def _cmd_degrade(args) -> int:
     sri = read_tensor(args.sri)
     ops = build_operators(sri.shape, cfg, spectral)
     hsi, msi = degrade(sri, ops)
-    hsi, msi = _add_pair_noise(hsi, msi, cfg.snr_hsi_db, cfg.snr_msi_db, args.seed)
+    seed = 0 if args.seed is None else args.seed
+    hsi, msi = _add_pair_noise(hsi, msi, cfg.snr_hsi_db, cfg.snr_msi_db, seed)
     write_tensor(args.out_hsi, hsi)
     write_tensor(args.out_msi, msi)
     for path, matrix in (
@@ -262,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--snr-hsi", type=float, help=f"default {DegradationConfig.snr_hsi_db}")
     p.add_argument("--snr-msi", type=float, help=f"default {DegradationConfig.snr_msi_db}")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="noise seed, default 0; needs a noisy image")
     p.add_argument("--out-p1", default=None, help="save the first spatial operator")
     p.add_argument("--out-p2", default=None, help="save the second spatial operator")
     p.add_argument("--out-pm", default=None, help="save the spectral operator")

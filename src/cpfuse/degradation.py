@@ -103,7 +103,7 @@ class DegradationOperators:
         """The HSI's and the MSI's mode-``n`` CP factor for the scene's mode-``n``
         factor ``f``: ``Q_n f`` in the image that degrades the mode, ``f`` in the
         other, so the HSI's factors are ``[P1 A, P2 B, C]``, the MSI's ``[A, B, Pm C]``."""
-        degraded = self.matrices[n] @ f
+        degraded = self.matrices[n].dot(f)
         return (degraded, f) if DEGRADED_IN[n] == 0 else (f, degraded)
 
     def project(self, factors) -> tuple[list[np.ndarray], ...]:
@@ -116,7 +116,7 @@ class DegradationOperators:
         """Adjoint of ``project`` on scene mode ``n``: the sum of the images'
         mode-``n`` ``terms``, each mapped back through its operator, if any."""
         s = DEGRADED_IN[n]
-        return self.matrices[n].T @ terms[s] + terms[1 - s]
+        return self.matrices[n].T.dot(terms[s]) + terms[1 - s]
 
 
 def operator_shapes(images) -> tuple[tuple[int, int], ...]:

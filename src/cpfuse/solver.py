@@ -61,13 +61,23 @@ Grams, one that maps the projection back, and one with inner dimension 4R that
 writes the output block; the cross-Gram combinations of all modes and both
 images take three batched elementwise operations on contiguous copies.  A
 preconditioner apply is one R x R product per block.  PCG updates its
-iterate, residual and direction in place.
+iterate, residual and direction in place.  It applies the preconditioner once
+before its first iteration and once after each iteration that another
+follows, so a call that ends at iteration k, by tolerance, budget or
+curvature exit, makes k Gramian and k preconditioner applies.
+
+Each 2-D product and vector dot that a solve repeats is ``a.dot(b)``, with
+``out=`` into a scratch buffer where the apply has one, and each norm is
+``math.sqrt(x.dot(x))``, the value ``np.linalg.norm`` computes.  ``dot`` makes
+the same BLAS call as ``np.matmul`` and ``@``, so the bits are the same, but
+it skips their generalized-ufunc dispatch, about half of a product's cost at
+the sizes of small problems.  Batched 3-D products keep ``np.matmul``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -128,6 +138,11 @@ def _pack(blocks) -> np.ndarray:
     return np.concatenate([np.asarray(b).ravel(order="F") for b in blocks])
 
 
+def _norm(x: np.ndarray) -> float:
+    """The Euclidean norm of a vector: ``np.linalg.norm``'s value, without its dispatch."""
+    return math.sqrt(x.dot(x))
+
+
 def _block_views(vec: np.ndarray, shapes) -> list[np.ndarray]:
     """``(R x d)`` views of a packed vector, one per ``(d, R)`` block: the
     packed ``vec_F(B)`` is ``B^T`` in C order."""
@@ -156,12 +171,17 @@ class LatentTriple:
 
     def __post_init__(self) -> None:
         mats = _check_triple(self.mats, "latent")
-        vec = _pack(mats)
-        blocks = tuple(b.T.copy() for b in _block_views(vec, [m.shape for m in mats]))
+        self._set_fields(_pack(mats), [m.shape for m in mats])
+
+    def _set_fields(self, vec: np.ndarray, shapes) -> None:
+        """Every field from ``vec``, a packed vector no caller holds: it and
+        the blocks unpacked from it made read-only, and no evaluation."""
+        blocks = tuple(b.T.copy() for b in _block_views(vec, shapes))
         for a in (vec, *blocks):
             a.flags.writeable = False
         object.__setattr__(self, "vec", vec)
         object.__setattr__(self, "mats", blocks)
+        object.__setattr__(self, "_evaluation", None)
 
     @property
     def rank(self) -> int:
@@ -175,12 +195,16 @@ class LatentTriple:
     def from_vector(
         cls, vec: np.ndarray, dims: tuple[int, int, int], rank: int
     ) -> "LatentTriple":
-        vec = np.asarray(vec, dtype=np.float64)
+        """The point whose packed vector is ``vec``, held as a copy."""
+        vec = np.array(vec, dtype=np.float64)
         shapes = [(d, rank) for d in dims]
         expected = sum(d * rank for d in dims)
         if vec.ndim != 1 or vec.size != expected:
             raise ValueError(f"latent vector has size {vec.size}, expected {expected}")
-        return cls(tuple(b.T for b in _block_views(vec, shapes)))
+        # The copy is already the packed vector that __init__ would form.
+        latent = cls.__new__(cls)
+        latent._set_fields(vec, shapes)
+        return latent
 
 
 def square_params(latent: LatentTriple) -> CpdModel:
@@ -336,7 +360,7 @@ def _evaluate(latent: LatentTriple, prob: FusionProblem) -> _Evaluation:
     ev = latent._evaluation
     if ev is None or ev.prob is not prob:
         projected = prob.operators.project(square_params(latent).factors)
-        grams = [[f.T @ f for f in factors] for factors in projected]
+        grams = [[f.T.dot(f) for f in factors] for factors in projected]
         mode1 = [mttkrp(image, factors, 1) for image, factors in zip(prob.images, projected)]
         ev = _Evaluation(prob, projected, grams, mode1, prob.misfit(projected, mode1, grams))
         object.__setattr__(latent, "_evaluation", ev)
@@ -365,7 +389,7 @@ def gradient(latent: LatentTriple, prob: FusionProblem) -> np.ndarray:
     terms = []
     for image, factors, g, m1 in zip(prob.images, ev.projected, ev.grams, ev.mode1):
         mttkrps = [m1, mttkrp(image, factors, 2), mttkrp(image, factors, 3)]
-        terms.append([factors[n] @ (g[a] * g[b]) - mttkrps[n]
+        terms.append([factors[n].dot(g[a] * g[b]) - mttkrps[n]
                       for n, (a, b) in enumerate(_OTHER_MODES)])
     # gradients with respect to the squared factors
     grads = [2.0 * prob.operators.back_project(n, t) for n, t in enumerate(zip(*terms))]
@@ -418,12 +442,15 @@ class GramianOperator:
     lam_blocks: list[np.ndarray]
     factors: tuple[list[np.ndarray], ...]
     operators: DegradationOperators
+    # Each image's Grams of ``factors``, formed here unless the caller holds them.
+    grams: InitVar[list[list[np.ndarray]] | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, grams) -> None:
         self.scale = _pack(self.lam_blocks)
         self.block_shapes = [m.shape for m in self.lam_blocks]
         self.size = self.scale.size
-        grams = [[f.T @ f for f in image] for image in self.factors]
+        if grams is None:
+            grams = [[f.T.dot(f) for f in image] for image in self.factors]
         self.hadamards = [[g[a] * g[b] for a, b in _OTHER_MODES] for g in grams]
 
         rank = self.block_shapes[0][1]
@@ -458,7 +485,7 @@ class GramianOperator:
             stack = np.empty((rows + 4 * rank, q.shape[1]))
             stack[:rows] = q
             k_t = stack[rows : rows + 2 * rank].reshape(2, rank, -1)
-            np.matmul(self.factors[deg][n].T, q, out=k_t[deg])
+            self.factors[deg][n].T.dot(q, out=k_t[deg])
             k_t[1 - deg] = self.factors[1 - deg][n].T
             coefficients[n, :, 2 * rank : 3 * rank] = self.hadamards[deg][n].T
             coefficients[n, :, 3 * rank :] = self.hadamards[1 - deg][n].T
@@ -471,14 +498,14 @@ class GramianOperator:
 
     @classmethod
     def from_latent(cls, latent: LatentTriple, ops: DegradationOperators) -> "GramianOperator":
-        """The Gramian at ``latent``, with the projections read from its
-        evaluation when that was formed for a problem with ``ops``."""
+        """The Gramian at ``latent``, with the projections and their Grams
+        read from its evaluation when that was formed for a problem with ``ops``."""
+        scale = 2.0 * latent.vec
+        lam_blocks = [b.T for b in _block_views(scale, [m.shape for m in latent.mats])]
         ev = latent._evaluation
         if ev is not None and ev.prob.operators is ops:
-            projected = ev.projected
-        else:
-            projected = ops.project(square_params(latent).factors)
-        return cls([2.0 * m for m in latent.mats], projected, ops)
+            return cls(lam_blocks, ev.projected, ops, ev.grams)
+        return cls(lam_blocks, ops.project(square_params(latent).factors), ops)
 
     def apply(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=np.float64)
@@ -486,8 +513,8 @@ class GramianOperator:
             raise ValueError(f"vector has shape {z.shape}, expected ({self.size},)")
         np.multiply(self.scale, z, out=self._scaled)
         for b, left, head, proj_t, q, proj_rows, b_rows in self._products:
-            np.matmul(left, b, out=head)
-            np.matmul(proj_t, q, out=proj_rows)
+            left.dot(b, out=head)
+            proj_t.dot(q, out=proj_rows)
             b_rows[...] = b.T
         cross, grams, s = self._cross, self._grams, self._s_sum
         cross[:3] = self._heads_cross
@@ -497,7 +524,7 @@ class GramianOperator:
         s += self._s_term
         self._s[...] = s
         for coefficients, stacked, out_t in self._outputs:
-            np.matmul(coefficients, stacked, out=out_t)
+            coefficients.dot(stacked, out=out_t)
         return self.scale * self._unscaled
 
 
@@ -535,7 +562,7 @@ def block_jacobi_preconditioner(gram: GramianOperator):
             raise ValueError(f"vector has shape {vec.shape}, expected {inv_scale.shape}")
         np.multiply(inv_scale, vec, out=scaled)
         for m, x_t, out_t in blocks:
-            np.matmul(m, x_t, out=out_t)
+            m.dot(x_t, out=out_t)
         return inv_scale * unscaled
 
     return apply
@@ -557,36 +584,40 @@ def pcg(hop, g: np.ndarray, precond, max_iters: int = CG_MAX_ITERS,
     ``max_iters`` iterations, or immediately when a search direction has
     nonpositive curvature (``d^T H d <= 1e-14 ||d||^2``), returning the
     current iterate flagged.  The iterate, residual and direction are
-    updated in place; ``hop`` and ``precond`` may return their argument.
+    updated in place, and the steps along ``d`` and ``H d`` go through one
+    scratch vector; ``hop`` and ``precond`` may return their argument.  A call
+    that ends at iteration k calls each of ``hop`` and ``precond`` k times:
+    no preconditioner apply follows the last iteration.
     """
     g = np.asarray(g, dtype=np.float64)
     p = np.zeros_like(g)
     r = -g
-    g_norm = float(np.linalg.norm(g))
+    g_norm = _norm(g)
     if g_norm == 0.0:
         return PcgResult(p, 0, 0.0, False)
     y = precond(r)
     d = y.copy()
-    rz = float(r @ y)
+    rz = float(r.dot(y))
     tol = rel_tol * g_norm
     res_norm = g_norm
+    step = np.empty_like(g)
     for k in range(1, max_iters + 1):
         hd = hop(d)
-        curvature = float(d @ hd)
-        if curvature <= 1e-14 * float(d @ d):
+        curvature = float(d.dot(hd))
+        if curvature <= 1e-14 * float(d.dot(d)):
             return PcgResult(p, k - 1, res_norm, True)
         alpha = rz / curvature
-        p += alpha * d
-        r -= alpha * hd
-        res_norm = float(np.linalg.norm(r))
-        if res_norm <= tol:
+        p += np.multiply(alpha, d, out=step)
+        r -= np.multiply(alpha, hd, out=step)
+        res_norm = _norm(r)
+        if res_norm <= tol or k == max_iters:
             return PcgResult(p, k, res_norm, False)
         y = precond(r)
-        rz_new = float(r @ y)
+        rz_new = float(r.dot(y))
         d *= rz_new / rz
         d += y
         rz = rz_new
-    return PcgResult(p, max_iters, res_norm, False)
+    return PcgResult(p, 0, res_norm, False)  # max_iters < 1: no iteration
 
 
 def cauchy_point(g: np.ndarray, curvature: float, delta: float) -> np.ndarray:
@@ -598,7 +629,7 @@ def cauchy_point(g: np.ndarray, curvature: float, delta: float) -> np.ndarray:
     vector when ``g`` is zero.
     """
     g = np.asarray(g, dtype=np.float64)
-    g_norm = float(np.linalg.norm(g))
+    g_norm = _norm(g)
     if g_norm == 0.0:
         return np.zeros_like(g)
     if curvature <= 0.0:
@@ -619,15 +650,15 @@ def dogleg_step(p_c: np.ndarray, p_n: np.ndarray, delta: float) -> tuple[np.ndar
     p_n = np.asarray(p_n, dtype=np.float64)
     if not delta > 0:
         raise ValueError(f"trust radius must be positive, got {delta}")
-    norm_n = float(np.linalg.norm(p_n))
+    norm_n = _norm(p_n)
     if norm_n <= delta:
         return p_n, "newton"
-    norm_c = float(np.linalg.norm(p_c))
+    norm_c = _norm(p_c)
     if norm_c >= delta:
         return (delta / norm_c) * p_c, "cauchy"
     seg = p_n - p_c
-    a = float(seg @ seg)
-    b = 2.0 * float(p_c @ seg)
+    a = float(seg.dot(seg))
+    b = 2.0 * float(p_c.dot(seg))
     c = norm_c**2 - delta**2
     theta = (-b + math.sqrt(max(b * b - 4.0 * a * c, 0.0))) / (2.0 * a)
     return p_c + theta * seg, "dogleg"
@@ -670,7 +701,7 @@ def trust_region_update(
             state.reason = "objective decrease below rel_f_tol"
     if not accepted or rho < SHRINK_THRESHOLD:
         state.delta *= SHRINK_FACTOR
-    elif rho > GROW_THRESHOLD and float(np.linalg.norm(p)) >= 0.99 * state.delta:
+    elif rho > GROW_THRESHOLD and _norm(p) >= 0.99 * state.delta:
         state.delta = min(GROW_FACTOR * state.delta, state.delta_max)
     return accepted
 
@@ -701,7 +732,7 @@ def solve(
     cfg = cfg or SolverConfig()
     prob.check_init(init)
 
-    delta0 = max(0.3 * float(np.linalg.norm(init.vec)), 1.0)
+    delta0 = max(0.3 * _norm(init.vec), 1.0)
 
     f = objective(init, prob)
     g = gradient(init, prob)
@@ -718,7 +749,7 @@ def solve(
             state.reason = "gradient norm below grad_tol"
             break
         # No step inside a radius this small changes the iterate in floating point.
-        if state.delta <= np.finfo(np.float64).eps * np.linalg.norm(state.latent.vec):
+        if state.delta <= np.finfo(np.float64).eps * _norm(state.latent.vec):
             state.reason = "trust radius below machine precision"
             break
 
@@ -732,13 +763,13 @@ def solve(
             precond = block_jacobi_preconditioner(gram)
             # The model Hessian is twice the Gramian: PCG solves G p = -g / 2.
             cg = pcg(gram.apply, 0.5 * g, precond)
-            g_h_g = 2.0 * float(g @ gram.apply(g))
+            g_h_g = 2.0 * float(g.dot(gram.apply(g)))
         p_c = cauchy_point(g, g_h_g, state.delta)
-        p_n = cg.step if float(np.linalg.norm(cg.step)) > 0.0 else p_c
+        p_n = cg.step if _norm(cg.step) > 0.0 else p_c
         p, step_type = dogleg_step(p_c, p_n, state.delta)
 
-        g_dot_p = float(g @ p)
-        p_h_p = 2.0 * float(p @ gram.apply(p))
+        g_dot_p = float(g.dot(p))
+        p_h_p = 2.0 * float(p.dot(gram.apply(p)))
         accepted = trust_region_update(
             state, p, g_dot_p, p_h_p, lambda t: objective(t, prob), cfg
         )

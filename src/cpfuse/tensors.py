@@ -23,7 +23,7 @@ plans a contraction.  On the C-ordered view ``(I, J, K)`` with factors
 * ``mttkrp`` modes 1 and 3: the batched product ``b.T @ t`` of shape
   ``(I, R, K)``, then a two-operand ``einsum`` with ``c`` (mode 1) or ``a``
   (mode 3);
-* ``mttkrp`` mode 2: ``t.reshape(I * J, K) @ c``, then a two-operand
+* ``mttkrp`` mode 2: ``t.reshape(I * J, K).dot(c)``, then a two-operand
   ``einsum`` with ``a``.  On a Fortran-ordered tensor this contracts scene
   mode 1 first, so the partial product of an MSI with few bands stays small;
 * ``cpd_reconstruct``: one ``(J x R)(R x I)`` product ``(b * c[k]) @ a.T``
@@ -37,6 +37,10 @@ forms ``z[k] = a.T @ t[:, :, k]``, one ``(R x I)(I x J)`` product per
 frontal slice that reads a Fortran-ordered tensor in place, and
 ``_partial_mttkrp`` contracts ``z`` with ``c`` (mode 2) or ``b`` (mode 3) as R
 batched matrix-vector products.
+
+A 2-D product that a solve repeats is ``a.dot(b)``, the same BLAS call as
+``np.matmul`` without its generalized-ufunc dispatch (``solver`` states the
+rule); the batched products stay ``np.matmul``.
 
 Every routine validates shapes and raises ``ValueError`` on mismatch;
 ``_check_dims``, ``_check_rank``, ``_check_triple`` and ``_as_tensor`` hold
@@ -195,7 +199,7 @@ def _mttkrp_c(t: np.ndarray, a, b, c, mode: int) -> np.ndarray:
     i_dim, j_dim, k_dim = t.shape
     if mode == 2:
         # The contiguous last axis goes first: an (I*J x K)(K x R) product.
-        partial = (t.reshape(i_dim * j_dim, k_dim) @ c).reshape(i_dim, j_dim, c.shape[1])
+        partial = t.reshape(i_dim * j_dim, k_dim).dot(c).reshape(i_dim, j_dim, c.shape[1])
         return np.einsum("ijr,ir->jr", partial, a)
     partial = b.T @ t  # (I, R, K): one (R x J)(J x K) product per slice i
     if mode == 1:

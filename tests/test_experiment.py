@@ -438,6 +438,30 @@ class TestCliPipeline:
         assert main(common) == 0
         assert read_tensor(tmp_path / "msi.dt3").shape == (12, 12, 3)
 
+    def test_degrade_rejects_seed_without_noise(self, tmp_path, capsys):
+        # No noise is drawn from two noiseless images, so --seed would have no effect.
+        sri = self.simulate(tmp_path)
+        common = ["degrade", "--sri", str(sri), "--out-hsi", str(tmp_path / "hsi.dt3"),
+                  "--out-msi", str(tmp_path / "msi.dt3"), "--kernel-size", "3",
+                  "--factor", "2", "--seed", "5"]
+        for snrs in ([], ["--snr-hsi", "inf", "--snr-msi", "inf"]):
+            assert main([*common, *snrs]) == 1
+            err = capsys.readouterr().err
+            assert "error:" in err and "--seed" in err
+            assert not (tmp_path / "hsi.dt3").exists()
+        assert main([*common, "--snr-hsi", "10"]) == 0
+
+    def test_degrade_seed_defaults_to_zero_when_noise_is_drawn(self, tmp_path):
+        sri = self.simulate(tmp_path)
+        outputs = {}
+        for name, extra in (("default", []), ("zero", ["--seed", "0"]),
+                            ("msi-only", ["--seed", "0", "--snr-hsi", "inf"])):
+            out = tmp_path / name
+            out.mkdir()
+            paths = self.degrade(out, sri, ["--snr-msi", "10", *extra])
+            outputs[name] = [p.read_bytes() for p in paths]
+        assert outputs["default"] == outputs["zero"] == outputs["msi-only"]
+
     def test_fuse_flag_route_reports_factor_mismatch(self, tmp_path, capsys):
         sri = self.simulate(tmp_path)
         hsi, msi = self.degrade(tmp_path, sri)

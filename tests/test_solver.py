@@ -229,6 +229,16 @@ class TestLatentTriple:
         for m, b in zip(latent.mats, back.mats):
             np.testing.assert_array_equal(m, b)
 
+    def test_from_vector_matches_the_constructor_bit_for_bit(self):
+        rng = np.random.default_rng(1)
+        latent = LatentTriple(tuple(rng.standard_normal((d, 3)) for d in (4, 3, 5)))
+        back = LatentTriple.from_vector(latent.vec, (4, 3, 5), 3)
+        assert back.vec.tobytes() == latent.vec.tobytes()
+        assert not np.shares_memory(back.vec, latent.vec)
+        for m, b in zip(latent.mats, back.mats):
+            assert b.flags.c_contiguous and b.shape == m.shape
+            assert b.tobytes() == m.tobytes()
+
     def test_vector_layout_is_column_major(self):
         latent = LatentTriple((np.array([[1.0, 3.0], [2.0, 4.0]]),) * 3)
         np.testing.assert_array_equal(
@@ -658,6 +668,53 @@ class TestPcg:
         assert result.iterations == 0
         np.testing.assert_array_equal(result.step, np.zeros(4))
 
+    @staticmethod
+    def counted_pcg(h, g, **budget):
+        """PCG on ``h`` with a Jacobi preconditioner, and its calls of each."""
+        calls = {"hop": 0, "precond": 0}
+
+        def hop(z):
+            calls["hop"] += 1
+            return h @ z
+
+        def precond(r):
+            calls["precond"] += 1
+            return r / np.abs(np.diag(h))
+
+        return pcg(hop, g, precond, **budget), calls
+
+    def test_full_budget_applies_each_operator_max_iters_times(self):
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal((12, 12))
+        h = a @ a.T + np.diag(np.arange(1.0, 13.0))
+        result, calls = self.counted_pcg(h, rng.standard_normal(12), max_iters=5,
+                                         rel_tol=1e-14)
+        assert result.iterations == 5 and not result.curvature_exit
+        # No preconditioner apply follows the last iteration.
+        assert calls == {"hop": 5, "precond": 5}
+
+    def test_tolerance_exit_at_iteration_k_applies_the_preconditioner_k_times(self):
+        # Three distinct eigenvalues: CG meets the tolerance by iteration 3.
+        rng = np.random.default_rng(10)
+        q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        h = q @ np.diag([1.0, 1.0, 2.0, 2.0, 3.0, 3.0]) @ q.T
+        result, calls = self.counted_pcg(h, rng.standard_normal(6), max_iters=10,
+                                         rel_tol=1e-10)
+        k = result.iterations
+        assert 1 <= k < 10 and not result.curvature_exit
+        assert calls == {"hop": k, "precond": k}
+
+    def test_curvature_exit_at_iteration_k_applies_the_preconditioner_k_times(self):
+        # Preconditioned, the positive eigenvalues coincide, so the second
+        # direction lies along the negative one.
+        h = np.diag([1.0, 2.0, 3.0, -1.0])
+        result, calls = self.counted_pcg(h, np.array([1.0, 1.0, 1.0, 0.1]))
+        assert result.curvature_exit
+        # An exit at iteration k reports the k - 1 completed iterations.
+        k = result.iterations + 1
+        assert k == 2
+        assert calls == {"hop": k, "precond": k}
+
 
 class TestCauchyPoint:
     def test_interior_minimizer_with_identity_hessian(self):
@@ -1041,6 +1098,25 @@ class TestEvaluationAtAPoint:
         # The caller's arrays are copied, not frozen.
         for a in (vec, *mats):
             a[0] = 1.0
+
+    def test_gramian_at_an_evaluated_point_matches_a_fresh_build(self):
+        # from_latent reads the projections and Grams the objective kept there.
+        prob = noisy_problem(3)
+        latent = init_latent(prob.sri_dims, prob.rank, 3)
+        objective(latent, prob)
+        copy = LatentTriple(latent.mats)
+        assert latent._evaluation is not None and copy._evaluation is None
+        kept = GramianOperator.from_latent(latent, prob.operators)
+        fresh = GramianOperator.from_latent(copy, prob.operators)
+        built = GramianOperator([2.0 * m for m in copy.mats],
+                                prob.operators.project(square_params(copy).factors),
+                                prob.operators)
+        z = np.random.default_rng(3).standard_normal(latent.vec.size)
+        for gram in (fresh, built):
+            assert kept.scale.tobytes() == gram.scale.tobytes()
+            assert kept.apply(z).tobytes() == gram.apply(z).tobytes()
+            assert (block_jacobi_preconditioner(kept)(z).tobytes()
+                    == block_jacobi_preconditioner(gram)(z).tobytes())
 
     def test_a_solver_point_is_read_only(self):
         prob = noisy_problem()
