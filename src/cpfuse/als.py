@@ -19,8 +19,6 @@ diagonalizes all of them at once (``_sylvester_rows``).  The complement of
 ``G_p`` solve of every row plus a correction inside ``V``, at the operator's
 rank rather than at d.  Each image's projected factors and their Grams are
 kept current, so an update forms only the two Grams of the mode it changed.
-The Grams and the pencil path make their 2-D products with ``a.dot(b)``, as
-``solver`` does; the LU fallback keeps ``np.matmul``.
 
 The right-hand sides share work across modes (a dimension tree): mode 1 takes
 a full ``mttkrp`` per image, and once it is updated each image is contracted

@@ -77,7 +77,7 @@ the sizes of small problems.  Batched 3-D products keep ``np.matmul``.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -171,17 +171,12 @@ class LatentTriple:
 
     def __post_init__(self) -> None:
         mats = _check_triple(self.mats, "latent")
-        self._set_fields(_pack(mats), [m.shape for m in mats])
-
-    def _set_fields(self, vec: np.ndarray, shapes) -> None:
-        """Every field from ``vec``, a packed vector no caller holds: it and
-        the blocks unpacked from it made read-only, and no evaluation."""
-        blocks = tuple(b.T.copy() for b in _block_views(vec, shapes))
+        vec = _pack(mats)
+        blocks = tuple(b.T.copy() for b in _block_views(vec, [m.shape for m in mats]))
         for a in (vec, *blocks):
             a.flags.writeable = False
         object.__setattr__(self, "vec", vec)
         object.__setattr__(self, "mats", blocks)
-        object.__setattr__(self, "_evaluation", None)
 
     @property
     def rank(self) -> int:
@@ -195,16 +190,12 @@ class LatentTriple:
     def from_vector(
         cls, vec: np.ndarray, dims: tuple[int, int, int], rank: int
     ) -> "LatentTriple":
-        """The point whose packed vector is ``vec``, held as a copy."""
-        vec = np.array(vec, dtype=np.float64)
+        vec = np.asarray(vec, dtype=np.float64)
         shapes = [(d, rank) for d in dims]
         expected = sum(d * rank for d in dims)
         if vec.ndim != 1 or vec.size != expected:
             raise ValueError(f"latent vector has size {vec.size}, expected {expected}")
-        # The copy is already the packed vector that __init__ would form.
-        latent = cls.__new__(cls)
-        latent._set_fields(vec, shapes)
-        return latent
+        return cls(tuple(b.T for b in _block_views(vec, shapes)))
 
 
 def square_params(latent: LatentTriple) -> CpdModel:
@@ -442,15 +433,12 @@ class GramianOperator:
     lam_blocks: list[np.ndarray]
     factors: tuple[list[np.ndarray], ...]
     operators: DegradationOperators
-    # Each image's Grams of ``factors``, formed here unless the caller holds them.
-    grams: InitVar[list[list[np.ndarray]] | None] = None
 
-    def __post_init__(self, grams) -> None:
+    def __post_init__(self) -> None:
         self.scale = _pack(self.lam_blocks)
         self.block_shapes = [m.shape for m in self.lam_blocks]
         self.size = self.scale.size
-        if grams is None:
-            grams = [[f.T.dot(f) for f in image] for image in self.factors]
+        grams = [[f.T.dot(f) for f in image] for image in self.factors]
         self.hadamards = [[g[a] * g[b] for a, b in _OTHER_MODES] for g in grams]
 
         rank = self.block_shapes[0][1]
@@ -498,14 +486,14 @@ class GramianOperator:
 
     @classmethod
     def from_latent(cls, latent: LatentTriple, ops: DegradationOperators) -> "GramianOperator":
-        """The Gramian at ``latent``, with the projections and their Grams
-        read from its evaluation when that was formed for a problem with ``ops``."""
-        scale = 2.0 * latent.vec
-        lam_blocks = [b.T for b in _block_views(scale, [m.shape for m in latent.mats])]
+        """The Gramian at ``latent``, with the projections read from its
+        evaluation when that was formed for a problem with ``ops``."""
         ev = latent._evaluation
         if ev is not None and ev.prob.operators is ops:
-            return cls(lam_blocks, ev.projected, ops, ev.grams)
-        return cls(lam_blocks, ops.project(square_params(latent).factors), ops)
+            projected = ev.projected
+        else:
+            projected = ops.project(square_params(latent).factors)
+        return cls([2.0 * m for m in latent.mats], projected, ops)
 
     def apply(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=np.float64)

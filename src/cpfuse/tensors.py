@@ -38,10 +38,6 @@ frontal slice that reads a Fortran-ordered tensor in place, and
 ``_partial_mttkrp`` contracts ``z`` with ``c`` (mode 2) or ``b`` (mode 3) as R
 batched matrix-vector products.
 
-A 2-D product that a solve repeats is ``a.dot(b)``, the same BLAS call as
-``np.matmul`` without its generalized-ufunc dispatch (``solver`` states the
-rule); the batched products stay ``np.matmul``.
-
 Every routine validates shapes and raises ``ValueError`` on mismatch;
 ``_check_dims``, ``_check_rank``, ``_check_triple`` and ``_as_tensor`` hold
 the package's dims, rank, three-matrix and third-order tensor checks.

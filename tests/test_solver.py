@@ -239,6 +239,12 @@ class TestLatentTriple:
             assert b.flags.c_contiguous and b.shape == m.shape
             assert b.tobytes() == m.tobytes()
 
+    @pytest.mark.parametrize("dims", [(4, 3), (4, 3, 5, 2)])
+    def test_from_vector_rejects_dims_that_are_not_three(self, dims):
+        vec = np.zeros(3 * sum(dims))
+        with pytest.raises(ValueError, match="expected 3 two-dimensional"):
+            LatentTriple.from_vector(vec, dims, 3)
+
     def test_vector_layout_is_column_major(self):
         latent = LatentTriple((np.array([[1.0, 3.0], [2.0, 4.0]]),) * 3)
         np.testing.assert_array_equal(
@@ -1100,7 +1106,7 @@ class TestEvaluationAtAPoint:
             a[0] = 1.0
 
     def test_gramian_at_an_evaluated_point_matches_a_fresh_build(self):
-        # from_latent reads the projections and Grams the objective kept there.
+        # from_latent reads the projections the objective kept there.
         prob = noisy_problem(3)
         latent = init_latent(prob.sri_dims, prob.rank, 3)
         objective(latent, prob)
