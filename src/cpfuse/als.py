@@ -38,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dsygv
 
 from .degradation import DEGRADED_IN
 from .solver import _OTHER_MODES, FusionProblem, SolverConfig, _decrease_below
@@ -80,7 +79,7 @@ def _gram_eigenbasis(q):
     return s * s, vt.T
 
 
-def _sylvester_rows(evals, evecs, gamma_scaled, gamma_plain, rhs):
+def _sylvester_rows(evals, evecs, gamma_scaled, gamma_plain, rhs, dsygv):
     """Solve  evecs diag(evals) evecs^T X gamma_scaled + X gamma_plain = rhs.
 
     ``evecs`` (d x m, m <= d) has orthonormal columns, and its complement in
@@ -93,6 +92,8 @@ def _sylvester_rows(evals, evecs, gamma_scaled, gamma_plain, rhs):
     When ``G_p`` is not numerically positive definite the pencil has no such
     ``W`` (LAPACK ``dsygv`` reports it); then each row system of the completed
     basis is LU-solved, with a trace-scaled ridge if any of them is singular.
+    ``dsygv`` is ``scipy.linalg.lapack.dsygv``, which ``solve_als`` imports
+    once per solve.
     """
     lam, w, info = dsygv(gamma_scaled, gamma_plain)
     if info == 0:
@@ -132,6 +133,10 @@ def solve_als(
     trace; ``converged`` is set when the relative objective decrease of a
     sweep falls below ``rel_f_tol``.
     """
+    # Imported here: loading scipy.linalg costs import time and memory that
+    # no nn-nls-only run needs.
+    from scipy.linalg.lapack import dsygv
+
     cfg = SolverConfig(max_iters=max_iters, rel_f_tol=rel_f_tol)
     prob.check_init(init)
 
@@ -153,7 +158,7 @@ def solve_als(
             # The image that degrades mode n scales the Sylvester system.
             s = DEGRADED_IN[n]
             rhs = ops.back_project(n, terms)
-            factors[n] = _sylvester_rows(*bases[n], gammas[s], gammas[1 - s], rhs)
+            factors[n] = _sylvester_rows(*bases[n], gammas[s], gammas[1 - s], rhs, dsygv)
             for proj, g, f in zip(projected, grams, ops.project_mode(n, factors[n])):
                 proj[n] = f
                 g[n] = f.T.dot(f)

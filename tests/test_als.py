@@ -103,7 +103,7 @@ class TestSylvesterRows:
         want = evecs @ np.array(
             [np.linalg.solve(e * gamma_scaled + gamma_plain, r) for e, r in zip(evals, rt)]
         )
-        got = _sylvester_rows(evals, evecs, gamma_scaled, gamma_plain, rhs)
+        got = _sylvester_rows(evals, evecs, gamma_scaled, gamma_plain, rhs, dsygv)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
 
     def test_singular_plain_gram_takes_the_ridged_lu_fallback(self):
@@ -117,7 +117,7 @@ class TestSylvesterRows:
         evals = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
         evecs = np.linalg.qr(rng.standard_normal((rows, rows)))[0]
         rhs = rng.standard_normal((rows, rank))
-        got = _sylvester_rows(evals, evecs, gamma_scaled, gamma_plain, rhs)
+        got = _sylvester_rows(evals, evecs, gamma_scaled, gamma_plain, rhs, dsygv)
         assert np.all(np.isfinite(got))
         np.testing.assert_array_equal(
             got, lu_sylvester_rows(evals, evecs, gamma_scaled, gamma_plain, rhs)
@@ -133,7 +133,7 @@ class TestSylvesterRows:
         assert dsygv(gamma_scaled, gamma_plain)[2] != 0
         with np.errstate(over="ignore"):
             assert not np.all(np.isfinite(np.linalg.solve(gamma_scaled, rhs[0])))
-            got = _sylvester_rows(evals, evecs, gamma_scaled, gamma_plain, rhs)
+            got = _sylvester_rows(evals, evecs, gamma_scaled, gamma_plain, rhs, dsygv)
         ridged = gamma_scaled + (1e-10 * (1.0 + 1e-300) + 1e-300) * np.eye(2)
         np.testing.assert_array_equal(got, np.linalg.solve(ridged, rhs[0])[None, :])
 
@@ -169,7 +169,7 @@ class TestThinBasis:
         )
         thin = _gram_eigenbasis(q)
         assert thin[1].shape == (dim, min(rows[shape], dim))
-        got = _sylvester_rows(*thin, gamma_scaled, gamma_plain, rhs)
+        got = _sylvester_rows(*thin, gamma_scaled, gamma_plain, rhs, dsygv)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
 
     def test_singular_plain_gram_falls_back_on_the_completed_basis(self):
@@ -181,7 +181,7 @@ class TestThinBasis:
         evals, evecs = _gram_eigenbasis(rng.standard_normal((rows, dim)))
         assert evecs.shape == (dim, rows)
         rhs = rng.standard_normal((dim, rank))
-        got = _sylvester_rows(evals, evecs, gamma_scaled, gamma_plain, rhs)
+        got = _sylvester_rows(evals, evecs, gamma_scaled, gamma_plain, rhs, dsygv)
         assert np.all(np.isfinite(got))
         # Any orthonormal completion: the null space of Q has eigenvalue 0.
         completed = np.hstack([evecs, null_space(evecs.T)])

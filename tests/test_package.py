@@ -24,9 +24,17 @@ def test_package_exports_exactly_the_modules_public_names():
     assert exported == {name for module in MODULES for name in module.__all__}
 
 
+def run_fresh(script):
+    """Run ``script`` in a fresh interpreter: other tests in this process may
+    already have loaded the modules it checks."""
+    src = os.path.dirname(os.path.dirname(cpfuse.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", textwrap.dedent(script)], check=True, env=env,
+                   timeout=120)
+
+
 def test_scipy_ndimage_loads_only_for_smoothing():
-    # A fresh interpreter: other tests in this process may already have loaded it.
-    script = textwrap.dedent("""
+    run_fresh("""
         import sys
         import numpy as np
         import cpfuse
@@ -45,6 +53,22 @@ def test_scipy_ndimage_loads_only_for_smoothing():
         cpfuse.spatial_smooth(sri, 3)
         assert "scipy.ndimage" in sys.modules
     """)
-    src = os.path.dirname(os.path.dirname(cpfuse.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    subprocess.run([sys.executable, "-c", script], check=True, env=env, timeout=120)
+
+
+def test_scipy_linalg_loads_only_for_als():
+    run_fresh("""
+        import sys
+        import cpfuse
+
+        assert "scipy.linalg" not in sys.modules
+        sri = cpfuse.simulate_scene(cpfuse.SceneConfig(dims=(8, 8, 6), rank=2, seed=0))
+        ops = cpfuse.build_operators(sri.shape, cpfuse.DegradationConfig(
+            kernel_size=3, factor=2, num_msi_bands=3))
+        prob = cpfuse.FusionProblem(*cpfuse.degrade(sri, ops), ops, 2)
+        model, _, _ = cpfuse.solve(prob, cpfuse.init_latent(prob.sri_dims, 2, 0),
+                                   cpfuse.SolverConfig(max_iters=2))
+        cpfuse.metrics_report(cpfuse.reconstruct_sri(model), sri)
+        assert "scipy.linalg" not in sys.modules
+        cpfuse.solve_als(prob, cpfuse.random_init(prob.sri_dims, 2, 0), max_iters=2)
+        assert "scipy.linalg" in sys.modules
+    """)

@@ -721,6 +721,38 @@ class TestPcg:
         assert k == 2
         assert calls == {"hop": k, "precond": k}
 
+    def test_norm_exit_after_the_first_iteration_past_max_norm(self):
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal((12, 12))
+        h = a @ a.T + np.diag(np.arange(1.0, 13.0))
+        g = rng.standard_normal(12)
+        first, _ = self.counted_pcg(h, g, max_iters=1)
+        bound = 0.5 * np.linalg.norm(first.step)
+        result, calls = self.counted_pcg(h, g, max_norm=bound)
+        assert result.norm_exit and not result.curvature_exit
+        assert result.iterations == 1
+        assert calls == {"hop": 1, "precond": 1}
+        np.testing.assert_array_equal(result.step, first.step)
+        assert np.linalg.norm(result.step) > bound
+
+    def test_infinite_max_norm_changes_nothing(self):
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal((12, 12))
+        h = a @ a.T + np.diag(np.arange(1.0, 13.0))
+        g = rng.standard_normal(12)
+        plain, _ = self.counted_pcg(h, g, max_iters=8, rel_tol=1e-14)
+        unbounded, _ = self.counted_pcg(h, g, max_iters=8, rel_tol=1e-14, max_norm=math.inf)
+        np.testing.assert_array_equal(unbounded.step, plain.step)
+        assert unbounded.iterations == plain.iterations == 8
+        assert not unbounded.norm_exit and not plain.norm_exit
+
+    @pytest.mark.parametrize("max_iters", [0, -1])
+    def test_budget_below_one_raises(self, max_iters):
+        calls = []
+        with pytest.raises(ValueError, match="max_iters"):
+            pcg(lambda z: z, np.ones(3), lambda r: calls.append(1) or r, max_iters=max_iters)
+        assert not calls
+
 
 class TestCauchyPoint:
     def test_interior_minimizer_with_identity_hessian(self):
@@ -984,9 +1016,9 @@ class TestSolve:
         real = solver_module.pcg
         calls = []
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(1)
-            return real(*args)
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(solver_module, "pcg", counted)
         base, _, _ = make_problem(dims=(8, 8, 6))
