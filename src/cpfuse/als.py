@@ -25,12 +25,13 @@ a full ``mttkrp`` per image, and once it is updated each image is contracted
 with its new mode-1 factor, ``z = A^T X_(1)``, from which modes 2 and 3 both
 take their MTTKRPs (``tensors._mode1_partial``).
 
-Every objective, the init's and each sweep's, is ``FusionProblem.misfit``
-from each image's mode-1 MTTKRP at that point and the Grams kept current.
-That MTTKRP is formed before the first sweep and again at the end of each
-sweep, where it is also the next sweep's mode-1 right-hand side.  So ALS
-reconstructs an image only when its misfit is below ``solver.GUARD`` times
-its squared norm.
+A solve starts from ``FusionProblem.evaluate`` at the init, the one
+evaluation both solvers share: the projections, their Grams, each image's
+mode-1 MTTKRP and the objective.  Each sweep ends with each image's mode-1
+MTTKRP at the new point, which is also the next sweep's mode-1 right-hand
+side, and its objective is ``FusionProblem.misfit`` from those MTTKRPs and the
+Grams kept current.  So ALS reconstructs an image only when its misfit is
+below ``solver.GUARD`` times its squared norm.
 """
 
 from __future__ import annotations
@@ -145,10 +146,9 @@ def solve_als(
 
     factors = [f.copy() for f in init.factors]
     # Each image's CP factors and their Grams, kept current as the scene factors change.
-    projected = ops.project(factors)
-    grams = [[f.T.dot(f) for f in proj] for proj in projected]
-    mode1 = [mttkrp(image, proj, 1) for image, proj in zip(prob.images, projected)]
-    objectives = [prob.misfit(projected, mode1, grams)]
+    start = prob.evaluate(factors)
+    projected, grams, mode1 = start.projected, start.grams, start.mode1
+    objectives = [start.f_value]
     converged = False
     for _ in range(cfg.max_iters):
         for n, (a, b) in enumerate(_OTHER_MODES):

@@ -60,6 +60,12 @@ _MSI_NOISE_OFFSET = 1_000_003
 _INIT_SEED_OFFSET = 2_000_003
 
 
+def _check_seed(name: str, seed: int) -> None:
+    # numpy's generators take no negative seed, and would say so only when drawing.
+    if seed < 0:
+        raise ValueError(f"{name} must be nonnegative, got {seed}")
+
+
 @dataclass(frozen=True)
 class SceneConfig:
     """Synthetic scene: a random nonnegative CP model, optionally plus a
@@ -73,6 +79,7 @@ class SceneConfig:
     def __post_init__(self) -> None:
         _check_dims(self.dims)
         _check_rank(self.rank)
+        _check_seed("seed", self.seed)
         if self.background_amplitude < 0:
             raise ValueError("background_amplitude must be nonnegative")
         if self.rank > min(self.dims):
@@ -124,6 +131,7 @@ class ExperimentConfig:
             raise ValueError("replicates must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        _check_seed("master_seed", self.master_seed)
         _check_rank(self.rank)
         snrs = (self.degradation.snr_hsi_db, self.degradation.snr_msi_db)
         if self.sweep_axis == "snr" and snrs != (math.inf, math.inf):

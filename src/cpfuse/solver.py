@@ -33,19 +33,21 @@ The latent-to-factor chain scaling is frozen per point, so the Gramian
 operator is built once per point and reused by every CG application there;
 after a rejected step the point is unchanged, and so are the operator, the
 preconditioner and the PCG step.  What depends only on the point is formed
-once with it: the packed chain scaling, the Hadamard products of the Grams,
-the operator's constant rows and coefficients, and, in the preconditioner,
+once with it: the chain scaling, the Hadamard products of the Grams, the
+operator's constant rows and coefficients, and, in the preconditioner,
 the symmetrized inverses of the ridged R x R block systems and the packed
 inverse scaling.  The applies that PCG repeats do only the products that
 involve the vector.
 
-Each point is evaluated once.  A ``LatentTriple`` is read-only: it holds its
-packed vector and the blocks unpacked from it, writing into either raises
-``ValueError``, and it keeps its evaluation: each image's projected factors,
-their Grams and mode-1 MTTKRP, and the objective value.  Every trial is
-``x + p``, formed once; once the step is accepted the gradient reads the trial
-objective's evaluation and forms only each image's mode-2 and mode-3 MTTKRPs,
-and the Gramian operator reads the projections.
+A point is its packed vector ``x``.  A ``LatentTriple`` owns that one
+read-only array, and its blocks are views of it.  The chain factor ``2 x``
+of the gradient and the Gramian is one product with ``x``, never formed block
+by block.  Each point is evaluated once, by ``FusionProblem.evaluate``, the
+one place either solver forms an evaluation: each image's projected factors,
+their Grams and mode-1 MTTKRP, and the objective value.  The point keeps it.
+Every trial is ``x + p``, formed once; once the step is accepted the gradient
+reads the trial objective's evaluation and forms only each image's mode-2 and
+mode-3 MTTKRPs, and the Gramian operator reads the projections.
 
 The misfit is a plain squared norm, so the model Hessian is ``H = 2 G`` for
 the Gramian ``G``.  PCG runs on ``G`` against half the gradient, which yields
@@ -167,11 +169,13 @@ def _block_views(vec: np.ndarray, shapes) -> list[np.ndarray]:
 class LatentTriple:
     """Unconstrained latent matrices whose entrywise squares are the CP factors.
 
-    A read-only value: the packed vector ``vec`` is built once from a copy of
-    the input and the blocks ``mats`` are C-ordered copies unpacked from it;
-    an in-place write into either raises ``ValueError``, and the fields cannot
-    be rebound.  The caller's arrays stay writeable.  The point keeps the
-    evaluation that ``objective`` or ``gradient`` forms there.
+    A read-only value that owns one array: the packed vector ``vec``, built
+    once from a copy of the input.  The blocks ``mats`` are ``(d, R)`` views
+    of it; a block's ``vec_F`` is its transpose in C order, so the views are
+    Fortran-ordered.  An in-place write into ``vec`` or a block raises
+    ``ValueError``, and the fields cannot be rebound.  The caller's arrays
+    stay writeable.  The point keeps the evaluation that ``objective`` or
+    ``gradient`` forms there.
     """
 
     mats: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -181,11 +185,10 @@ class LatentTriple:
     def __post_init__(self) -> None:
         mats = _check_triple(self.mats, "latent")
         vec = _pack(mats)
-        blocks = tuple(b.T.copy() for b in _block_views(vec, [m.shape for m in mats]))
-        for a in (vec, *blocks):
-            a.flags.writeable = False
+        vec.flags.writeable = False
         object.__setattr__(self, "vec", vec)
-        object.__setattr__(self, "mats", blocks)
+        object.__setattr__(self, "mats",
+                           tuple(b.T for b in _block_views(vec, [m.shape for m in mats])))
 
     @property
     def rank(self) -> int:
@@ -208,17 +211,22 @@ class LatentTriple:
 
 
 def square_params(latent: LatentTriple) -> CpdModel:
-    """Map latent matrices to the nonnegative CP factors (entrywise square)."""
-    return CpdModel(tuple(m * m for m in latent.mats))
+    """Map latent matrices to the nonnegative CP factors (entrywise square).
+
+    The squares are C-ordered, although the blocks are Fortran-ordered views,
+    so every product that reads a factor keeps one operand layout."""
+    return CpdModel(tuple(np.multiply(m, m, order="C") for m in latent.mats))
 
 
 @dataclass(frozen=True, eq=False)
 class FusionProblem:
     """One fusion instance: the two observed tensors, the operators, the rank.
 
-    Checked when built, and frozen so that ``norms_sq`` comes from the images
-    it holds: the fields cannot be rebound, and each image is a read-only
-    view, so an in-place write through it raises ``ValueError``.
+    Checked when built: an image with no entries or a non-finite squared
+    norm raises ``ValueError``, as does an operator whose shape the images
+    do not imply.  Frozen so that ``norms_sq`` comes from the images it
+    holds: the fields cannot be rebound, and each image is a read-only view,
+    so an in-place write through it raises ``ValueError``.
     """
 
     hsi: np.ndarray
@@ -234,6 +242,18 @@ class FusionProblem:
             image.flags.writeable = False
             object.__setattr__(self, name, image)
         _check_rank(self.rank)
+        # The images' squared norms, in ``images`` order, for the Gram
+        # expansion.  A NaN, an infinity or an entry whose square overflows
+        # makes the norm non-finite, which is reported below, not warned about.
+        with np.errstate(over="ignore"):
+            norms_sq = tuple(_sum_squares(t) for t in self.images)
+        for name, image, norm_sq in zip(("HSI", "MSI"), self.images, norms_sq):
+            if image.size == 0:
+                raise ValueError(f"the {name} of shape {image.shape} has no entries")
+            if not math.isfinite(norm_sq):
+                raise ValueError(f"the {name} has a non-finite squared norm ({norm_sq}): "
+                                 "it holds a NaN, an infinity or an entry too large to square")
+        object.__setattr__(self, "norms_sq", norms_sq)
         shapes = operator_shapes(self.images)
         for n, (q, shape) in enumerate(zip(self.operators.matrices, shapes)):
             if q.shape != shape:
@@ -241,8 +261,6 @@ class FusionProblem:
                     f"the mode-{n + 1} operator has shape {q.shape}, but an HSI of shape "
                     f"{self.hsi.shape} and an MSI of shape {self.msi.shape} need {shape}"
                 )
-        # The images' squared norms, in ``images`` order, for the Gram expansion.
-        object.__setattr__(self, "norms_sq", tuple(_sum_squares(t) for t in self.images))
 
     @property
     def images(self) -> tuple[np.ndarray, np.ndarray]:
@@ -252,6 +270,15 @@ class FusionProblem:
     @property
     def sri_dims(self) -> tuple[int, int, int]:
         return scene_shape(self.images)
+
+    def evaluate(self, factors) -> _Evaluation:
+        """The evaluation at the scene's CP ``factors``: each image's projected
+        factors, their Grams and mode-1 MTTKRP, and the objective ``misfit``
+        formed from them."""
+        projected = self.operators.project(factors)
+        grams = [[f.T.dot(f) for f in image] for image in projected]
+        mode1 = [mttkrp(image, proj, 1) for image, proj in zip(self.images, projected)]
+        return _Evaluation(self, projected, grams, mode1, self.misfit(projected, mode1, grams))
 
     def misfit(self, projected, mode1, grams) -> float:
         """The coupled objective, ``sum ||[[F]] - X||^2`` over the ``images``,
@@ -344,7 +371,7 @@ def _decrease_below(previous: float, current: float, rel_f_tol: float) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class _Evaluation:
-    """What a ``LatentTriple`` keeps from its evaluation for ``prob``: each
+    """What ``FusionProblem.evaluate`` forms at a point of ``prob``: each
     image's projected factors, their Grams and its mode-1 MTTKRP, and the
     objective value."""
 
@@ -359,10 +386,7 @@ def _evaluate(latent: LatentTriple, prob: FusionProblem) -> _Evaluation:
     """The evaluation ``latent`` keeps for ``prob``, formed and kept on first use."""
     ev = latent._evaluation
     if ev is None or ev.prob is not prob:
-        projected = prob.operators.project(square_params(latent).factors)
-        grams = [[f.T.dot(f) for f in factors] for factors in projected]
-        mode1 = [mttkrp(image, factors, 1) for image, factors in zip(prob.images, projected)]
-        ev = _Evaluation(prob, projected, grams, mode1, prob.misfit(projected, mode1, grams))
+        ev = prob.evaluate(square_params(latent).factors)
         object.__setattr__(latent, "_evaluation", ev)
     return ev
 
@@ -381,9 +405,10 @@ def gradient(latent: LatentTriple, prob: FusionProblem) -> np.ndarray:
     """Gradient with respect to the latent parameters, stacked column-major.
 
     The chain rule through the entrywise square contributes a factor of twice
-    the latent entry, so any zero latent entry yields a zero gradient entry.
-    The projections, Grams and mode-1 MTTKRPs come from the point's
-    evaluation; only modes 2 and 3 are formed here.
+    the latent entry, one product with the packed point, so any zero latent
+    entry yields a zero gradient entry.  The projections, Grams and mode-1
+    MTTKRPs come from the point's evaluation; only modes 2 and 3 are formed
+    here.
     """
     ev = _evaluate(latent, prob)
     terms = []
@@ -393,7 +418,7 @@ def gradient(latent: LatentTriple, prob: FusionProblem) -> np.ndarray:
                       for n, (a, b) in enumerate(_OTHER_MODES)])
     # gradients with respect to the squared factors
     grads = [2.0 * prob.operators.back_project(n, t) for n, t in enumerate(zip(*terms))]
-    return _pack([2.0 * m * g for m, g in zip(latent.mats, grads)])
+    return 2.0 * latent.vec * _pack(grads)
 
 
 @dataclass(eq=False)
@@ -402,8 +427,9 @@ class GramianOperator:
 
     Applies ``diag(s) (K^T K + M^T M) diag(s)`` where ``K`` and ``M`` are the
     Jacobians of the two images' residuals with respect to the squared factors
-    and ``s`` is the frozen chain scaling (twice the latent entries).  Only
-    factor-sized intermediates are formed; the Gramian itself is never
+    and ``s`` is the chain scaling ``scale``, packed like the latent vector
+    (``2 x`` at the point ``x``).  The block shapes come from ``factors``.
+    Only factor-sized intermediates are formed; the Gramian itself is never
     materialized.
 
     Per image, with CP factors ``F_n`` from ``DegradationOperators.project``,
@@ -433,19 +459,21 @@ class GramianOperator:
       output view:
       ``out_n^T = [S_n^T | H^deg | H^keep] [K_n^T ; B_n^T Q^T Q ; B_n^T]``.
 
-    The operator is frozen at construction: an apply reads only arrays formed
-    there, including its own copies of the operator matrices, so later changes
-    to the fields are not seen.  Every apply returns a fresh array; the
-    scratch buffers it overwrites are private to the operator.
+    An apply reads ``scale`` as given and otherwise only arrays formed at
+    construction, including its own copies of the operator matrices, so later
+    changes to ``factors`` or ``operators`` are not seen.  Every apply returns
+    a fresh array; the scratch buffers it overwrites are private to the
+    operator.
     """
 
-    lam_blocks: list[np.ndarray]
+    scale: np.ndarray
     factors: tuple[list[np.ndarray], ...]
     operators: DegradationOperators
 
     def __post_init__(self) -> None:
-        self.scale = _pack(self.lam_blocks)
-        self.block_shapes = [m.shape for m in self.lam_blocks]
+        # Each block has the shape of the scene factor, which the image that
+        # keeps the mode holds.
+        self.block_shapes = [self.factors[1 - s][n].shape for n, s in enumerate(DEGRADED_IN)]
         self.size = self.scale.size
         grams = [[f.T.dot(f) for f in image] for image in self.factors]
         self.hadamards = [[g[a] * g[b] for a, b in _OTHER_MODES] for g in grams]
@@ -494,15 +522,10 @@ class GramianOperator:
             self._outputs.append((coefficients[n], stack[rows:], out_t))
 
     @classmethod
-    def from_latent(cls, latent: LatentTriple, ops: DegradationOperators) -> "GramianOperator":
-        """The Gramian at ``latent``, with the projections read from its
-        evaluation when that was formed for a problem with ``ops``."""
-        ev = latent._evaluation
-        if ev is not None and ev.prob.operators is ops:
-            projected = ev.projected
-        else:
-            projected = ops.project(square_params(latent).factors)
-        return cls([2.0 * m for m in latent.mats], projected, ops)
+    def from_latent(cls, latent: LatentTriple, prob: FusionProblem) -> "GramianOperator":
+        """The Gramian of ``prob`` at ``latent``: the chain scaling ``2 x`` of
+        the packed point and the projections of the point's evaluation."""
+        return cls(2.0 * latent.vec, _evaluate(latent, prob).projected, prob.operators)
 
     def apply(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=np.float64)
@@ -746,7 +769,7 @@ def solve(
     trace: list[IterationRecord] = []
 
     for it in range(cfg.max_iters):
-        grad_inf = float(np.max(np.abs(state.gradient))) if state.gradient.size else 0.0
+        grad_inf = float(np.max(np.abs(state.gradient)))
         if grad_inf < cfg.grad_tol:
             state.converged = True
             state.reason = "gradient norm below grad_tol"
@@ -762,7 +785,7 @@ def solve(
         rebuilt = it == 0 or accepted
         g = state.gradient
         if rebuilt:
-            gram = GramianOperator.from_latent(state.latent, prob.operators)
+            gram = GramianOperator.from_latent(state.latent, prob)
             precond = block_jacobi_preconditioner(gram)
             # The model Hessian is twice the Gramian: PCG solves G p = -g / 2.
             cg = pcg(gram.apply, 0.5 * g, precond,

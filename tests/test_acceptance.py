@@ -147,7 +147,7 @@ def test_criterion_2_gramian_oracle():
         hsi, msi = degrade(cpd_reconstruct(*truth), ops)
         prob = FusionProblem(hsi, msi, ops, rank)
         latent = init_latent(dims, rank, seed + 5)
-        gram = GramianOperator.from_latent(latent, ops)
+        gram = GramianOperator.from_latent(latent, prob)
         dense = np.column_stack(
             [gram.apply(np.eye(gram.size)[:, i]) for i in range(gram.size)]
         )

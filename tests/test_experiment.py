@@ -91,6 +91,10 @@ class TestSimulateScene:
         with pytest.raises(ValueError):
             simulate_scene(SceneConfig(**kwargs))
 
+    def test_negative_seed_raises(self):
+        with pytest.raises(ValueError, match="^seed must be nonnegative, got -1$"):
+            SceneConfig(dims=(4, 4, 4), rank=2, seed=-1)
+
 
 class TestRunExperiment:
     def test_single_replicate_row(self):
@@ -218,6 +222,7 @@ class TestRunExperiment:
             {"sweep_axis": "rank", "sweep_values": (math.inf,)},
             {"sweep_values": (math.nan,)},
             {"sweep_values": (-math.inf,)},
+            {"master_seed": -1},
         ],
     )
     def test_invalid_config_raises(self, overrides):
@@ -752,6 +757,38 @@ class TestCliPipeline:
         assert main(argv) == 1
         assert capsys.readouterr().err == "error: snr_hsi_db must be finite or +inf, got nan\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["simulate", "--dims", "10", "10", "6", "--rank", "2", "--seed", "-1",
+              "--out", "sri.dt3"], "seed"),
+            (["sweep", "--dims", "10", "10", "6", "--snr-db", "10", "--master-seed", "-1",
+              "--out-dir", "x"], "master_seed"),
+        ],
+        ids=["simulate", "sweep"],
+    )
+    def test_negative_seed_rejected_before_any_scene(self, tmp_path, capsys, monkeypatch,
+                                                     argv, name):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cpfuse.experiment, "simulate_scene", None)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {name} must be nonnegative, got -1\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("algorithm", ["nn-nls", "als"])
+    def test_fuse_rejects_a_nan_hsi(self, tmp_path, capsys, algorithm):
+        sri = self.simulate(tmp_path)
+        hsi, msi = self.degrade(tmp_path, sri)
+        image = read_tensor(hsi)
+        image[0, 0, 0] = math.nan
+        write_tensor(hsi, image)
+        rc = main(["fuse", "--hsi", str(hsi), "--msi", str(msi), "--rank", "2",
+                   "--out", str(tmp_path / "x.dt3"), "--algorithm", algorithm,
+                   "--kernel-size", "3"])
+        assert rc == 1
+        assert "error: the HSI has a non-finite squared norm" in capsys.readouterr().err
+        assert not (tmp_path / "x.dt3").exists()
 
     def test_fuse_als_rejects_grad_tol(self, tmp_path, capsys):
         sri = self.simulate(tmp_path)

@@ -143,19 +143,20 @@ def identity_operators(dims):
 def reference_gramian_apply(gram, z):
     """Oracle for ``GramianOperator.apply`` built from its fields alone, with
     the coupling written out by hand."""
-    blocks = [lam * t for lam, t in zip(gram.lam_blocks, _blocks(z, gram))]
+    lam_blocks = _blocks(gram.scale, gram)
+    blocks = [lam * t for lam, t in zip(lam_blocks, _blocks(z, gram))]
     ops = gram.operators
     (u, v), (u_grams, v_grams) = gram.factors, _grams(gram)
     out_u = _reference_term(blocks, u, [ops.spatial_1, ops.spatial_2, None], u_grams)
     out_v = _reference_term(blocks, v, [None, None, ops.spectral], v_grams)
     return LatentTriple(
-        tuple(lam * (x + y) for lam, x, y in zip(gram.lam_blocks, out_u, out_v))
+        tuple(lam * (x + y) for lam, x, y in zip(lam_blocks, out_u, out_v))
     ).vec
 
 
 def ridged_block_systems(gram):
     """The preconditioner's R x R block systems, with their trace-scaled ridge."""
-    rank = gram.lam_blocks[0].shape[1]
+    rank = gram.block_shapes[0][1]
     u_grams, v_grams = _grams(gram)
     systems = []
     for n in range(3):
@@ -169,7 +170,7 @@ def ridged_block_systems(gram):
 def reference_preconditioner(gram):
     """Oracle for ``block_jacobi_preconditioner``: Cholesky solves per apply."""
     factorizations = [cho_factor(m) for m in ridged_block_systems(gram)]
-    lam_sq = [lam * lam for lam in gram.lam_blocks]
+    lam_sq = [lam * lam for lam in _blocks(gram.scale, gram)]
     eps_lam = 1e-8 * float(np.mean(np.concatenate([s.ravel() for s in lam_sq])))
     scales = [np.sqrt(np.maximum(s, eps_lam if eps_lam > 0.0 else 1.0)) for s in lam_sq]
 
@@ -188,7 +189,7 @@ def random_gramian(seed, rank, dims, zero_frac, direct):
 
     ``direct`` builds the operator from its fields with identity operators and
     factors unrelated to the latent; otherwise it comes from ``from_latent``
-    with random dense operators.
+    on a problem with random dense operators and random images.
     """
     rng = np.random.default_rng(seed)
     mats = []
@@ -204,10 +205,12 @@ def random_gramian(seed, rank, dims, zero_frac, direct):
             spatial_2=rng.uniform(0.0, 1.0, (max(j - 2, 1), j)),
             spectral=rng.uniform(0.0, 1.0, (max(k - 1, 1), k)),
         )
-        return GramianOperator.from_latent(latent, ops)
+        hsi = rng.uniform(0.0, 1.0, (ops.spatial_1.shape[0], ops.spatial_2.shape[0], k))
+        msi = rng.uniform(0.0, 1.0, (i, j, ops.spectral.shape[0]))
+        return GramianOperator.from_latent(latent, FusionProblem(hsi, msi, ops, rank))
     u = [rng.uniform(0.0, 1.0, (d, rank)) for d in dims]
     v = [rng.uniform(0.0, 1.0, (d, rank)) for d in dims]
-    return GramianOperator([2.0 * m for m in latent.mats], (u, v), identity_operators(dims))
+    return GramianOperator(2.0 * latent.vec, (u, v), identity_operators(dims))
 
 
 random_gramians = st.builds(
@@ -236,7 +239,9 @@ class TestLatentTriple:
         assert back.vec.tobytes() == latent.vec.tobytes()
         assert not np.shares_memory(back.vec, latent.vec)
         for m, b in zip(latent.mats, back.mats):
-            assert b.flags.c_contiguous and b.shape == m.shape
+            # The blocks are (d, R) views of the packed vector, Fortran-ordered.
+            assert b.flags.f_contiguous and b.shape == m.shape
+            assert np.shares_memory(b, back.vec)
             assert b.tobytes() == m.tobytes()
 
     @pytest.mark.parametrize("dims", [(4, 3), (4, 3, 5, 2)])
@@ -440,14 +445,14 @@ class TestGramianOperator:
     def test_zero_vector_maps_to_zero(self):
         prob, _, _ = make_problem()
         latent = init_latent(prob.sri_dims, prob.rank, rng_seed=1)
-        gram = GramianOperator.from_latent(latent, prob.operators)
+        gram = GramianOperator.from_latent(latent, prob)
         np.testing.assert_array_equal(gram.apply(np.zeros(gram.size)), 0.0)
 
     def test_matches_dense_jacobian_oracle(self):
         prob, _, _ = make_problem(dims=(4, 3, 3), rank=2, seed=6)
         dims, rank = prob.sri_dims, prob.rank
         latent = init_latent(dims, rank, rng_seed=9)
-        gram = GramianOperator.from_latent(latent, prob.operators)
+        gram = GramianOperator.from_latent(latent, prob)
         dense = dense_operator(gram.apply, gram.size)
         jac = fd_jacobian(latent.vec, prob, dims, rank)
         oracle = jac.T @ jac
@@ -456,7 +461,7 @@ class TestGramianOperator:
     def test_symmetric_and_positive_semidefinite(self):
         prob, _, _ = make_problem(dims=(4, 3, 3), rank=2, seed=6)
         latent = init_latent(prob.sri_dims, prob.rank, rng_seed=9)
-        gram = GramianOperator.from_latent(latent, prob.operators)
+        gram = GramianOperator.from_latent(latent, prob)
         dense = dense_operator(gram.apply, gram.size)
         np.testing.assert_allclose(dense, dense.T, atol=1e-10 * np.abs(dense).max())
         eigs = np.linalg.eigvalsh(0.5 * (dense + dense.T))
@@ -470,7 +475,7 @@ class TestGramianOperator:
         rng = np.random.default_rng(12)
         factors = [rng.uniform(0.1, 1.0, (d, rank)) for d in dims]
         gram = GramianOperator(
-            lam_blocks=[np.ones((d, rank)) for d in dims],
+            scale=np.ones(sum(dims) * rank),
             factors=(factors, [np.zeros((d, rank)) for d in dims]),
             operators=identity_operators(dims),
         )
@@ -488,7 +493,7 @@ class TestGramianOperator:
     def test_wrong_vector_shape_raises(self):
         prob, _, _ = make_problem()
         latent = init_latent(prob.sri_dims, prob.rank, rng_seed=0)
-        gram = GramianOperator.from_latent(latent, prob.operators)
+        gram = GramianOperator.from_latent(latent, prob)
         with pytest.raises(ValueError):
             gram.apply(np.zeros(gram.size + 1))
 
@@ -538,7 +543,7 @@ class TestBlockJacobiPreconditioner:
         dims, rank = (3, 3, 2), 2
         orthonormal = [np.eye(d, rank) for d in dims]
         gram = GramianOperator(
-            lam_blocks=[2.0 * np.ones((d, rank)) for d in dims],
+            scale=np.full(sum(dims) * rank, 2.0),
             factors=(orthonormal, orthonormal),
             operators=identity_operators(dims),
         )
@@ -552,7 +557,7 @@ class TestBlockJacobiPreconditioner:
         mats[1][0, 0] = 0.0
         latent = LatentTriple(tuple(mats))
         precond = block_jacobi_preconditioner(
-            GramianOperator.from_latent(latent, prob.operators)
+            GramianOperator.from_latent(latent, prob)
         )
         rng = np.random.default_rng(4)
         x, y = rng.standard_normal(20), rng.standard_normal(20)
@@ -567,7 +572,7 @@ class TestBlockJacobiPreconditioner:
         prob, _, _ = make_problem(dims=(4, 3, 3), rank=2, seed=1)
         latent = init_latent(prob.sri_dims, prob.rank, rng_seed=3)
         precond = block_jacobi_preconditioner(
-            GramianOperator.from_latent(latent, prob.operators)
+            GramianOperator.from_latent(latent, prob)
         )
         rng = np.random.default_rng(5)
         for _ in range(5):
@@ -623,7 +628,7 @@ class TestBlockJacobiPreconditioner:
         )
         latent = init_latent(prob.sri_dims, prob.rank, rng_seed=5)
         g = gradient(latent, prob)
-        gram = GramianOperator.from_latent(latent, prob.operators)
+        gram = GramianOperator.from_latent(latent, prob)
         hop = lambda z: 2.0 * gram.apply(z)  # noqa: E731
         budget = dict(max_iters=400, rel_tol=1e-8)
         plain = pcg(hop, g, no_precond, **budget)
@@ -1063,7 +1068,7 @@ def noisy_problem(seed=0):
 
 def point_values(latent, prob, z):
     """Objective, gradient and Gramian apply at ``latent``."""
-    gram = GramianOperator.from_latent(latent, prob.operators)
+    gram = GramianOperator.from_latent(latent, prob)
     return objective(latent, prob), gradient(latent, prob), gram.apply(z)
 
 
@@ -1138,15 +1143,17 @@ class TestEvaluationAtAPoint:
             a[0] = 1.0
 
     def test_gramian_at_an_evaluated_point_matches_a_fresh_build(self):
-        # from_latent reads the projections the objective kept there.
+        # from_latent reads the projections the objective kept there, and
+        # evaluates a point that has none.
         prob = noisy_problem(3)
         latent = init_latent(prob.sri_dims, prob.rank, 3)
         objective(latent, prob)
         copy = LatentTriple(latent.mats)
         assert latent._evaluation is not None and copy._evaluation is None
-        kept = GramianOperator.from_latent(latent, prob.operators)
-        fresh = GramianOperator.from_latent(copy, prob.operators)
-        built = GramianOperator([2.0 * m for m in copy.mats],
+        kept = GramianOperator.from_latent(latent, prob)
+        fresh = GramianOperator.from_latent(copy, prob)
+        assert copy._evaluation is not None
+        built = GramianOperator(2.0 * copy.vec,
                                 prob.operators.project(square_params(copy).factors),
                                 prob.operators)
         z = np.random.default_rng(3).standard_normal(latent.vec.size)
@@ -1276,6 +1283,25 @@ class TestFusionProblem:
         assert objective(latent, prob) == before
         assert hsi.flags.writeable and msi.flags.writeable
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200], ids=["nan", "inf", "overflow"])
+    @pytest.mark.parametrize("name", ["hsi", "msi"])
+    def test_non_finite_image_raises(self, name, bad):
+        # 1e200 is finite, but its square overflows the squared norm.
+        prob, _, _ = make_problem()
+        images = {"hsi": prob.hsi.copy(), "msi": prob.msi.copy()}
+        images[name][1, 0, 1] = bad
+        with pytest.raises(ValueError, match=f"the {name.upper()} has a non-finite squared norm"):
+            FusionProblem(**images, operators=prob.operators, rank=prob.rank)
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("name", ["hsi", "msi"])
+    def test_image_with_no_entries_raises(self, name, axis):
+        prob, _, _ = make_problem()
+        images = {"hsi": prob.hsi, "msi": prob.msi}
+        images[name] = np.take(images[name], [], axis=axis)
+        with pytest.raises(ValueError, match=f"the {name.upper()} of shape .* has no entries"):
+            FusionProblem(**images, operators=prob.operators, rank=prob.rank)
+
     @pytest.mark.parametrize("name", ["hsi", "msi", "operators"])
     def test_fields_cannot_be_rebound(self, name):
         # norms_sq is formed at construction, so rebinding an image would
@@ -1290,7 +1316,7 @@ class TestFusionProblem:
 
 def _fresh_preconditioner(prob):
     latent = init_latent(prob.sri_dims, prob.rank, rng_seed=0)
-    return block_jacobi_preconditioner(GramianOperator.from_latent(latent, prob.operators))
+    return block_jacobi_preconditioner(GramianOperator.from_latent(latent, prob))
 
 
 @pytest.mark.parametrize(
