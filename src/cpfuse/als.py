@@ -20,10 +20,12 @@ diagonalizes all of them at once (``_sylvester_rows``).  The complement of
 rank rather than at d.  Each image's projected factors and their Grams are
 kept current, so an update forms only the two Grams of the mode it changed.
 
-The right-hand sides share work across modes (a dimension tree): mode 1 takes
-a full ``mttkrp`` per image, and once it is updated each image is contracted
-with its new mode-1 factor, ``z = A^T X_(1)``, from which modes 2 and 3 both
-take their MTTKRPs (``tensors._mode1_partial``).
+The right-hand sides share work across modes (a dimension tree).  Every
+MTTKRP contracts the image with one factor into a partial product ``z``
+(``tensors._mode1_partial``) and finishes with another
+(``tensors._partial_mttkrp``).  Mode 1 takes a full ``mttkrp`` per image; once
+it is updated, each image is contracted with its new mode-1 factor,
+``z = A^T X_(1)``, and modes 2 and 3 both finish from that one ``z``.
 
 A solve starts from ``FusionProblem.evaluate`` at the init, the one
 evaluation both solvers share: the projections, their Grams, each image's

@@ -32,6 +32,7 @@ from .experiment import (
     ExperimentConfig,
     SceneConfig,
     _add_pair_noise,
+    _check_seed,
     emit_results,
     emit_summary,
     fuse,
@@ -81,6 +82,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_degrade(args) -> int:
+    seed = 0 if args.seed is None else args.seed
+    _check_seed("--seed", seed)
     cfg = _degradation_config(
         args, **_given(args, {"snr_hsi": "snr_hsi_db", "snr_msi": "snr_msi_db"})
     )
@@ -95,7 +98,6 @@ def _cmd_degrade(args) -> int:
     sri = read_tensor(args.sri)
     ops = build_operators(sri.shape, cfg, spectral)
     hsi, msi = degrade(sri, ops)
-    seed = 0 if args.seed is None else args.seed
     hsi, msi = _add_pair_noise(hsi, msi, cfg.snr_hsi_db, cfg.snr_msi_db, seed)
     write_tensor(args.out_hsi, hsi)
     write_tensor(args.out_msi, msi)
@@ -157,6 +159,7 @@ def _infer_factor(spatial_shapes) -> int:
 
 
 def _cmd_fuse(args) -> int:
+    _check_seed("--seed", args.seed)
     check_smooth_window(args.smooth_window)
     if args.algorithm == "als":
         _reject_flags(args, ("grad_tol",), "--algorithm als")

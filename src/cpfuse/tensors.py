@@ -12,31 +12,25 @@ with the lower mode fastest (column-major), so a rank-R CP model obeys::
 Layout: tensors are stored column-major (first index fastest), the order of
 the dt3 payload.  ``cpd_reconstruct`` returns a Fortran-ordered tensor and
 ``FusionProblem`` keeps both images in Fortran order.  ``mttkrp`` reads a
-tensor through a C-ordered view: ``t`` itself, or for Fortran-ordered input
-``t.T`` of shape ``(K, J, I)`` with the modes reversed, so it never copies a
-contiguous tensor.
+C-ordered tensor through its Fortran-ordered transpose ``t.T`` of shape
+``(K, J, I)`` with the modes reversed, so it never copies a contiguous tensor.
 
-Contraction orders are fixed per mode and made of BLAS products, so no call
-plans a contraction.  On the C-ordered view ``(I, J, K)`` with factors
-``(a, b, c)``:
+Contractions are made of BLAS products in a fixed order, so no call plans a
+contraction, and every MTTKRP takes one route.  On a tensor ``(I, J, K)`` with
+factors ``(a, b, c)``, ``_mode1_partial`` forms ``z[k] = a.T @ t[:, :, k]``,
+one ``(R x I)(I x J)`` product per frontal slice, which reads the slices of a
+Fortran-ordered tensor in place; ``_partial_mttkrp`` then contracts ``z`` with
+``c`` (mode 2) or ``b`` (mode 3) as R batched matrix-vector products.  Mode 1
+is mode 2 of the ``(J, I, K)`` view ``t.transpose(1, 0, 2)`` with factors
+``(b, a, c)``.  On a Fortran-ordered tensor the first product contracts a
+spatial mode, so the partial of an MSI with few bands stays small, and a sweep
+that updates mode 1 before modes 2 and 3 can share one partial between the two
+later modes (a dimension tree, as ``als.solve_als`` does).
 
-* ``mttkrp`` modes 1 and 3: the batched product ``b.T @ t`` of shape
-  ``(I, R, K)``, then a two-operand ``einsum`` with ``c`` (mode 1) or ``a``
-  (mode 3);
-* ``mttkrp`` mode 2: ``t.reshape(I * J, K).dot(c)``, then a two-operand
-  ``einsum`` with ``a``.  On a Fortran-ordered tensor this contracts scene
-  mode 1 first, so the partial product of an MSI with few bands stays small;
-* ``cpd_reconstruct``: one ``(J x R)(R x I)`` product ``(b * c[k]) @ a.T``
-  per frontal slice ``k``, written in place into the transpose of a
-  Fortran-ordered ``(I, J, K)`` output; its only temporary is the ``(K, J, R)``
-  stack of scaled ``b``.
-
-A sweep that updates mode 1 before modes 2 and 3 can share one partial
-product between the two later modes (a dimension tree): ``_mode1_partial``
-forms ``z[k] = a.T @ t[:, :, k]``, one ``(R x I)(I x J)`` product per
-frontal slice that reads a Fortran-ordered tensor in place, and
-``_partial_mttkrp`` contracts ``z`` with ``c`` (mode 2) or ``b`` (mode 3) as R
-batched matrix-vector products.
+``cpd_reconstruct`` forms one ``(J x R)(R x I)`` product ``(b * c[k]) @ a.T``
+per frontal slice ``k``, written in place into the transpose of a
+Fortran-ordered ``(I, J, K)`` output; its only temporary is the ``(K, J, R)``
+stack of scaled ``b``.
 
 Every routine validates shapes and raises ``ValueError`` on mismatch;
 ``_check_dims``, ``_check_rank``, ``_check_triple`` and ``_as_tensor`` hold
@@ -190,27 +184,14 @@ def _check_factor(f: np.ndarray, dim: int, rank: int, mode: int) -> None:
         )
 
 
-def _mttkrp_c(t: np.ndarray, a, b, c, mode: int) -> np.ndarray:
-    """MTTKRP of a tensor read in C order: one GEMM, then one two-operand contraction."""
-    i_dim, j_dim, k_dim = t.shape
-    if mode == 2:
-        # The contiguous last axis goes first: an (I*J x K)(K x R) product.
-        partial = t.reshape(i_dim * j_dim, k_dim).dot(c).reshape(i_dim, j_dim, c.shape[1])
-        return np.einsum("ijr,ir->jr", partial, a)
-    partial = b.T @ t  # (I, R, K): one (R x J)(J x K) product per slice i
-    if mode == 1:
-        return np.einsum("irk,kr->ir", partial, c)
-    return np.einsum("irk,ir->kr", partial, a)
-
-
 def mttkrp(t: np.ndarray, factors, mode: int) -> np.ndarray:
     """Matricized-tensor times Khatri-Rao product.
 
     Computes ``unfold(t, mode) @ W`` where ``W`` is the Khatri-Rao product of
     the two non-target factors in the unfolding convention (higher mode
     first).  Only the non-target factors are read; the target slot must still
-    be present so ``factors`` always has length 3.  A Fortran-ordered ``t`` is
-    read through its C-ordered transpose, so no call copies the tensor.
+    be present so ``factors`` always has length 3.  A C-ordered ``t`` is read
+    through its Fortran-ordered transpose, so no call copies the tensor.
     """
     _check_mode(mode)
     t = _as_tensor(t)
@@ -221,17 +202,21 @@ def mttkrp(t: np.ndarray, factors, mode: int) -> np.ndarray:
     for n in range(3):
         if n != mode - 1:
             _check_factor(factors[n], t.shape[n], rank, n + 1)
-    if t.flags.f_contiguous:
+    if t.flags.c_contiguous and not t.flags.f_contiguous:
         # t.T[k, j, i] == t[i, j, k]: the same contraction with the modes reversed.
-        return _mttkrp_c(t.T, factors[2], factors[1], factors[0], 4 - mode)
-    return _mttkrp_c(t, *factors, mode)
+        t, factors, mode = t.T, factors[::-1], 4 - mode
+    if mode == 1:
+        # t.transpose(1, 0, 2)[j, i, k] == t[i, j, k]: mode 1 is mode 2 of the view.
+        t, factors, mode = t.transpose(1, 0, 2), [factors[1], factors[0], factors[2]], 2
+    return _partial_mttkrp(_mode1_partial(t, factors[0]), factors, mode)
 
 
 def _mode1_partial(t: np.ndarray, a: np.ndarray) -> np.ndarray:
     """The ``(K, R, J)`` partial ``z[k, r, j] = sum_i a[i, r] t[i, j, k]``.
 
     One product per frontal slice; the slices of a Fortran-ordered tensor are
-    Fortran-ordered matrices, so it is read in place.
+    Fortran-ordered matrices, and those of its ``t.transpose(1, 0, 2)`` view
+    (mode 1 of ``mttkrp``) C-ordered ones, so either is read in place.
     """
     return np.matmul(a.T, t.transpose(2, 0, 1))
 

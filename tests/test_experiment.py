@@ -765,8 +765,13 @@ class TestCliPipeline:
               "--out", "sri.dt3"], "seed"),
             (["sweep", "--dims", "10", "10", "6", "--snr-db", "10", "--master-seed", "-1",
               "--out-dir", "x"], "master_seed"),
+            # The seed is checked before the (absent) input files are read.
+            (["degrade", "--sri", "absent.dt3", "--out-hsi", "h.dt3", "--out-msi", "m.dt3",
+              "--snr-hsi", "10", "--seed", "-1"], "--seed"),
+            (["fuse", "--hsi", "missing.dt3", "--msi", "missing.dt3", "--rank", "2",
+              "--out", "x.dt3", "--seed", "-1"], "--seed"),
         ],
-        ids=["simulate", "sweep"],
+        ids=["simulate", "sweep", "degrade", "fuse"],
     )
     def test_negative_seed_rejected_before_any_scene(self, tmp_path, capsys, monkeypatch,
                                                      argv, name):

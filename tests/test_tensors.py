@@ -332,6 +332,23 @@ class TestKernelProperties:
 
     @settings(max_examples=40, deadline=None)
     @given(dims=kernel_dims, rank=kernel_ranks, seed=st.integers(0, 2**31))
+    def test_mttkrp_is_the_shared_mode1_partial_route(self, dims, rank, seed):
+        # Every mode of a Fortran-ordered tensor takes the route the ALS
+        # dimension tree takes: the same products in the same order.
+        rng = np.random.default_rng(seed)
+        t = np.asfortranarray(rng.standard_normal(dims))
+        a, b, c = factors = [rng.standard_normal((d, rank)) for d in dims]
+        for mode in (2, 3):
+            np.testing.assert_array_equal(
+                mttkrp(t, factors, mode), _partial_mttkrp(_mode1_partial(t, a), factors, mode)
+            )
+        swapped = t.transpose(1, 0, 2)
+        np.testing.assert_array_equal(
+            mttkrp(t, factors, 1), _partial_mttkrp(_mode1_partial(swapped, b), (b, a, c), 2)
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(dims=kernel_dims, rank=kernel_ranks, seed=st.integers(0, 2**31))
     def test_cpd_reconstruct_unfoldings_and_layout(self, dims, rank, seed):
         rng = np.random.default_rng(seed)
         factors = [rng.standard_normal((d, rank)) for d in dims]
@@ -345,7 +362,7 @@ class TestKernelProperties:
                 unfold(t, mode), factors[mode - 1] @ w.T, rtol=1e-12, atol=1e-12 * scale
             )
 
-    @pytest.mark.parametrize("layout", ["C", "F"])
+    @pytest.mark.parametrize("layout", ["C", "F", "sliced"])
     def test_mttkrp_makes_no_tensor_sized_copy(self, layout):
         rng = np.random.default_rng(5)
         dims = (64, 64, 32)
