@@ -44,7 +44,7 @@ import numpy as np
 
 from .degradation import DEGRADED_IN
 from .solver import _OTHER_MODES, FusionProblem, SolverConfig, _decrease_below
-from .tensors import CpdModel, _check_dims, _check_rank, _mode1_partial, _partial_mttkrp, mttkrp
+from .tensors import CpdModel, _check_dims, _check_int, _mode1_partial, _partial_mttkrp, mttkrp
 from .tensors import cpd_reconstruct  # noqa: F401  not called; benchmark/tracer.py wraps it
 
 __all__ = ["AlsTrace", "random_init", "solve_als"]
@@ -68,10 +68,11 @@ class AlsTrace:
 
 def random_init(dims: tuple[int, int, int], rank: int, rng_seed: int) -> CpdModel:
     """Standard normal factor init for the unconstrained baseline."""
-    _check_rank(rank)
+    _check_int("rank", rank)
     _check_dims(dims)
+    _check_int("rng_seed", rng_seed, minimum=0)
     rng = np.random.default_rng(rng_seed)
-    return CpdModel(tuple(rng.standard_normal((int(d), rank)) for d in dims))
+    return CpdModel(tuple(rng.standard_normal((d, rank)) for d in dims))
 
 
 def _gram_eigenbasis(q):

@@ -32,7 +32,6 @@ from .experiment import (
     ExperimentConfig,
     SceneConfig,
     _add_pair_noise,
-    _check_seed,
     emit_results,
     emit_summary,
     fuse,
@@ -40,8 +39,9 @@ from .experiment import (
     simulate_scene,
 )
 from .fileio import read_matrix, read_tensor, write_matrix, write_tensor
-from .metrics import check_smooth_window, metrics_report, spatial_smooth
+from .metrics import metrics_report, spatial_smooth
 from .solver import FusionProblem, SolverConfig, reconstruct_sri
+from .tensors import _check_int
 
 __all__ = ["main"]
 
@@ -83,7 +83,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_degrade(args) -> int:
     seed = 0 if args.seed is None else args.seed
-    _check_seed("--seed", seed)
+    _check_int("--seed", seed, minimum=0)
     cfg = _degradation_config(
         args, **_given(args, {"snr_hsi": "snr_hsi_db", "snr_msi": "snr_msi_db"})
     )
@@ -159,8 +159,8 @@ def _infer_factor(spatial_shapes) -> int:
 
 
 def _cmd_fuse(args) -> int:
-    _check_seed("--seed", args.seed)
-    check_smooth_window(args.smooth_window)
+    _check_int("--seed", args.seed, minimum=0)
+    _check_int("--smooth-window", args.smooth_window, odd=True)
     if args.algorithm == "als":
         _reject_flags(args, ("grad_tol",), "--algorithm als")
     hsi = read_tensor(args.hsi)
@@ -214,7 +214,7 @@ def _cmd_sweep(args) -> int:
         sweep_axis, sweep_values = "snr", tuple(float(v) for v in args.snr_db)
     else:
         _reject_flags(args, ("rank",), "--ranks")
-        sweep_axis, sweep_values = "rank", tuple(int(v) for v in args.ranks)
+        sweep_axis, sweep_values = "rank", tuple(args.ranks)
     # Only a rank sweep takes --noise-snr-db; an SNR sweep keeps the noiseless default.
     snr = args.noise_snr_db
     noise = {} if snr is None else {"snr_hsi_db": snr, "snr_msi_db": snr}

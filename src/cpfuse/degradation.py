@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import _as_tensor, frobenius_norm
+from .tensors import _as_tensor, _check_int, _sum_squares, frobenius_norm
 
 # The image (0: HSI, 1: MSI) that degrades each scene mode, by blur-downsampling
 # or band aggregation; the other image keeps that mode at the scene's size.
@@ -45,6 +45,22 @@ def _check_snr_db(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite or +inf, got {value}")
 
 
+def _check_images(images) -> tuple[float, float]:
+    """The squared norms of the observed ``images`` (HSI, MSI).  An image with
+    no entries or a non-finite squared norm (a NaN, an infinity or an entry too
+    large to square) raises ``ValueError`` naming it; an overflow is reported
+    here, not warned about."""
+    with np.errstate(over="ignore"):
+        norms_sq = tuple(_sum_squares(t) for t in images)
+    for name, image, norm_sq in zip(("HSI", "MSI"), images, norms_sq):
+        if image.size == 0:
+            raise ValueError(f"the {name} of shape {image.shape} has no entries")
+        if not math.isfinite(norm_sq):
+            raise ValueError(f"the {name} has a non-finite squared norm ({norm_sq}): "
+                             "it holds a NaN, an infinity or an entry too large to square")
+    return norms_sq  # type: ignore[return-value]
+
+
 @dataclass(frozen=True)
 class DegradationConfig:
     """Parameters of the degradation model.
@@ -61,14 +77,11 @@ class DegradationConfig:
     snr_msi_db: float = math.inf
 
     def __post_init__(self) -> None:
-        if self.kernel_size < 1 or self.kernel_size % 2 == 0:
-            raise ValueError(f"kernel_size must be odd and positive, got {self.kernel_size}")
+        _check_int("kernel_size", self.kernel_size, odd=True)
         if not self.sigma > 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.factor < 1:
-            raise ValueError(f"downsampling factor must be >= 1, got {self.factor}")
-        if self.num_msi_bands < 1:
-            raise ValueError(f"num_msi_bands must be >= 1, got {self.num_msi_bands}")
+        _check_int("factor", self.factor)
+        _check_int("num_msi_bands", self.num_msi_bands)
         for name in ("snr_hsi_db", "snr_msi_db"):
             _check_snr_db(name, getattr(self, name))
 
@@ -140,8 +153,7 @@ def blur_downsample_matrix(full_dim: int, cfg: DegradationConfig) -> np.ndarray:
     keeps every ``factor``-th row starting near the half-phase offset, chosen
     so the result always has ceil(full_dim / factor) rows.
     """
-    if full_dim < 1:
-        raise ValueError(f"full_dim must be positive, got {full_dim}")
+    _check_int("full_dim", full_dim)
     if cfg.kernel_size > full_dim:
         raise ValueError(
             f"kernel_size {cfg.kernel_size} exceeds dimension {full_dim}"
@@ -169,8 +181,8 @@ def band_aggregation_matrix(k_full: int, k_m: int) -> np.ndarray:
     Group sizes differ by at most one (longer groups first); each row averages
     its group, so rows sum to one and have disjoint support.
     """
-    if k_full < 1 or k_m < 1:
-        raise ValueError("band counts must be positive")
+    for count in (k_full, k_m):
+        _check_int("band counts", count)
     if k_m > k_full:
         raise ValueError(f"cannot aggregate {k_full} bands into {k_m} groups")
     base, extra = divmod(k_full, k_m)
@@ -227,8 +239,12 @@ def degrade(sri: np.ndarray, ops: DegradationOperators) -> tuple[np.ndarray, np.
     one GEMM on the ``(J, K * I_H)`` view of the mode-1 product: the shape of
     the GEMM on the mode-2 unfolding, with its columns reordered, so where
     ``I_H * K`` is a multiple of the BLAS kernel's block, each entry matches
-    ``tensors.mode_n_product`` bit for bit.  On a C-ordered scene it is one
+    the product on that unfolding bit for bit.  On a C-ordered scene it is one
     ``(J_H x J)(J x K)`` product per HSI row.
+
+    Both images are checked as ``FusionProblem`` checks them (``_check_images``):
+    a scene holding a NaN or an infinity, or entries whose products overflow,
+    raises ``ValueError`` naming the image, with no floating-point warning.
     """
     sri = _as_tensor(sri)
     for n, q in enumerate(ops.matrices):
@@ -240,17 +256,21 @@ def degrade(sri: np.ndarray, ops: DegradationOperators) -> tuple[np.ndarray, np.
     p1, p2, pm = ops.matrices
     i_dim, j_dim, k_dim = sri.shape
     order = "F" if sri.flags.f_contiguous else "C"
-    blurred = p1 @ sri.reshape(i_dim, j_dim * k_dim, order=order)
-    if order == "F":
-        # Row i of ``blurred`` holds (j, k) with j fastest: transposed, the
-        # C-ordered (I_H, K, J) view is the Fortran-ordered (J, K, I_H) tensor.
-        hsi = p2 @ blurred.reshape(-1, k_dim, j_dim).T.reshape(j_dim, -1, order="F")
-        hsi = hsi.reshape(-1, blurred.shape[0], k_dim).transpose(1, 0, 2)
-    else:
-        hsi = np.matmul(p2, blurred.reshape(-1, j_dim, k_dim))
-    del blurred  # before the HSI's column-major copy, which then outlives no partial product
-    msi = (pm @ sri.reshape(i_dim * j_dim, k_dim, order=order).T).T
-    return np.asfortranarray(hsi), np.asfortranarray(msi.reshape(i_dim, j_dim, -1, order=order))
+    # A non-finite product is reported by _check_images below, not warned about.
+    with np.errstate(invalid="ignore", over="ignore"):
+        blurred = p1 @ sri.reshape(i_dim, j_dim * k_dim, order=order)
+        if order == "F":
+            # Row i of ``blurred`` holds (j, k) with j fastest: transposed, the
+            # C-ordered (I_H, K, J) view is the Fortran-ordered (J, K, I_H) tensor.
+            hsi = p2 @ blurred.reshape(-1, k_dim, j_dim).T.reshape(j_dim, -1, order="F")
+            hsi = hsi.reshape(-1, blurred.shape[0], k_dim).transpose(1, 0, 2)
+        else:
+            hsi = np.matmul(p2, blurred.reshape(-1, j_dim, k_dim))
+        del blurred  # before the HSI's column-major copy, which then outlives no partial product
+        msi = (pm @ sri.reshape(i_dim * j_dim, k_dim, order=order).T).T
+    images = np.asfortranarray(hsi), np.asfortranarray(msi.reshape(i_dim, j_dim, -1, order=order))
+    _check_images(images)
+    return images
 
 
 def add_noise(t: np.ndarray, snr_db: float, rng_seed: int) -> np.ndarray:
@@ -264,6 +284,7 @@ def add_noise(t: np.ndarray, snr_db: float, rng_seed: int) -> np.ndarray:
     their memory order.  The result keeps the memory order of ``t``.
     """
     _check_snr_db("snr_db", snr_db)
+    _check_int("rng_seed", rng_seed, minimum=0)
     t = np.asarray(t, dtype=np.float64)
     if snr_db == math.inf:
         return t.copy(order="K")

@@ -30,7 +30,7 @@ from .degradation import (
     degrade,
 )
 from .fileio import read_tensor
-from .metrics import check_smooth_window, metrics_report, spatial_smooth
+from .metrics import metrics_report, spatial_smooth
 from .solver import (
     FusionProblem,
     SolverConfig,
@@ -39,7 +39,7 @@ from .solver import (
     reconstruct_sri,
     solve,
 )
-from .tensors import CpdModel, _check_dims, _check_rank, cpd_reconstruct
+from .tensors import CpdModel, _check_dims, _check_int, cpd_reconstruct
 
 __all__ = [
     "SceneConfig",
@@ -60,12 +60,6 @@ _MSI_NOISE_OFFSET = 1_000_003
 _INIT_SEED_OFFSET = 2_000_003
 
 
-def _check_seed(name: str, seed: int) -> None:
-    # numpy's generators take no negative seed, and would say so only when drawing.
-    if seed < 0:
-        raise ValueError(f"{name} must be nonnegative, got {seed}")
-
-
 @dataclass(frozen=True)
 class SceneConfig:
     """Synthetic scene: a random nonnegative CP model, optionally plus a
@@ -78,10 +72,12 @@ class SceneConfig:
 
     def __post_init__(self) -> None:
         _check_dims(self.dims)
-        _check_rank(self.rank)
-        _check_seed("seed", self.seed)
-        if self.background_amplitude < 0:
-            raise ValueError("background_amplitude must be nonnegative")
+        _check_int("rank", self.rank)
+        _check_int("seed", self.seed, minimum=0)
+        amplitude = self.background_amplitude
+        if not (math.isfinite(amplitude) and amplitude >= 0):
+            raise ValueError(
+                f"background_amplitude must be finite and nonnegative, got {amplitude}")
         if self.rank > min(self.dims):
             warnings.warn(
                 f"scene rank {self.rank} exceeds the smallest dimension {min(self.dims)}"
@@ -91,7 +87,7 @@ class SceneConfig:
 def simulate_scene(cfg: SceneConfig) -> np.ndarray:
     """Draw the scene tensor for ``cfg``; entrywise nonnegative, deterministic per seed."""
     rng = np.random.default_rng(cfg.seed)
-    factors = [rng.uniform(0.0, 1.0, (int(d), cfg.rank)) for d in cfg.dims]
+    factors = [rng.uniform(0.0, 1.0, (d, cfg.rank)) for d in cfg.dims]
     sri = cpd_reconstruct(*factors)
     if cfg.background_amplitude > 0.0:
         i_dim, j_dim, _ = cfg.dims
@@ -127,23 +123,19 @@ class ExperimentConfig:
             raise ValueError(f"sweep_axis must be 'snr' or 'rank', got {self.sweep_axis!r}")
         if not self.sweep_values:
             raise ValueError("sweep_values must be non-empty")
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        _check_seed("master_seed", self.master_seed)
-        _check_rank(self.rank)
+        _check_int("replicates", self.replicates)
+        _check_int("workers", self.workers)
+        _check_int("master_seed", self.master_seed, minimum=0)
+        _check_int("rank", self.rank)
         snrs = (self.degradation.snr_hsi_db, self.degradation.snr_msi_db)
         if self.sweep_axis == "snr" and snrs != (math.inf, math.inf):
             raise ValueError(f"an SNR sweep sets the noise itself, so {snrs} must be inf")
-        if self.sweep_axis == "rank" and not all(
-            float(v).is_integer() and v >= 1 for v in self.sweep_values
-        ):
-            raise ValueError(f"rank sweep values must be positive integers: {self.sweep_values}")
-        if self.sweep_axis == "snr":
-            for v in self.sweep_values:
+        for v in self.sweep_values:
+            if self.sweep_axis == "rank":
+                _check_int("rank sweep value", v)
+            else:
                 _check_snr_db("SNR sweep value", v)
-        check_smooth_window(self.smooth_window)
+        _check_int("smooth_window", self.smooth_window, odd=True)
 
 
 @dataclass(frozen=True)
@@ -300,7 +292,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[Summary
             rank = cfg.rank
         else:
             snr_hsi, snr_msi = cfg.degradation.snr_hsi_db, cfg.degradation.snr_msi_db
-            rank = int(value)
+            rank = value
         jobs.extend(_Job(snr_hsi, snr_msi, rank, r) for r in range(cfg.replicates))
 
     run = partial(_run_replicate, data)

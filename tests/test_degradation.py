@@ -18,7 +18,8 @@ from cpfuse.degradation import (
     operator_shapes,
     scene_shape,
 )
-from cpfuse.tensors import cpd_reconstruct, frobenius_norm, mode_n_product
+from cpfuse.tensors import cpd_reconstruct, frobenius_norm
+from oracles import mode_n_product
 
 RNG = np.random.default_rng(42)
 
@@ -107,6 +108,27 @@ class TestBandAggregationMatrix:
 
 
 class TestDegrade:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e300], ids=["nan", "inf", "overflow"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_non_finite_image_raises_as_fusion_problem_does(self, bad, order):
+        # Checked on the images with FusionProblem's rule and message; the scene
+        # entry reaches the HSI first.  1e300 is finite, but the HSI's squared
+        # norm overflows.  No floating-point warning is raised on the way.
+        ops = build_operators((6, 6, 4), DegradationConfig(kernel_size=3, factor=2,
+                                                            num_msi_bands=2))
+        sri = np.asarray(RNG.uniform(size=(6, 6, 4)), order=order)
+        sri[2, 3, 1] = bad
+        with pytest.raises(ValueError, match="^the HSI has a non-finite squared norm .*: it "
+                                             "holds a NaN, an infinity or an entry too large"):
+            degrade(sri, ops)
+
+    def test_msi_is_checked_too(self):
+        # Only the MSI's entries are large enough for their squares to overflow.
+        sri = RNG.uniform(size=(4, 4, 3))
+        ops = DegradationOperators(np.eye(4), np.eye(4), np.full((1, 3), 1e200))
+        with pytest.raises(ValueError, match="^the MSI has a non-finite squared norm"):
+            degrade(sri, ops)
+
     def test_reference_scene_shapes(self):
         # An 80 x 84 x 204 scene maps to a 20 x 21 x 204 HSI and an 80 x 84 x 6 MSI.
         cfg = DegradationConfig(kernel_size=9, sigma=2.0, factor=4, num_msi_bands=6)

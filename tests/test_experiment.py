@@ -95,6 +95,13 @@ class TestSimulateScene:
         with pytest.raises(ValueError, match="^seed must be nonnegative, got -1$"):
             SceneConfig(dims=(4, 4, 4), rank=2, seed=-1)
 
+    @pytest.mark.parametrize("amplitude", [math.nan, math.inf, -1.0])
+    def test_background_must_be_finite_and_nonnegative(self, amplitude):
+        # ``x < 0`` is false for NaN, so a sign test alone let NaN through.
+        with pytest.raises(ValueError, match="^background_amplitude must be finite and "
+                                             f"nonnegative, got {amplitude}$"):
+            SceneConfig(dims=(4, 4, 4), rank=2, background_amplitude=amplitude)
+
 
 class TestRunExperiment:
     def test_single_replicate_row(self):
@@ -780,6 +787,34 @@ class TestCliPipeline:
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: {name} must be nonnegative, got -1\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("amplitude", ["nan", "inf", "-1.0"])
+    def test_simulate_rejects_a_bad_background(self, tmp_path, capsys, amplitude):
+        out = tmp_path / "sri.dt3"
+        assert main(["simulate", "--dims", "8", "8", "6", "--rank", "2",
+                     "--background", amplitude, "--out", str(out)]) == 1
+        assert "background_amplitude must be finite and nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_degrade_rejects_a_non_finite_scene(self, tmp_path, capsys, bad):
+        # The images are checked, not the scene: a NaN or infinity in the scene
+        # reaches both, and the HSI is checked first.  No RuntimeWarning is
+        # raised (pytest would turn it into an error) and nothing is written.
+        sri = self.simulate(tmp_path)
+        scene = read_tensor(sri)
+        scene[3, 4, 2] = bad
+        write_tensor(sri, scene)
+        capsys.readouterr()
+        outputs = ["hsi.dt3", "msi.dt3", "p1.dm2"]
+        rc = main(["degrade", "--sri", str(sri), "--out-hsi", str(tmp_path / outputs[0]),
+                   "--out-msi", str(tmp_path / outputs[1]), "--out-p1", str(tmp_path / outputs[2]),
+                   "--kernel-size", "3", "--factor", "2", "--snr-hsi", "20"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: the HSI has a non-finite squared norm (nan)")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert not any((tmp_path / name).exists() for name in outputs)
 
     @pytest.mark.parametrize("algorithm", ["nn-nls", "als"])
     def test_fuse_rejects_a_nan_hsi(self, tmp_path, capsys, algorithm):

