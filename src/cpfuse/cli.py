@@ -2,12 +2,12 @@
 
 Subcommands: ``simulate`` (draw a synthetic scene), ``degrade`` (produce the
 observed pair from a scene), ``fuse`` (reconstruct a scene from the pair),
-``evaluate`` (score an estimate against a truth tensor) and ``sweep`` (Monte
-Carlo sweeps over SNR or rank, written as CSV).
+``evaluate`` (score an estimate against a truth tensor) and ``sweep`` (a Monte
+Carlo sweep over a grid of SNRs by solver ranks, written as CSV).
 
 ``sweep`` rows carry zero wall times unless ``--record-timing`` is given, so
 repeated runs with the same master seed are byte-identical, with any
-``--workers`` count.  ``sweep`` also prints the median R-SNR of each sweep
+``--workers`` count.  ``sweep`` also prints the median R-SNR of each grid
 point.
 """
 
@@ -22,6 +22,7 @@ from pathlib import Path
 from .degradation import (
     DegradationConfig,
     DegradationOperators,
+    _check_snr_db,
     build_operators,
     degrade,
     operator_shapes,
@@ -67,11 +68,12 @@ def _add_degradation_flags(parser: argparse.ArgumentParser) -> None:
 # The SceneConfig field of each scene flag's dest, for simulate and for sweep.
 _SCENE_FIELDS = {"seed": "seed", "background": "background_amplitude"}
 _SWEEP_SCENE_FIELDS = {"scene_seed": "seed", "background": "background_amplitude"}
+# The default solver rank, which sweep's synthetic scene also takes.
+_DEFAULT_RANK = ExperimentConfig.ranks[0]
 
 
-def _degradation_config(args, **noise) -> DegradationConfig:
-    given = _given(args, ("kernel_size", "sigma", "factor", "num_msi_bands"))
-    return DegradationConfig(**given, **noise)
+def _degradation_config(args) -> DegradationConfig:
+    return DegradationConfig(**_given(args, ("kernel_size", "sigma", "factor", "num_msi_bands")))
 
 
 def _cmd_simulate(args) -> int:
@@ -84,10 +86,10 @@ def _cmd_simulate(args) -> int:
 def _cmd_degrade(args) -> int:
     seed = 0 if args.seed is None else args.seed
     _check_int("--seed", seed, minimum=0)
-    cfg = _degradation_config(
-        args, **_given(args, {"snr_hsi": "snr_hsi_db", "snr_msi": "snr_msi_db"})
-    )
-    if cfg.snr_hsi_db == math.inf and cfg.snr_msi_db == math.inf:
+    _check_snr_db("--snr-hsi", args.snr_hsi)
+    _check_snr_db("--snr-msi", args.snr_msi)
+    cfg = _degradation_config(args)
+    if args.snr_hsi == args.snr_msi == math.inf:
         # No noise is drawn, so the seed would have no effect.
         _reject_flags(args, ("seed",), "two noiseless images (no finite --snr-hsi or --snr-msi)")
     spectral = None
@@ -98,7 +100,7 @@ def _cmd_degrade(args) -> int:
     sri = read_tensor(args.sri)
     ops = build_operators(sri.shape, cfg, spectral)
     hsi, msi = degrade(sri, ops)
-    hsi, msi = _add_pair_noise(hsi, msi, cfg.snr_hsi_db, cfg.snr_msi_db, seed)
+    hsi, msi = _add_pair_noise(hsi, msi, args.snr_hsi, args.snr_msi, seed)
     write_tensor(args.out_hsi, hsi)
     write_tensor(args.out_msi, msi)
     for path, matrix in (
@@ -197,42 +199,33 @@ def _cmd_evaluate(args) -> int:
 def _cmd_sweep(args) -> int:
     if (args.dims is None) == (args.sri is None):
         raise ValueError("exactly one of --dims and --sri must be given")
-    if (args.snr_db is None) == (args.ranks is None):
-        raise ValueError("exactly one of --snr-db and --ranks must be given")
 
     scene = None
     if args.dims is not None:
         scene = SceneConfig(
             dims=tuple(args.dims),
-            rank=ExperimentConfig.rank if args.true_rank is None else args.true_rank,
+            rank=_DEFAULT_RANK if args.true_rank is None else args.true_rank,
             **_given(args, _SWEEP_SCENE_FIELDS),
         )
     else:
         _reject_flags(args, ("true_rank", *_SWEEP_SCENE_FIELDS), "--sri")
-    if args.snr_db is not None:
-        _reject_flags(args, ("noise_snr_db",), "--snr-db")
-        sweep_axis, sweep_values = "snr", tuple(float(v) for v in args.snr_db)
-    else:
-        _reject_flags(args, ("rank",), "--ranks")
-        sweep_axis, sweep_values = "rank", tuple(args.ranks)
-    # Only a rank sweep takes --noise-snr-db; an SNR sweep keeps the noiseless default.
-    snr = args.noise_snr_db
-    noise = {} if snr is None else {"snr_hsi_db": snr, "snr_msi_db": snr}
+    grid = {field: tuple(values)
+            for field, values in _given(args, {"snr_db": "snrs_db", "rank": "ranks"}).items()}
     cfg = ExperimentConfig(
-        degradation=_degradation_config(args, **noise),
+        degradation=_degradation_config(args),
         solver=SolverConfig(**_given(args, ("max_iters",))),
         scene=scene,
         sri_path=args.sri,
-        sweep_axis=sweep_axis,
-        sweep_values=sweep_values,
         master_seed=args.master_seed,
-        **_given(args, ("algorithm", "rank", "replicates", "smooth_window", "workers")),
+        **grid,
+        **_given(args, ("algorithm", "replicates", "smooth_window", "workers")),
     )
+    # Before any replicate runs, so an unusable --out-dir fails at once.
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     rows, summary = run_experiment(cfg)
     if not args.record_timing:
         rows = [replace(r, wall_time_seconds=0.0) for r in rows]
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     emit_results(rows, out_dir / "results.csv")
     emit_summary(summary, out_dir / "summary.csv")
     print(f"wrote {out_dir / 'results.csv'} and {out_dir / 'summary.csv'}")
@@ -267,8 +260,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--spectral-matrix", default=None, help="matrix file overriding band aggregation"
     )
-    p.add_argument("--snr-hsi", type=float, help=f"default {DegradationConfig.snr_hsi_db}")
-    p.add_argument("--snr-msi", type=float, help=f"default {DegradationConfig.snr_msi_db}")
+    p.add_argument("--snr-hsi", type=float, default=math.inf, help="default inf (no noise)")
+    p.add_argument("--snr-msi", type=float, default=math.inf, help="default inf (no noise)")
     p.add_argument("--seed", type=int, help="noise seed, default 0; needs a noisy image")
     p.add_argument("--out-p1", default=None, help="save the first spatial operator")
     p.add_argument("--out-p2", default=None, help="save the second spatial operator")
@@ -302,21 +295,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degrees", action="store_true", help="report the spectral angle in degrees")
     p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("sweep", help="Monte Carlo sweep over SNR or rank")
+    p = sub.add_parser("sweep", help="Monte Carlo sweep over a grid of SNRs by ranks")
     p.add_argument("--dims", type=int, nargs=3, default=None, metavar=("I", "J", "K"))
     p.add_argument("--sri", default=None, help="scene tensor file instead of --dims")
     p.add_argument("--true-rank", type=int,
-                   help=f"rank of the synthetic scene (default {ExperimentConfig.rank})")
+                   help=f"rank of the synthetic scene (default {_DEFAULT_RANK})")
     p.add_argument("--scene-seed", type=int, help=f"default {SceneConfig.seed}")
     p.add_argument("--background", type=float, help=f"default {SceneConfig.background_amplitude}")
-    p.add_argument("--rank", type=int,
-                   help=f"solver rank for SNR sweeps (default {ExperimentConfig.rank})")
+    p.add_argument("--rank", type=int, nargs="+",
+                   help=f"solver ranks (default {_DEFAULT_RANK})")
     p.add_argument("--algorithm", choices=ALGORITHMS,
                    help=f"default {ExperimentConfig.algorithm}")
-    p.add_argument("--snr-db", type=float, nargs="+", default=None)
-    p.add_argument("--ranks", type=int, nargs="+", default=None)
-    p.add_argument("--noise-snr-db", type=float,
-                   help=f"noise level for rank sweeps (default {DegradationConfig.snr_hsi_db})")
+    p.add_argument("--snr-db", type=float, nargs="+",
+                   help="SNRs in dB of both images (default inf, no noise)")
     p.add_argument("--replicates", type=int, help=f"default {ExperimentConfig.replicates}")
     p.add_argument("--master-seed", type=int, required=True)
     p.add_argument("--out-dir", required=True)

@@ -8,8 +8,9 @@ projecting its factor matrices.  ``DEGRADED_IN`` states which image degrades
 which scene mode.  ``DegradationOperators`` derives the coupling from it, forward
 (``project_mode``, ``project``) and back (``back_project``, the adjoint), and
 ``operator_shapes``/``scene_shape`` the sizes an observed pair implies.
-The config and the operators check themselves when built; the operators
-cannot be rebound.
+``DegradationConfig`` describes only the operators; the noise level is an
+argument of ``add_noise``.  The config and the operators check themselves
+when built; the operators cannot be rebound.
 """
 
 from __future__ import annotations
@@ -63,18 +64,13 @@ def _check_images(images) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class DegradationConfig:
-    """Parameters of the degradation model.
-
-    ``snr_hsi_db`` / ``snr_msi_db`` of ``math.inf`` disable noise on that path;
-    each must be finite or +inf.
-    """
+    """Parameters of the degradation operators: the blur, the downsampling
+    factor and the MSI's band count."""
 
     kernel_size: int = 9
     sigma: float = 2.0
     factor: int = 4
     num_msi_bands: int = 6
-    snr_hsi_db: float = math.inf
-    snr_msi_db: float = math.inf
 
     def __post_init__(self) -> None:
         _check_int("kernel_size", self.kernel_size, odd=True)
@@ -82,8 +78,6 @@ class DegradationConfig:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
         _check_int("factor", self.factor)
         _check_int("num_msi_bands", self.num_msi_bands)
-        for name in ("snr_hsi_db", "snr_msi_db"):
-            _check_snr_db(name, getattr(self, name))
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,8 +88,9 @@ class DegradationOperators:
     spatial_2 : (J_H, J) blur-downsample matrix for the second spatial mode
     spectral  : (K_M, K) band aggregation matrix for the spectral mode
 
-    ``matrices`` is resolved at construction; the fields cannot be rebound,
-    so it always holds the fields' arrays.
+    Each must be a matrix of finite entries.  ``matrices`` is resolved at
+    construction; the fields cannot be rebound, so it always holds the
+    fields' arrays.
     """
 
     spatial_1: np.ndarray
@@ -109,6 +104,8 @@ class DegradationOperators:
             m = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
             if m.ndim != 2:
                 raise ValueError(f"{name} must be a matrix")
+            if not np.isfinite(m).all():
+                raise ValueError(f"{name} holds a NaN or an infinity")
             object.__setattr__(self, name, m)
         object.__setattr__(self, "matrices", (self.spatial_1, self.spatial_2, self.spectral))
 

@@ -1,11 +1,12 @@
 """Scene simulation, Monte Carlo sweeps and CSV result emission.
 
-A sweep varies either the observation SNR or the solver rank over a fixed
-synthetic (or loaded) scene.  Replicates are independent jobs seeded from the
-master seed plus the replicate index, so identical configurations reproduce
-identical rows; they may run concurrently, with results collected back in
-deterministic order.  Every config checks itself when built, so no sweep
-re-checks it.
+A sweep is a grid over a fixed synthetic (or loaded) scene: it runs every
+observation SNR (the same for both images) at every solver rank, SNR-major.
+Replicates are independent jobs seeded from the master seed plus the
+replicate index, so identical configurations reproduce identical rows, and
+each grid point's rows are those of a one-point sweep at that point; they
+may run concurrently, with results collected back in deterministic order.
+Every config checks itself when built, so no sweep re-checks it.
 """
 
 from __future__ import annotations
@@ -99,17 +100,17 @@ def simulate_scene(cfg: SceneConfig) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One sweep: scene, degradation, solver controls and the sweep axis."""
+    """One sweep: scene, degradation operators, solver controls and the grid
+    of SNRs (dB, both images; ``math.inf`` is noiseless) by solver ranks."""
 
     degradation: DegradationConfig
     solver: SolverConfig
     scene: SceneConfig | None = None
     sri_path: str | None = None
     algorithm: str = "nn-nls"
-    rank: int = 3
+    snrs_db: tuple = (math.inf,)
+    ranks: tuple = (3,)
     replicates: int = 1
-    sweep_axis: str = "snr"
-    sweep_values: tuple = (math.inf,)
     smooth_window: int = 1
     workers: int = 1
     master_seed: int = 0
@@ -119,22 +120,15 @@ class ExperimentConfig:
             raise ValueError("exactly one of scene and sri_path must be set")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
-        if self.sweep_axis not in ("snr", "rank"):
-            raise ValueError(f"sweep_axis must be 'snr' or 'rank', got {self.sweep_axis!r}")
-        if not self.sweep_values:
-            raise ValueError("sweep_values must be non-empty")
+        if not (self.snrs_db and self.ranks):
+            raise ValueError("snrs_db and ranks must be non-empty")
+        for snr_db in self.snrs_db:
+            _check_snr_db("snr_db", snr_db)
+        for rank in self.ranks:
+            _check_int("rank", rank)
         _check_int("replicates", self.replicates)
         _check_int("workers", self.workers)
         _check_int("master_seed", self.master_seed, minimum=0)
-        _check_int("rank", self.rank)
-        snrs = (self.degradation.snr_hsi_db, self.degradation.snr_msi_db)
-        if self.sweep_axis == "snr" and snrs != (math.inf, math.inf):
-            raise ValueError(f"an SNR sweep sets the noise itself, so {snrs} must be inf")
-        for v in self.sweep_values:
-            if self.sweep_axis == "rank":
-                _check_int("rank sweep value", v)
-            else:
-                _check_snr_db("SNR sweep value", v)
         _check_int("smooth_window", self.smooth_window, odd=True)
 
 
@@ -212,10 +206,9 @@ class _SweepData:
 
 @dataclass(frozen=True)
 class _Job:
-    """One replicate at one sweep point."""
+    """One replicate at one grid point."""
 
-    snr_hsi: float
-    snr_msi: float
+    snr_db: float
     rank: int
     replicate: int
 
@@ -229,11 +222,10 @@ def _add_pair_noise(hsi, msi, snr_hsi: float, snr_msi: float, seed: int):
 def _run_replicate(data: _SweepData, job: _Job) -> ResultRow:
     cfg = data.cfg
     base_seed = cfg.master_seed + job.replicate
-    hsi, msi = _add_pair_noise(data.hsi_clean, data.msi_clean, job.snr_hsi, job.snr_msi, base_seed)
+    hsi, msi = _add_pair_noise(data.hsi_clean, data.msi_clean, job.snr_db, job.snr_db, base_seed)
     prob = FusionProblem(hsi, msi, data.ops, job.rank)
-    # Rows are labelled with the HSI SNR; on the SNR axis both SNRs are equal.
     point = dict(
-        algorithm=cfg.algorithm, snr_db=job.snr_hsi, rank=job.rank, replicate=job.replicate
+        algorithm=cfg.algorithm, snr_db=job.snr_db, rank=job.rank, replicate=job.replicate
     )
 
     start = time.perf_counter()
@@ -276,7 +268,8 @@ def _median(values) -> float:
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[SummaryRow]]:
-    """Run the sweep and return per-replicate rows plus per-point medians."""
+    """Run the sweep and return per-replicate rows plus per-point medians,
+    both SNR-major, then by rank, then (rows) by replicate."""
     if cfg.scene is not None:
         sri = simulate_scene(cfg.scene)
     else:
@@ -285,15 +278,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[Summary
     hsi_clean, msi_clean = degrade(sri, ops)
 
     data = _SweepData(cfg, sri, hsi_clean, msi_clean, ops)
-    jobs = []
-    for value in cfg.sweep_values:
-        if cfg.sweep_axis == "snr":
-            snr_hsi = snr_msi = float(value)
-            rank = cfg.rank
-        else:
-            snr_hsi, snr_msi = cfg.degradation.snr_hsi_db, cfg.degradation.snr_msi_db
-            rank = value
-        jobs.extend(_Job(snr_hsi, snr_msi, rank, r) for r in range(cfg.replicates))
+    jobs = [_Job(float(snr_db), rank, r)
+            for snr_db in cfg.snrs_db for rank in cfg.ranks for r in range(cfg.replicates)]
 
     run = partial(_run_replicate, data)
     if cfg.workers > 1:
@@ -304,8 +290,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[Summary
 
     summary = []
     per_point = cfg.replicates
-    for s_idx in range(len(cfg.sweep_values)):
-        chunk = rows[s_idx * per_point : (s_idx + 1) * per_point]
+    for start in range(0, len(rows), per_point):
+        chunk = rows[start : start + per_point]
         summary.append(
             SummaryRow(
                 algorithm=cfg.algorithm,
@@ -346,6 +332,6 @@ def emit_results(rows, path) -> None:
 
 
 def emit_summary(rows, path) -> None:
-    """Write per-sweep-point medians as CSV, one column per :class:`SummaryRow` field."""
+    """Write per-grid-point medians as CSV, one column per :class:`SummaryRow` field."""
     _emit(rows, SummaryRow, path)
 

@@ -243,10 +243,9 @@ def test_criterion_8_noise_trend_vs_baseline():
             solver=SolverConfig(),
             scene=scene,
             algorithm=algorithm,
-            rank=5,
+            snrs_db=(5.0,),
+            ranks=(5,),
             replicates=10,
-            sweep_axis="snr",
-            sweep_values=(5.0,),
             master_seed=100,
         )
         _, summary = run_experiment(cfg)
@@ -262,19 +261,15 @@ def test_criterion_8_noise_trend_vs_baseline():
 def test_criterion_9_rank_robustness():
     start = time.perf_counter()
     scene = SceneConfig(dims=(24, 24, 16), rank=5, seed=0)
-    deg = DegradationConfig(
-        kernel_size=3, sigma=2.0, factor=2, num_msi_bands=4,
-        snr_hsi_db=5.0, snr_msi_db=5.0,
-    )
+    deg = DegradationConfig(kernel_size=3, sigma=2.0, factor=2, num_msi_bands=4)
     cfg = ExperimentConfig(
         degradation=deg,
         solver=SolverConfig(),
         scene=scene,
         algorithm="nn-nls",
-        rank=5,
+        snrs_db=(5.0,),
+        ranks=(5, 10, 20),
         replicates=10,
-        sweep_axis="rank",
-        sweep_values=(5, 10, 20),
         master_seed=100,
     )
     _, summary = run_experiment(cfg)

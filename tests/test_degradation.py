@@ -372,6 +372,20 @@ class TestBuildOperators:
             ops.spectral = np.eye(6)
         assert ops.matrices[2] is ops.spectral
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["spatial_1", "spatial_2", "spectral"])
+    def test_non_finite_matrix_rejected(self, field, bad):
+        ops = build_operators((8, 8, 6), DegradationConfig(kernel_size=3, factor=2))
+        matrices = dict(zip(("spatial_1", "spatial_2", "spectral"), ops.matrices))
+        matrices[field] = matrices[field].copy()
+        matrices[field][0, 1] = bad
+        message = f"^{field} holds a NaN or an infinity$"
+        with pytest.raises(ValueError, match=message):
+            DegradationOperators(**matrices)
+        # So degrade never meets it, and never blames the HSI for it.
+        with pytest.raises(ValueError, match=message):
+            degrade(np.ones((8, 8, 6)), dataclasses.replace(ops, **{field: matrices[field]}))
+
     def test_project_mode_matches_project(self):
         ops = build_operators((8, 8, 6), DegradationConfig(kernel_size=3, factor=2))
         rng = np.random.default_rng(0)
@@ -446,10 +460,10 @@ class TestDegradationConfig:
         DegradationConfig()
 
     def test_field_list(self):
-        # Every field acts on the operators or the noise; the noise seed is an
-        # argument of add_noise, not a setting.
+        # Every field acts on the operators; the noise level and seed are
+        # arguments of add_noise, not settings.
         assert [f.name for f in dataclasses.fields(DegradationConfig)] == [
-            "kernel_size", "sigma", "factor", "num_msi_bands", "snr_hsi_db", "snr_msi_db",
+            "kernel_size", "sigma", "factor", "num_msi_bands",
         ]
 
     @pytest.mark.parametrize(
@@ -461,10 +475,9 @@ class TestDegradationConfig:
             {"sigma": -1.0},
             {"factor": 0},
             {"num_msi_bands": 0},
-            {"snr_hsi_db": math.nan},
-            {"snr_hsi_db": -math.inf},
-            {"snr_msi_db": math.nan},
-            {"snr_msi_db": -math.inf},
+            # NaN fails ``sigma > 0``; a test of ``sigma <= 0`` would let it through
+            {"sigma": math.nan},
+            {"sigma": -math.inf},
         ],
     )
     def test_invalid_fields_rejected(self, kwargs):

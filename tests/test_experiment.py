@@ -33,10 +33,9 @@ def small_config(**overrides):
         solver=SolverConfig(max_iters=100),
         scene=SceneConfig(dims=(10, 10, 6), rank=2, seed=0),
         algorithm="nn-nls",
-        rank=2,
+        snrs_db=(math.inf,),
+        ranks=(2,),
         replicates=1,
-        sweep_axis="snr",
-        sweep_values=(math.inf,),
         master_seed=0,
     )
     defaults.update(overrides)
@@ -120,7 +119,7 @@ class TestRunExperiment:
     def test_median_is_middle_order_statistic(self):
         rows, summary = run_experiment(
             small_config(replicates=3, degradation=DegradationConfig(
-                kernel_size=3, sigma=2.0, factor=2, num_msi_bands=3), sweep_values=(15.0,))
+                kernel_size=3, sigma=2.0, factor=2, num_msi_bands=3), snrs_db=(15.0,))
         )
         assert len(rows) == 3
         values = sorted(r.rmse for r in rows)
@@ -128,12 +127,12 @@ class TestRunExperiment:
         assert summary[0].replicates == 3
 
     def test_replicates_differ_through_noise_and_init(self):
-        rows, _ = run_experiment(small_config(replicates=2, sweep_values=(10.0,)))
+        rows, _ = run_experiment(small_config(replicates=2, snrs_db=(10.0,)))
         assert rows[0].rmse != rows[1].rmse
 
     def test_snr_sweep_median_rsnr_is_nondecreasing(self):
         _, summary = run_experiment(
-            small_config(replicates=3, sweep_values=(0.0, 5.0, 10.0))
+            small_config(replicates=3, snrs_db=(0.0, 5.0, 10.0))
         )
         medians = [s.median_rsnr_db for s in summary]
         for lower, higher in zip(medians, medians[1:]):
@@ -141,7 +140,7 @@ class TestRunExperiment:
 
     def test_rank_sweep_axis(self):
         rows, summary = run_experiment(
-            small_config(sweep_axis="rank", sweep_values=(1, 2), replicates=1)
+            small_config(ranks=(1, 2), replicates=1)
         )
         assert [r.rank for r in rows] == [1, 2]
         assert all(r.snr_db == math.inf for r in rows)
@@ -157,7 +156,7 @@ class TestRunExperiment:
 
     def test_deterministic_rows(self):
         # wall time is the one nondeterministic column
-        cfg = small_config(replicates=2, sweep_values=(20.0,))
+        cfg = small_config(replicates=2, snrs_db=(20.0,))
         rows_a, _ = run_experiment(cfg)
         rows_b, _ = run_experiment(cfg)
         strip = lambda r: replace(r, wall_time_seconds=0.0)  # noqa: E731
@@ -198,7 +197,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(cpfuse.experiment, "_add_pair_noise", record_noise)
         monkeypatch.setattr(cpfuse.experiment, "fuse", record_problem)
-        run_experiment(small_config(sweep_values=(10.0,), solver=SolverConfig(max_iters=2)))
+        run_experiment(small_config(snrs_db=(10.0,), solver=SolverConfig(max_iters=2)))
         [(hsi, msi)], [prob] = noisy, problems
         assert np.shares_memory(prob.hsi, hsi)
         assert np.shares_memory(prob.msi, msi)
@@ -214,21 +213,20 @@ class TestRunExperiment:
         [
             {"scene": None},
             {"algorithm": "newton"},
-            {"sweep_axis": "sigma"},
-            {"sweep_values": ()},
+            {"ranks": ()},
+            {"snrs_db": ()},
             {"replicates": 0},
             {"workers": 0},
-            {"rank": 0},
-            {"sweep_axis": "rank", "sweep_values": (0,)},
+            {"ranks": (0,)},
+            # every grid value is checked, not only the first
+            {"ranks": (2, 0)},
             {"smooth_window": 0},
-            # an SNR sweep replaces the degradation SNRs with its own values
-            {"degradation": DegradationConfig(kernel_size=3, factor=2, num_msi_bands=3,
-                                              snr_hsi_db=5.0)},
+            {"snrs_db": (5.0, math.nan)},
             # a fractional or infinite rank, and an SNR that is NaN or -inf
-            {"sweep_axis": "rank", "sweep_values": (2.5,)},
-            {"sweep_axis": "rank", "sweep_values": (math.inf,)},
-            {"sweep_values": (math.nan,)},
-            {"sweep_values": (-math.inf,)},
+            {"ranks": (2.5,)},
+            {"ranks": (math.inf,)},
+            {"snrs_db": (math.nan,)},
+            {"snrs_db": (-math.inf,)},
             {"master_seed": -1},
         ],
     )
@@ -647,7 +645,7 @@ class TestCliPipeline:
         out = tmp_path / "ranks"
         rc = main([
             "sweep", "--dims", "10", "10", "6", "--true-rank", "2",
-            "--ranks", "1", "2", "--replicates", "1", "--master-seed", "0",
+            "--rank", "1", "2", "--replicates", "1", "--master-seed", "0",
             "--kernel-size", "3", "--factor", "2", "--msi-bands", "3",
             "--max-iters", "60", "--out-dir", str(out),
         ])
@@ -689,13 +687,7 @@ class TestCliPipeline:
                 report.rmse, report.cc, report.rsnr_db, report.sam_radians
             )
 
-    def test_sweep_rejects_both_axes(self, tmp_path, capsys):
-        rc = main(self.sweep_args(tmp_path / "x", extra=("--ranks", "1", "2")))
-        assert rc == 1
-        assert "error:" in capsys.readouterr().err
-        assert not (tmp_path / "x").exists()
-
-    @pytest.mark.parametrize("axis", [("--snr-db", "inf"), ("--ranks", "2")])
+    @pytest.mark.parametrize("axis", [(), ("--rank", "2")])
     def test_sweep_unset_flags_take_the_config_defaults(self, tmp_path, monkeypatch, axis):
         built = []
 
@@ -706,14 +698,43 @@ class TestCliPipeline:
         monkeypatch.setattr(cpfuse.cli, "run_experiment", capture)
         assert main(["sweep", "--dims", "10", "10", "6", *axis, "--master-seed", "0",
                      "--out-dir", str(tmp_path / "x")]) == 0
-        sweep = {"sweep_axis": "rank", "sweep_values": (2,)} if axis[0] == "--ranks" else {}
+        grid = {"ranks": (2,)} if axis else {}
         assert built == [ExperimentConfig(
             degradation=DegradationConfig(),
             solver=SolverConfig(),
-            scene=SceneConfig(dims=(10, 10, 6), rank=ExperimentConfig.rank),
+            scene=SceneConfig(dims=(10, 10, 6), rank=3),
             master_seed=0,
-            **sweep,
+            **grid,
         )]
+
+    def test_sweep_grid_rows_are_its_one_point_sweeps_snr_major(self, tmp_path):
+        def sweep(out, snrs, ranks, extra=()):
+            # argparse keeps the last --snr-db and --rank, so these replace sweep_args'.
+            grid = ("--snr-db", *snrs, "--rank", *ranks, "--max-iters", "20", *extra)
+            assert main(self.sweep_args(out, extra=grid)) == 0
+            return [(out / name).read_text().splitlines()
+                    for name in ("results.csv", "summary.csv")]
+
+        results, summary = sweep(tmp_path / "grid", ("10", "20"), ("1", "2"))
+        assert [(r.snr_db, r.rank) for r in read_results(tmp_path / "grid" / "results.csv")] == [
+            (snr, rank) for snr in (10.0, 20.0) for rank in (1, 2) for _ in range(2)
+        ]
+        # Line for line, each point's rows are those of the sweep of that point alone.
+        points = [sweep(tmp_path / f"{snr}-{rank}", (snr,), (rank,))
+                  for snr in ("10", "20") for rank in ("1", "2")]
+        assert results == results[:1] + [line for r, _ in points for line in r[1:]]
+        assert summary == summary[:1] + [line for _, s in points for line in s[1:]]
+        pooled = sweep(tmp_path / "pooled", ("10", "20"), ("1", "2"), ("--workers", "2"))
+        assert pooled == [results, summary]
+
+    def test_sweep_checks_out_dir_before_any_replicate(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cpfuse.cli, "run_experiment", calls.append)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(self.sweep_args(taken)) == 1
+        assert "File exists" in capsys.readouterr().err
+        assert calls == []
 
     def test_sweep_rejects_spectral_matrix_flag(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -722,23 +743,14 @@ class TestCliPipeline:
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize(
-        "source, axis, extra",
-        [
-            ("dims", ("--snr-db", "inf"), ("--noise-snr-db", "5")),
-            ("dims", ("--ranks", "1", "2"), ("--rank", "2")),
-            ("sri", ("--snr-db", "inf"), ("--true-rank", "2")),
-            ("sri", ("--snr-db", "inf"), ("--scene-seed", "1")),
-            ("sri", ("--snr-db", "inf"), ("--background", "0.5")),
-        ],
+        "extra", [("--true-rank", "2"), ("--scene-seed", "1"), ("--background", "0.5")]
     )
-    def test_sweep_rejects_flags_it_would_ignore(self, tmp_path, capsys, source, axis, extra):
-        if source == "sri":
-            write_tensor(tmp_path / "sri.dt3", np.random.default_rng(0).uniform(size=(10, 10, 6)))
-            scene = ("--sri", str(tmp_path / "sri.dt3"))
-        else:
-            scene = ("--dims", "10", "10", "6")
+    def test_sweep_rejects_flags_it_would_ignore(self, tmp_path, capsys, extra):
+        # They describe the synthetic scene, so --sri rejects them.
+        write_tensor(tmp_path / "sri.dt3", np.random.default_rng(0).uniform(size=(10, 10, 6)))
         rc = main([
-            "sweep", *scene, *axis, *extra, "--replicates", "1", "--master-seed", "0",
+            "sweep", "--sri", str(tmp_path / "sri.dt3"), *extra,
+            "--replicates", "1", "--master-seed", "0",
             "--kernel-size", "3", "--factor", "2", "--msi-bands", "3",
             "--max-iters", "5", "--out-dir", str(tmp_path / "x"),
         ])
@@ -748,21 +760,24 @@ class TestCliPipeline:
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ["degrade", "--sri", "absent.dt3", "--out-hsi", "h.dt3", "--out-msi", "m.dt3",
-             "--snr-hsi", "nan"],
-            ["sweep", "--dims", "10", "10", "6", "--ranks", "2", "--noise-snr-db", "nan",
-             "--master-seed", "0", "--out-dir", "x"],
+            (["degrade", "--sri", "absent.dt3", "--out-hsi", "h.dt3", "--out-msi", "m.dt3",
+              "--snr-hsi", "nan"], "--snr-hsi must be finite or +inf, got nan"),
+            (["degrade", "--sri", "absent.dt3", "--out-hsi", "h.dt3", "--out-msi", "m.dt3",
+              "--snr-msi=-inf"], "--snr-msi must be finite or +inf, got -inf"),
+            (["sweep", "--dims", "10", "10", "6", "--snr-db", "5", "nan",
+              "--master-seed", "0", "--out-dir", "x"], "snr_db must be finite or +inf, got nan"),
         ],
-        ids=["degrade", "sweep"],
+        ids=["degrade", "degrade-msi", "sweep"],
     )
-    def test_invalid_snr_rejected_before_any_scene(self, tmp_path, capsys, monkeypatch, argv):
-        # The config rejects the SNR before the scene is read or simulated.
+    def test_invalid_snr_rejected_before_any_scene(self, tmp_path, capsys, monkeypatch,
+                                                   argv, message):
+        # The SNR is rejected before the scene is read or simulated.
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(cpfuse.experiment, "simulate_scene", None)
         assert main(argv) == 1
-        assert capsys.readouterr().err == "error: snr_hsi_db must be finite or +inf, got nan\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
@@ -828,6 +843,23 @@ class TestCliPipeline:
                    "--kernel-size", "3"])
         assert rc == 1
         assert "error: the HSI has a non-finite squared norm" in capsys.readouterr().err
+        assert not (tmp_path / "x.dt3").exists()
+
+    @pytest.mark.parametrize("algorithm", ["nn-nls", "als"])
+    def test_fuse_rejects_a_non_finite_operator_file(self, tmp_path, capsys, algorithm):
+        # Named when the operators are built, not blamed on the solver's iterate.
+        sri = self.simulate(tmp_path)
+        hsi, msi = self.degrade(tmp_path, sri)
+        p1 = read_matrix(tmp_path / "p1.dm2")
+        p1[0, 0] = math.nan
+        write_matrix(tmp_path / "p1.dm2", p1)
+        capsys.readouterr()
+        rc = main(["fuse", "--hsi", str(hsi), "--msi", str(msi), "--rank", "2",
+                   "--out", str(tmp_path / "x.dt3"), "--algorithm", algorithm,
+                   "--p1", str(tmp_path / "p1.dm2"), "--p2", str(tmp_path / "p2.dm2"),
+                   "--pm", str(tmp_path / "pm.dm2")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: spatial_1 holds a NaN or an infinity\n"
         assert not (tmp_path / "x.dt3").exists()
 
     def test_fuse_als_rejects_grad_tol(self, tmp_path, capsys):

@@ -58,10 +58,8 @@ CASES = {
     "ExperimentConfig.workers": ("workers", lambda v: experiment(workers=v), 2, 1, False),
     "ExperimentConfig.master_seed": (
         "master_seed", lambda v: experiment(master_seed=v), 0, 0, False),
-    "ExperimentConfig.rank": ("rank", lambda v: experiment(rank=v), 2, 1, False),
-    "ExperimentConfig.sweep_values": (
-        "rank sweep value", lambda v: experiment(sweep_axis="rank", sweep_values=(2, v)),
-        5, 1, False),
+    "ExperimentConfig.rank": ("rank", lambda v: experiment(ranks=(v,)), 2, 1, False),
+    "ExperimentConfig.ranks": ("rank", lambda v: experiment(ranks=(2, v)), 5, 1, False),
     "ExperimentConfig.smooth_window": (
         "smooth_window", lambda v: experiment(smooth_window=v), 3, 1, True),
     "spatial_smooth.window": (
@@ -103,8 +101,8 @@ def test_accepts_python_and_numpy_integers(case):
 
 
 def test_rank_sweep_rejects_infinity():
-    with pytest.raises(ValueError, match="^rank sweep value must be an integer, got inf$"):
-        experiment(sweep_axis="rank", sweep_values=(math.inf,))
+    with pytest.raises(ValueError, match="^rank must be an integer, got inf$"):
+        experiment(ranks=(math.inf,))
 
 
 def test_dims_rejects_a_truncatable_size():

@@ -43,9 +43,9 @@ def test_experiments_commands_build_their_sweeps(tmp_path, monkeypatch):
     assert [argv[:2] for argv in commands] == [["cpfuse", "sweep"]] * 2
     for argv in commands:
         assert cli.main(argv[1:]) == 0
-    got = [(c.sweep_axis, c.sweep_values, c.algorithm, c.replicates, c.solver.max_iters)
+    got = [(c.snrs_db, c.ranks, c.algorithm, c.replicates, c.solver.max_iters)
            for c in recorded]
     assert got == [
-        ("snr", (0.0, 5.0, 10.0, 15.0, 20.0, 25.0), "nn-nls", 10, 200),
-        ("rank", (5, 10, 20), "nn-nls", 10, 200),
+        ((0.0, 5.0, 10.0, 15.0, 20.0, 25.0), (5,), "nn-nls", 10, 200),
+        ((5.0,), (5, 10, 20), "nn-nls", 10, 200),
     ]
