@@ -165,11 +165,11 @@ def _cmd_fuse(args) -> int:
     _check_int("--smooth-window", args.smooth_window, odd=True)
     if args.algorithm == "als":
         _reject_flags(args, ("grad_tol",), "--algorithm als")
+    solver_cfg = SolverConfig(**_given(args, ("max_iters", "rel_f_tol", "grad_tol")))
     hsi = read_tensor(args.hsi)
     msi = read_tensor(args.msi)
     ops = _fuse_operators(args, hsi, msi)
     prob = FusionProblem(hsi, msi, ops, args.rank)
-    solver_cfg = SolverConfig(**_given(args, ("max_iters", "rel_f_tol", "grad_tol")))
     result = fuse(prob, args.algorithm, args.seed, solver_cfg)
     est = reconstruct_sri(result.model)
     if args.smooth_window != 1:
@@ -183,6 +183,7 @@ def _cmd_fuse(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    _check_int("--smooth-window", args.smooth_window, odd=True)
     est = read_tensor(args.estimate)
     truth = read_tensor(args.truth)
     if args.smooth_window != 1:

@@ -151,7 +151,7 @@ def _rsnr_db(s: _BandSums) -> float:
 def _sam(s: _BandSums) -> tuple[float, int]:
     ee, tt, et = s.fiber_sums
     norm_e, norm_t = np.sqrt(ee), np.sqrt(tt)
-    keep = (norm_e > 0.0) & (norm_t > 0.0)
+    keep = (norm_e != 0.0) & (norm_t != 0.0)
     if not keep.any():
         raise ValueError("every spectral fiber is zero; spectral angle undefined")
     cosines = np.clip(et[keep] / (norm_e[keep] * norm_t[keep]), -1.0, 1.0)
@@ -162,7 +162,8 @@ def sam(est: np.ndarray, truth: np.ndarray) -> float:
     """Mean spectral angle between estimate and truth fibers, in radians.
 
     The angle is computed per spatial position between the two spectral
-    fibers; positions where either fiber is all-zero are skipped.
+    fibers; positions where either fiber is all-zero are skipped.  A fiber
+    holding a NaN is kept, so the mean is NaN.
     """
     return _sam(_band_sums(est, truth))[0]
 

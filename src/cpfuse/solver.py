@@ -307,8 +307,9 @@ class SolverConfig:
     def __post_init__(self) -> None:
         _check_int("max_iters", self.max_iters)
         for name in ("rel_f_tol", "grad_tol"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass
@@ -333,7 +334,6 @@ class IterationRecord:
     it follows a rejected step and reuses the previous Newton point.
     """
 
-    iteration: int
     f_value: float
     grad_inf_norm: float
     delta: float
@@ -685,38 +685,32 @@ def trust_region_update(
     g_dot_p: float,
     p_h_p: float,
     objective_fn,
-    cfg: SolverConfig,
 ) -> bool:
     """Evaluate a trial step, accept or reject it, rescale the trust radius.
 
     ``objective_fn`` maps a ``LatentTriple`` to the objective value.  The
-    state is updated in place and the acceptance decision is returned: a
-    nonpositive model reduction, a non-finite trial objective or a gain ratio
-    below ``ACCEPT_RATIO`` rejects the step and shrinks the radius;
-    convergence is flagged when an accepted step decreases the objective by
-    less than ``cfg.rel_f_tol`` in relative terms.
+    point, objective, ratio and radius of ``state`` are updated in place and
+    the acceptance decision is returned: a nonpositive model reduction (ratio
+    ``-inf``, no trial evaluated), a non-finite trial objective or a gain
+    ratio below ``ACCEPT_RATIO`` rejects the step.  Whether to stop is left
+    to ``solve``.
     """
     model_decrease = -(g_dot_p + 0.5 * p_h_p)
+    accepted = False
     if model_decrease <= 0.0:
         state.rho = -math.inf
+    else:
+        latent = state.latent
+        trial = LatentTriple.from_vector(latent.vec + p, latent.dims, latent.rank)
+        f_trial = float(objective_fn(trial))
+        state.rho = (state.f_value - f_trial) / model_decrease
+        accepted = state.rho >= ACCEPT_RATIO and math.isfinite(f_trial)
+        if accepted:
+            state.latent = trial
+            state.f_value = f_trial
+    if not accepted or state.rho < SHRINK_THRESHOLD:
         state.delta *= SHRINK_FACTOR
-        return False
-    latent = state.latent
-    trial = LatentTriple.from_vector(latent.vec + p, latent.dims, latent.rank)
-    f_trial = float(objective_fn(trial))
-    rho = (state.f_value - f_trial) / model_decrease
-    state.rho = rho
-    accepted = rho >= ACCEPT_RATIO and math.isfinite(f_trial)
-    if accepted:
-        previous = state.f_value
-        state.latent = trial
-        state.f_value = f_trial
-        if _decrease_below(previous, f_trial, cfg.rel_f_tol):
-            state.converged = True
-            state.reason = "objective decrease below rel_f_tol"
-    if not accepted or rho < SHRINK_THRESHOLD:
-        state.delta *= SHRINK_FACTOR
-    elif rho > GROW_THRESHOLD and _norm(p) >= 0.99 * state.delta:
+    elif state.rho > GROW_THRESHOLD and _norm(p) >= 0.99 * state.delta:
         state.delta = min(GROW_FACTOR * state.delta, state.delta_max)
     return accepted
 
@@ -738,11 +732,12 @@ def solve(
 
     Returns the squared-latent CP model at the final iterate, the terminal
     state (with convergence flag and reason) and the per-iteration trace.
-    The iteration stops converged when the gradient's largest entry is below
-    ``cfg.grad_tol`` or an accepted step decreases the objective by less than
-    ``cfg.rel_f_tol``; it stops unconverged when the trust radius falls to
-    machine precision relative to the latent norm, or after ``cfg.max_iters``
-    iterations.  Identical problems, inits and configs yield identical traces.
+    Every stop is decided here.  Before each step: converged when the largest
+    gradient entry is below ``cfg.grad_tol``, unconverged when the trust radius
+    is at machine precision relative to the latent norm.  After an accepted
+    step is recorded: converged when its relative decrease is below
+    ``cfg.rel_f_tol``.  Else unconverged after ``cfg.max_iters`` iterations.
+    Identical problems, inits and configs yield identical traces.
     """
     cfg = cfg or SolverConfig()
     prob.check_init(init)
@@ -786,15 +781,13 @@ def solve(
 
         g_dot_p = float(g.dot(p))
         p_h_p = 2.0 * float(p.dot(gram.apply(p)))
-        accepted = trust_region_update(
-            state, p, g_dot_p, p_h_p, lambda t: objective(t, prob), cfg
-        )
+        previous = state.f_value
+        accepted = trust_region_update(state, p, g_dot_p, p_h_p, lambda t: objective(t, prob))
         if accepted:
             state.gradient = gradient(state.latent, prob)
             _check_finite(state.f_value, state.gradient, it)
         trace.append(
             IterationRecord(
-                iteration=it,
                 f_value=state.f_value,
                 grad_inf_norm=grad_inf,
                 delta=state.delta,
@@ -804,9 +797,11 @@ def solve(
                 accepted=accepted,
             )
         )
-        if state.converged:
+        if accepted and _decrease_below(previous, state.f_value, cfg.rel_f_tol):
+            state.converged = True
+            state.reason = "objective decrease below rel_f_tol"
             break
-    if not state.converged and state.reason is None:
+    else:
         state.reason = "max_iters reached"
     return square_params(state.latent), state, trace
 

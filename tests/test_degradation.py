@@ -364,6 +364,13 @@ class TestBuildOperators:
         with pytest.raises(ValueError):
             build_operators((8, 8, 6), DegradationConfig(kernel_size=3, factor=2), bad)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_spectral_matrix_named_before_its_sums(self, bad):
+        pm = band_aggregation_matrix(6, 3)
+        pm[0, 0] = bad
+        with pytest.raises(ValueError, match="^spectral holds a NaN or an infinity$"):
+            build_operators((8, 8, 6), DegradationConfig(kernel_size=3, factor=2), pm)
+
     def test_operators_cannot_be_rebound(self):
         # matrices is resolved at construction, so rebinding a field would
         # leave it holding the old matrix.
@@ -478,6 +485,7 @@ class TestDegradationConfig:
             # NaN fails ``sigma > 0``; a test of ``sigma <= 0`` would let it through
             {"sigma": math.nan},
             {"sigma": -math.inf},
+            {"sigma": math.inf},
         ],
     )
     def test_invalid_fields_rejected(self, kwargs):

@@ -433,6 +433,29 @@ class TestCliPipeline:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "x.dt3").exists()
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("command", ["degrade", "fuse"])
+    def test_non_finite_spectral_matrix_is_named(self, tmp_path, capsys, command, bad):
+        # Named as non-finite, not blamed on the rows' sums.
+        sri = self.simulate(tmp_path)
+        hsi, msi = self.degrade(tmp_path, sri)
+        pm = read_matrix(tmp_path / "pm.dm2")
+        pm[0, 0] = bad
+        write_matrix(tmp_path / "bad.dm2", pm)
+        outputs = [tmp_path / "out-hsi.dt3", tmp_path / "out-msi.dt3"]
+        if command == "degrade":
+            args = ["degrade", "--sri", str(sri), "--out-hsi", str(outputs[0]),
+                    "--out-msi", str(outputs[1])]
+        else:
+            args = ["fuse", "--hsi", str(hsi), "--msi", str(msi), "--rank", "2",
+                    "--out", str(outputs[0])]
+        capsys.readouterr()
+        rc = main([*args, "--kernel-size", "3", "--factor", "2",
+                   "--spectral-matrix", str(tmp_path / "bad.dm2")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: spectral holds a NaN or an infinity\n"
+        assert not any(path.exists() for path in outputs)
+
     def test_degrade_rejects_msi_bands_with_spectral_matrix(self, tmp_path, capsys):
         # The matrix's rows set the MSI's band count, so --msi-bands would have no effect.
         sri = self.simulate(tmp_path)
@@ -560,6 +583,16 @@ class TestCliPipeline:
         assert "rel_f_tol must be positive" in capsys.readouterr().err
         assert not (tmp_path / "x.dt3").exists()
 
+    @pytest.mark.parametrize("flag", ["--grad-tol", "--rel-f-tol"])
+    def test_fuse_rejects_an_infinite_tolerance_before_any_read(self, tmp_path, capsys, flag):
+        rc = main(["fuse", "--hsi", str(tmp_path / "absent.dt3"),
+                   "--msi", str(tmp_path / "absent.dt3"), "--rank", "2",
+                   "--out", str(tmp_path / "x.dt3"), flag, "inf"])
+        assert rc == 1
+        name = flag[2:].replace("-", "_")
+        assert f"{name} must be positive and finite, got inf" in capsys.readouterr().err
+        assert not (tmp_path / "x.dt3").exists()
+
     def test_fuse_als_backend_runs(self, tmp_path, capsys):
         sri = self.simulate(tmp_path)
         hsi, msi = self.degrade(tmp_path, sri)
@@ -599,6 +632,12 @@ class TestCliPipeline:
                    "--smooth-window", window])
         assert rc == 1
         assert "window" in capsys.readouterr().err
+
+    def test_evaluate_checks_smooth_window_before_any_read(self, tmp_path, capsys):
+        rc = main(["evaluate", "--estimate", str(tmp_path / "absent.dt3"),
+                   "--truth", str(tmp_path / "absent.dt3"), "--smooth-window", "2"])
+        assert rc == 1
+        assert "--smooth-window" in capsys.readouterr().err
 
     def test_evaluate_degrees_flag(self, tmp_path, capsys):
         rng = np.random.default_rng(0)

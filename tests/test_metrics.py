@@ -66,6 +66,16 @@ def report_by_einsum(est, truth):
     )
 
 
+def nan_pair(nan_in):
+    """A 4x5x6 uniform truth and a nearby estimate, with one NaN in the
+    tensor ``nan_in`` names."""
+    rng = np.random.default_rng(0)
+    truth = rng.uniform(size=(4, 5, 6))
+    est = truth + 0.01 * rng.standard_normal(truth.shape)
+    (est if nan_in == "est" else truth)[1, 2, 3] = math.nan
+    return est, truth
+
+
 class TestRmse:
     def test_identical_tensors_give_zero(self):
         t = RNG.uniform(size=(4, 3, 5))
@@ -187,6 +197,12 @@ class TestSam:
         with pytest.raises(ValueError):
             sam(np.zeros((2, 2, 3)), np.zeros((2, 2, 3)))
 
+    @pytest.mark.parametrize("nan_in", ["est", "truth"])
+    def test_nan_fiber_gives_nan(self, nan_in):
+        # A NaN fiber's norm is NaN, not 0: it is kept, not skipped as zero.
+        est, truth = nan_pair(nan_in)
+        assert math.isnan(sam(est, truth))
+
     def test_matches_positionwise_oracle(self):
         est = RNG.uniform(size=(3, 4, 5)) + 0.1
         truth = RNG.uniform(size=(3, 4, 5)) + 0.1
@@ -265,6 +281,14 @@ class TestMetricsReport:
         report = metrics_report(est, truth)
         assert report.cc_bands_skipped >= 1
         assert report.sam_fibers_skipped == 1
+
+    @pytest.mark.parametrize("nan_in", ["est", "truth"])
+    def test_nan_entry_gives_nan_metrics(self, nan_in):
+        report = metrics_report(*nan_pair(nan_in))
+        for value in (report.rmse, report.cc, report.rsnr_db, report.sam_radians):
+            assert math.isnan(value)
+        assert report.cc_bands_skipped == 0
+        assert report.sam_fibers_skipped == 0
 
     @pytest.mark.parametrize("seed", range(4))
     def test_memory_order_does_not_change_the_metrics(self, seed):

@@ -18,6 +18,7 @@ from cpfuse.degradation import (
 from cpfuse.solver import (
     FusionProblem,
     GramianOperator,
+    IterationRecord,
     LatentTriple,
     PcgResult,
     SolverConfig,
@@ -898,7 +899,7 @@ class TestTrustRegionUpdate:
         g_dot_p = float(state.gradient @ p)
         p_h_p = float(2.0 * p @ p)
         assert trust_region_update(
-            state, p, g_dot_p, p_h_p, quadratic_objective, SolverConfig()
+            state, p, g_dot_p, p_h_p, quadratic_objective
         )
         np.testing.assert_allclose(state.rho, 1.0, rtol=1e-12)
         assert state.f_value < 1e-20
@@ -912,7 +913,7 @@ class TestTrustRegionUpdate:
         g_dot_p = float(state.gradient @ p)
         p_h_p = float(2.0 * p @ p)
         assert not trust_region_update(
-            state, p, g_dot_p, p_h_p, quadratic_objective, SolverConfig()
+            state, p, g_dot_p, p_h_p, quadratic_objective
         )
         assert state.rho == -math.inf
         assert state.delta == 0.25
@@ -927,7 +928,7 @@ class TestTrustRegionUpdate:
         p_h_p = float(2.0 * p @ p)
         # the trial "objective" goes up even though the model predicts descent
         assert not trust_region_update(
-            state, p, g_dot_p, p_h_p, lambda t: f0 + 5.0, SolverConfig()
+            state, p, g_dot_p, p_h_p, lambda t: f0 + 5.0
         )
         assert state.rho < 0.0
         assert state.delta == 0.25
@@ -941,7 +942,7 @@ class TestTrustRegionUpdate:
         g_dot_p = float(state.gradient @ p)
         p_h_p = float(2.0 * p @ p)
         assert not trust_region_update(
-            state, p, g_dot_p, p_h_p, lambda t: math.nan, SolverConfig()
+            state, p, g_dot_p, p_h_p, lambda t: math.nan
         )
         assert state.delta == 0.25
         np.testing.assert_array_equal(state.latent.vec, x0)
@@ -954,13 +955,15 @@ class TestTrustRegionUpdate:
         f_trial = state.f_value - 1.0
         p = np.full(6, 1e-3)
         assert trust_region_update(
-            state, p, -1e-320, 0.0, lambda t: f_trial, SolverConfig()
+            state, p, -1e-320, 0.0, lambda t: f_trial
         )
         assert state.rho == math.inf
         assert state.f_value == f_trial
         np.testing.assert_array_equal(state.latent.vec, x0 + p)
 
-    def test_small_accepted_decrease_flags_convergence(self):
+    def test_small_accepted_decrease_leaves_the_stop_to_solve(self):
+        # The step is accepted; whether a decrease this small stops the
+        # iteration is decided in solve, not here.
         x0 = np.ones(6)
         state = make_state(x0, delta=1.0)
         f0 = state.f_value
@@ -968,10 +971,10 @@ class TestTrustRegionUpdate:
         p = np.full(6, 1e-9)
         g_dot_p = -(f0 - f_trial)
         assert trust_region_update(
-            state, p, g_dot_p, 0.0, lambda t: f_trial, SolverConfig()
+            state, p, g_dot_p, 0.0, lambda t: f_trial
         )
-        assert state.converged
-        assert state.reason == "objective decrease below rel_f_tol"
+        assert not state.converged
+        assert state.reason is None
         assert state.f_value == f_trial
 
     def test_interior_step_does_not_grow_radius(self):
@@ -980,7 +983,7 @@ class TestTrustRegionUpdate:
         p = -state.latent.vec  # well inside the region
         g_dot_p = float(state.gradient @ p)
         p_h_p = float(2.0 * p @ p)
-        trust_region_update(state, p, g_dot_p, p_h_p, quadratic_objective, SolverConfig())
+        trust_region_update(state, p, g_dot_p, p_h_p, quadratic_objective)
         assert state.delta == 100.0
 
 
@@ -1043,6 +1046,33 @@ class TestSolve:
         assert not state.converged
         assert len(trace) < 600
         assert 0.0 < state.delta <= np.finfo(float).eps * np.linalg.norm(state.latent.vec)
+
+    # At 0.5 the first step stops the solve; at 0.1 three accepted steps and
+    # two rejected ones come before the one that does.
+    @pytest.mark.parametrize("rel_f_tol", [0.5, 0.1])
+    def test_small_accepted_decrease_stops_the_solve(self, rel_f_tol):
+        sri = simulate_scene(SceneConfig(dims=(12, 12, 8), rank=3, seed=0))
+        ops = build_operators(
+            sri.shape, DegradationConfig(kernel_size=3, sigma=2.0, factor=2, num_msi_bands=4)
+        )
+        hsi, msi = degrade(sri, ops)
+        prob = FusionProblem(hsi=add_noise(hsi, 20.0, 1), msi=add_noise(msi, 20.0, 2),
+                             operators=ops, rank=3)
+        init = init_latent(prob.sri_dims, 3, rng_seed=0)
+        _, state, trace = solve(prob, init, SolverConfig(rel_f_tol=rel_f_tol))
+        assert state.converged
+        assert state.reason == "objective decrease below rel_f_tol"
+        assert trace[-1].accepted
+        # The objective before each accepted step, and the relative decrease
+        # that step made.
+        previous = objective(init, prob)
+        decreases = []
+        for rec in trace:
+            if rec.accepted:
+                decreases.append((previous - rec.f_value) / previous)
+                previous = rec.f_value
+        assert decreases[-1] < rel_f_tol
+        assert all(d >= rel_f_tol for d in decreases[:-1])
 
     def test_trace_records_the_update_decision(self, monkeypatch):
         # solve must log and act on the flag trust_region_update returns, even
@@ -1278,11 +1308,22 @@ class TestSolverConfig:
             {"max_iters": 0},
             {"rel_f_tol": 0.0},
             {"grad_tol": -1.0},
+            {"rel_f_tol": math.inf},
+            {"grad_tol": math.inf},
         ],
     )
     def test_invalid_values_raise(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+
+class TestIterationRecord:
+    def test_field_list(self):
+        # A record's iteration is its index in the trace.
+        assert [f.name for f in dataclasses.fields(IterationRecord)] == [
+            "f_value", "grad_inf_norm", "delta", "rho", "cg_iterations", "step_type",
+            "accepted",
+        ]
 
 
 class TestFusionProblem:
