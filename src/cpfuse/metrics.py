@@ -3,7 +3,7 @@
 All metrics compare an estimate against a ground truth of identical shape
 ``(I, J, K)`` with the spectral axis last.
 
-Every metric comes from one pass over the spectral bands, ``_band_sums``.
+Every metric comes from one pass over the spectral bands in ``metrics_report``.
 Band ``k`` of a Fortran-ordered tensor is a contiguous ``(I, J)`` slice and
 is read in place; a tensor in any other layout is copied into one reused
 Fortran-ordered band buffer, one band at a time, so each band is summed in
@@ -12,50 +12,42 @@ squared error from the band's difference (not from ``x*x - 2*x*y + y*y``,
 which would cost R-SNR digits), the centred correlation sums, and adds the
 products ``x*x``, ``y*y`` and ``x*y`` into three ``(I, J)`` per-fiber
 accumulators for the spectral angle.  Besides those and the band buffers it
-holds two ``(I, J)`` scratch planes and no tensor-sized array.  Each public
-metric runs the same pass, so it equals its ``metrics_report`` field exactly.
+holds two ``(I, J)`` scratch planes and no tensor-sized array.  An infinite
+entry, or one whose square overflows, makes a sum infinite: ``rmse`` is then
+infinite too, while a band or fiber with an infinite sum scores NaN, as one
+with a NaN entry does.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .tensors import _as_tensor, _check_int
 
-__all__ = [
-    "MetricsReport",
-    "rmse",
-    "cross_correlation",
-    "rsnr",
-    "sam",
-    "spatial_smooth",
-    "metrics_report",
-]
+__all__ = ["MetricsReport", "metrics_report", "spatial_smooth"]
 
 
 @dataclass(frozen=True)
 class MetricsReport:
+    """The four scores of one estimate against its truth.
+
+    ``rmse`` is in the tensors' units, ``cc`` has none, ``rsnr_db`` is in dB
+    and ``sam_radians`` in radians.  ``cc_bands_skipped`` counts the spectral
+    bands left out of ``cc`` because the estimate's or the truth's band is
+    constant; ``sam_fibers_skipped`` counts the pixels left out of
+    ``sam_radians`` because the estimate's or the truth's spectral fiber is
+    all zero.
+    """
+
     rmse: float
     cc: float
     rsnr_db: float
     sam_radians: float
     cc_bands_skipped: int = 0
     sam_fibers_skipped: int = 0
-
-
-@dataclass(frozen=True)
-class _BandSums:
-    """What one pass over the bands of an estimate and its truth leaves."""
-
-    size: int
-    squared_error: float
-    signal: float
-    band_sums: np.ndarray  # (K, 3): centred sxx, syy, sxy of each band
-    fiber_sums: tuple[np.ndarray, np.ndarray, np.ndarray]  # (I, J): ee, tt, et
 
 
 def _bands(t: np.ndarray):
@@ -72,100 +64,6 @@ def _bands(t: np.ndarray):
 
 def _dot(u: np.ndarray, v: np.ndarray) -> float:
     return float(u.ravel(order="K") @ v.ravel(order="K"))
-
-
-def _band_sums(est: np.ndarray, truth: np.ndarray) -> _BandSums:
-    est, truth = _as_tensor(est), _as_tensor(truth)
-    if est.shape != truth.shape:
-        raise ValueError(f"shape mismatch: estimate {est.shape} vs truth {truth.shape}")
-    plane = est.shape[:2]
-    fibers = tuple(np.zeros(plane, order="F") for _ in range(3))
-    ee, tt, et = fibers
-    # Two scratch planes serve every step; fewer planes stay in cache.
-    u, v = (np.empty(plane, order="F") for _ in range(2))
-    band_sums = np.empty((est.shape[2], 3))
-    squared_error = 0.0
-    for k, (x, y) in enumerate(zip(_bands(est), _bands(truth))):
-        np.subtract(x, y, out=u)
-        squared_error += _dot(u, u)
-        # sum / size is np.mean's value without its overhead.
-        np.subtract(x, x.sum() / x.size, out=u)
-        np.subtract(y, y.sum() / y.size, out=v)
-        band_sums[k] = _dot(u, u), _dot(v, v), _dot(u, v)
-        ee += np.multiply(x, x, out=u)
-        tt += np.multiply(y, y, out=v)
-        et += np.multiply(x, y, out=u)
-    return _BandSums(est.size, squared_error, float(tt.sum()), band_sums, fibers)
-
-
-def _rmse(s: _BandSums) -> float:
-    return math.sqrt(s.squared_error) / math.sqrt(s.size)
-
-
-def rmse(est: np.ndarray, truth: np.ndarray) -> float:
-    """Root mean squared error over all entries."""
-    return _rmse(_band_sums(est, truth))
-
-
-def _cc(s: _BandSums) -> tuple[float, int]:
-    values: list[float] = []
-    for sxx, syy, sxy in s.band_sums.tolist():
-        denom = math.sqrt(sxx * syy)
-        if denom != 0.0:
-            values.append(sxy / denom)
-    if not values:
-        raise ValueError("every spectral band is constant; correlation undefined")
-    return float(np.mean(values)), len(s.band_sums) - len(values)
-
-
-def cross_correlation(est: np.ndarray, truth: np.ndarray) -> float:
-    """Mean per-band Pearson correlation.
-
-    Bands where either slice is constant have no defined correlation and are
-    skipped (with a warning); if every band is skipped a ``ValueError`` is
-    raised.
-    """
-    cc, skipped = _cc(_band_sums(est, truth))
-    if skipped:
-        warnings.warn(f"skipped {skipped} constant band(s) in cross_correlation")
-    return cc
-
-
-def rsnr(est: np.ndarray, truth: np.ndarray) -> float:
-    """Reconstruction signal-to-noise ratio in dB.
-
-    ``10 * log10(sum ||truth_k||_F^2 / sum ||est_k - truth_k||_F^2)`` over
-    spectral bands; a zero-error estimate returns ``math.inf``.
-    """
-    return _rsnr_db(_band_sums(est, truth))
-
-
-def _rsnr_db(s: _BandSums) -> float:
-    if s.signal == 0.0:
-        raise ValueError("rsnr is undefined for an all-zero truth tensor")
-    if s.squared_error == 0.0:
-        return math.inf
-    return 10.0 * math.log10(s.signal / s.squared_error)
-
-
-def _sam(s: _BandSums) -> tuple[float, int]:
-    ee, tt, et = s.fiber_sums
-    norm_e, norm_t = np.sqrt(ee), np.sqrt(tt)
-    keep = (norm_e != 0.0) & (norm_t != 0.0)
-    if not keep.any():
-        raise ValueError("every spectral fiber is zero; spectral angle undefined")
-    cosines = np.clip(et[keep] / (norm_e[keep] * norm_t[keep]), -1.0, 1.0)
-    return float(np.mean(np.arccos(cosines))), int(np.count_nonzero(~keep))
-
-
-def sam(est: np.ndarray, truth: np.ndarray) -> float:
-    """Mean spectral angle between estimate and truth fibers, in radians.
-
-    The angle is computed per spatial position between the two spectral
-    fibers; positions where either fiber is all-zero are skipped.  A fiber
-    holding a NaN is kept, so the mean is NaN.
-    """
-    return _sam(_band_sums(est, truth))[0]
 
 
 def spatial_smooth(t: np.ndarray, window: int) -> np.ndarray:
@@ -192,16 +90,80 @@ def spatial_smooth(t: np.ndarray, window: int) -> np.ndarray:
     return out
 
 
+
+
 def metrics_report(est: np.ndarray, truth: np.ndarray) -> MetricsReport:
-    """Bundle all four metrics (plus skip counters) for one reconstruction."""
-    s = _band_sums(est, truth)
-    cc, cc_skipped = _cc(s)
-    sam_radians, sam_skipped = _sam(s)
+    """Score an estimate against its truth.
+
+    ``rmse`` is the root mean squared error over all entries; ``cc`` the mean
+    per-band Pearson correlation, skipping bands where either slice is
+    constant; ``rsnr_db`` is ``10 * log10(sum ||truth_k||_F^2 /
+    sum ||est_k - truth_k||_F^2)`` over spectral bands, ``math.inf`` for a
+    zero-error estimate; ``sam_radians`` the mean angle between the two
+    spectral fibers at each pixel, skipping pixels where either fiber is all
+    zero.  If every band or every fiber is skipped (an all-zero truth among
+    them) a ``ValueError`` is raised.
+
+    A NaN entry makes all four NaN.  An infinite entry, or one whose square
+    overflows, makes ``rmse`` infinite and ``cc`` and ``sam_radians`` NaN;
+    ``rsnr_db`` is ``-inf`` when only the error's energy is infinite and NaN
+    when the truth's is.
+    """
+    est, truth = _as_tensor(est), _as_tensor(truth)
+    if est.shape != truth.shape:
+        raise ValueError(f"shape mismatch: estimate {est.shape} vs truth {truth.shape}")
+    plane = est.shape[:2]
+    ee, tt, et = (np.zeros(plane, order="F") for _ in range(3))
+    # Two scratch planes serve every step; fewer planes stay in cache.
+    u, v = (np.empty(plane, order="F") for _ in range(2))
+    band_sums = np.empty((est.shape[2], 3))  # centred sxx, syy, sxy of each band
+    squared_error = 0.0
+    # An infinite or overflowing entry leaves infinities and NaNs in the sums,
+    # which the rules below score; numpy need not warn of them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (x, y) in enumerate(zip(_bands(est), _bands(truth))):
+            np.subtract(x, y, out=u)
+            squared_error += _dot(u, u)
+            # sum / size is np.mean's value without its overhead.
+            np.subtract(x, x.sum() / x.size, out=u)
+            np.subtract(y, y.sum() / y.size, out=v)
+            band_sums[k] = _dot(u, u), _dot(v, v), _dot(u, v)
+            ee += np.multiply(x, x, out=u)
+            tt += np.multiply(y, y, out=v)
+            et += np.multiply(x, y, out=u)
+        signal = float(tt.sum())
+    # An infinite band or fiber sum counts as NaN, as a NaN entry's sum does,
+    # so no finite correlation or angle is formed from an overflowed sum.
+    for sums in (band_sums, ee, tt, et):
+        sums[np.isinf(sums)] = math.nan
+
+    correlations = []
+    for sxx, syy, sxy in band_sums.tolist():
+        denom = math.sqrt(sxx * syy)
+        if denom != 0.0:
+            correlations.append(sxy / denom)
+    if not correlations:
+        raise ValueError("every spectral band is constant; correlation undefined")
+
+    norm_e, norm_t = np.sqrt(ee), np.sqrt(tt)
+    keep = (norm_e != 0.0) & (norm_t != 0.0)
+    if not keep.any():
+        raise ValueError("every spectral fiber is zero; spectral angle undefined")
+    cosines = np.clip(et[keep] / (norm_e[keep] * norm_t[keep]), -1.0, 1.0)
+
+    if math.isinf(signal):
+        rsnr_db = math.nan
+    elif squared_error == 0.0:
+        rsnr_db = math.inf
+    elif math.isinf(squared_error):
+        rsnr_db = -math.inf
+    else:
+        rsnr_db = 10.0 * math.log10(signal / squared_error)
     return MetricsReport(
-        rmse=_rmse(s),
-        cc=cc,
-        rsnr_db=_rsnr_db(s),
-        sam_radians=sam_radians,
-        cc_bands_skipped=cc_skipped,
-        sam_fibers_skipped=sam_skipped,
+        rmse=math.sqrt(squared_error) / math.sqrt(est.size),
+        cc=float(np.mean(correlations)),
+        rsnr_db=rsnr_db,
+        sam_radians=float(np.mean(np.arccos(cosines))),
+        cc_bands_skipped=len(band_sums) - len(correlations),
+        sam_fibers_skipped=int(np.count_nonzero(~keep)),
     )

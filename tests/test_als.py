@@ -9,7 +9,7 @@ from scipy.linalg.lapack import dsygv
 
 from cpfuse.als import AlsTrace, _gram_eigenbasis, _sylvester_rows, random_init, solve_als
 from cpfuse.degradation import DegradationConfig, add_noise, build_operators, degrade
-from cpfuse.metrics import rsnr
+from cpfuse.metrics import metrics_report
 from cpfuse.solver import FusionProblem, _squared_misfit
 from cpfuse.tensors import CpdModel, cpd_reconstruct
 from oracles import khatri_rao, unfold
@@ -228,7 +228,7 @@ class TestSolveAls:
         model, trace = solve_als(prob, init, max_iters=500, rel_f_tol=1e-14)
         data_norm_sq = float(np.sum(prob.hsi**2) + np.sum(prob.msi**2))
         assert trace.objectives[-1] <= 1e-8 * data_norm_sq
-        assert rsnr(cpd_reconstruct(*model.factors), sri) >= 60.0
+        assert metrics_report(cpd_reconstruct(*model.factors), sri).rsnr_db >= 60.0
 
     def test_objective_nonincreasing_per_sweep(self):
         prob, _, _ = make_problem(seed=4)

@@ -625,6 +625,18 @@ class TestCliPipeline:
         assert parsed["rsnr_db"] == "inf"
         assert float(parsed["sam"]) < 1e-7
 
+    def test_evaluate_scores_an_infinite_entry(self, tmp_path, capsys):
+        sri = self.simulate(tmp_path)
+        est = read_tensor(sri)
+        est[0, 0, 0] = math.inf
+        write_tensor(tmp_path / "est.dt3", est)
+        rc = main(["evaluate", "--estimate", str(tmp_path / "est.dt3"), "--truth", str(sri)])
+        assert rc == 0
+        captured = capsys.readouterr()
+        parsed = dict(line.split("=", 1) for line in captured.out.splitlines() if "=" in line)
+        assert parsed == {"rmse": "inf", "cc": "nan", "rsnr_db": "-inf", "sam": "nan"}
+        assert captured.err == ""
+
     @pytest.mark.parametrize("window", ["0", "-3"])
     def test_evaluate_rejects_bad_smooth_window(self, tmp_path, capsys, window):
         sri = self.simulate(tmp_path)
@@ -725,6 +737,26 @@ class TestCliPipeline:
             assert (row.rmse, row.cc, row.rsnr_db, row.sam) == (
                 report.rmse, report.cc, report.rsnr_db, report.sam_radians
             )
+
+    def test_sweep_scores_an_infinite_estimate(self, tmp_path, monkeypatch):
+        # An estimate that overflowed scores inf/NaN in its row; the sweep goes on.
+        real = cpfuse.experiment.reconstruct_sri
+        calls = []
+
+        def first_infinite(model):
+            est = real(model)
+            if not calls:
+                est[0, 0, 0] = math.inf
+            calls.append(model)
+            return est
+
+        monkeypatch.setattr(cpfuse.experiment, "reconstruct_sri", first_infinite)
+        out = tmp_path / "infinite"
+        assert main(self.sweep_args(out)) == 0
+        first, second = read_results(out / "results.csv")
+        assert (first.rmse, first.rsnr_db) == (math.inf, -math.inf)
+        assert math.isnan(first.cc) and math.isnan(first.sam)
+        assert all(math.isfinite(v) for v in (second.rmse, second.cc, second.rsnr_db, second.sam))
 
     @pytest.mark.parametrize("axis", [(), ("--rank", "2")])
     def test_sweep_unset_flags_take_the_config_defaults(self, tmp_path, monkeypatch, axis):

@@ -1,19 +1,12 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from cpfuse.degradation import add_noise
-from cpfuse.metrics import (
-    MetricsReport,
-    cross_correlation,
-    metrics_report,
-    rmse,
-    rsnr,
-    sam,
-    spatial_smooth,
-)
+from cpfuse.metrics import MetricsReport, metrics_report, spatial_smooth
 from cpfuse.tensors import frobenius_norm
 
 RNG = np.random.default_rng(42)
@@ -66,63 +59,66 @@ def report_by_einsum(est, truth):
     )
 
 
-def nan_pair(nan_in):
-    """A 4x5x6 uniform truth and a nearby estimate, with one NaN in the
-    tensor ``nan_in`` names."""
+def pair_with_entry(entry_in, value=math.nan):
+    """A 4x5x6 uniform truth and a nearby estimate, with one entry ``value``
+    in the tensor ``entry_in`` names."""
     rng = np.random.default_rng(0)
     truth = rng.uniform(size=(4, 5, 6))
     est = truth + 0.01 * rng.standard_normal(truth.shape)
-    (est if nan_in == "est" else truth)[1, 2, 3] = math.nan
+    (est if entry_in == "est" else truth)[1, 2, 3] = value
     return est, truth
 
 
 class TestRmse:
     def test_identical_tensors_give_zero(self):
         t = RNG.uniform(size=(4, 3, 5))
-        assert rmse(t, t) == 0.0
+        assert metrics_report(t, t).rmse == 0.0
 
     def test_constant_offset(self):
-        truth = np.zeros((3, 3, 3))
-        est = np.full((3, 3, 3), 2.0)
-        assert abs(rmse(est, truth) - 2.0) < 1e-14
+        # Non-constant bands: a report needs at least one defined correlation.
+        truth = RNG.uniform(size=(3, 3, 3))
+        est = truth + 2.0
+        assert abs(metrics_report(est, truth).rmse - 2.0) < 1e-14
 
     def test_matches_definition(self):
         est = RNG.standard_normal((4, 5, 3))
         truth = RNG.standard_normal((4, 5, 3))
         expected = frobenius_norm(est - truth) / math.sqrt(est.size)
-        np.testing.assert_allclose(rmse(est, truth), expected, rtol=1e-14)
+        np.testing.assert_allclose(metrics_report(est, truth).rmse, expected, rtol=1e-14)
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
-            rmse(np.zeros((2, 2, 2)), np.zeros((2, 2, 3)))
+            metrics_report(np.zeros((2, 2, 2)), np.zeros((2, 2, 3)))
 
 
 class TestCrossCorrelation:
     def test_identical_tensors_give_one(self):
         t = RNG.uniform(size=(5, 4, 3))
-        np.testing.assert_allclose(cross_correlation(t, t), 1.0, rtol=1e-12)
+        np.testing.assert_allclose(metrics_report(t, t).cc, 1.0, rtol=1e-12)
 
     def test_affine_per_band_invariance(self):
         truth = RNG.uniform(size=(5, 4, 3))
         est = 2.5 * truth + 1.0
-        np.testing.assert_allclose(cross_correlation(est, truth), 1.0, rtol=1e-12)
+        np.testing.assert_allclose(metrics_report(est, truth).cc, 1.0, rtol=1e-12)
 
     def test_negated_estimate_gives_minus_one(self):
         truth = RNG.uniform(size=(5, 4, 3))
-        np.testing.assert_allclose(cross_correlation(-truth, truth), -1.0, rtol=1e-12)
+        np.testing.assert_allclose(metrics_report(-truth, truth).cc, -1.0, rtol=1e-12)
 
-    def test_constant_band_skipped_with_warning(self):
+    def test_constant_band_skipped_without_warning(self):
         truth = RNG.uniform(size=(4, 4, 3))
         truth[:, :, 1] = 7.0
         est = truth + RNG.standard_normal((4, 4, 3)) * 0.01
-        with pytest.warns(UserWarning):
-            value = cross_correlation(est, truth)
-        assert math.isfinite(value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = metrics_report(est, truth)
+        assert math.isfinite(report.cc)
+        assert report.cc_bands_skipped == 1
 
     def test_all_bands_constant_raises(self):
         truth = np.ones((3, 3, 2))
         with pytest.raises(ValueError):
-            cross_correlation(RNG.uniform(size=(3, 3, 2)), truth)
+            metrics_report(RNG.uniform(size=(3, 3, 2)), truth)
 
     def test_matches_per_band_pearson_oracle(self):
         est = RNG.uniform(size=(6, 5, 4))
@@ -133,13 +129,13 @@ class TestCrossCorrelation:
                 for k in range(4)
             ]
         )
-        np.testing.assert_allclose(cross_correlation(est, truth), expected, rtol=1e-12)
+        np.testing.assert_allclose(metrics_report(est, truth).cc, expected, rtol=1e-12)
 
 
 class TestRsnr:
     def test_exact_reconstruction_is_infinite(self):
         t = RNG.uniform(size=(3, 4, 2)) + 0.1
-        assert rsnr(t, t) == math.inf
+        assert metrics_report(t, t).rsnr_db == math.inf
 
     def test_matches_definition(self):
         truth = RNG.uniform(size=(4, 4, 3)) + 0.5
@@ -147,61 +143,72 @@ class TestRsnr:
         expected = 10.0 * math.log10(
             float(np.sum(truth**2)) / float(np.sum((est - truth) ** 2))
         )
-        np.testing.assert_allclose(rsnr(est, truth), expected, rtol=1e-13)
+        np.testing.assert_allclose(metrics_report(est, truth).rsnr_db, expected, rtol=1e-13)
 
     def test_consistent_with_rmse_identity(self):
         # rsnr == -20 log10( rmse * sqrt(size) / ||truth|| )
         truth = RNG.uniform(size=(5, 3, 4)) + 0.5
         est = truth + 0.05 * RNG.standard_normal((5, 3, 4))
+        report = metrics_report(est, truth)
         identity = -20.0 * math.log10(
-            rmse(est, truth) * math.sqrt(truth.size) / frobenius_norm(truth)
+            report.rmse * math.sqrt(truth.size) / frobenius_norm(truth)
         )
-        assert abs(rsnr(est, truth) - identity) < 1e-10
+        assert abs(report.rsnr_db - identity) < 1e-10
 
     def test_calibrated_noise_recovers_snr(self):
         truth = RNG.uniform(size=(6, 6, 4)) + 0.5
         for snr_db in (0.0, 5.0, 10.0):
             noisy = add_noise(truth, snr_db, rng_seed=1)
-            assert abs(rsnr(noisy, truth) - snr_db) < 1e-9
+            assert abs(metrics_report(noisy, truth).rsnr_db - snr_db) < 1e-9
 
     def test_zero_truth_raises(self):
         with pytest.raises(ValueError):
-            rsnr(np.ones((2, 2, 2)), np.zeros((2, 2, 2)))
+            metrics_report(np.ones((2, 2, 2)), np.zeros((2, 2, 2)))
 
 
 class TestSam:
     def test_identical_tensors_give_zero(self):
         t = RNG.uniform(size=(4, 3, 5)) + 0.1
-        assert sam(t, t) < 1e-7
+        assert metrics_report(t, t).sam_radians < 1e-7
 
     def test_fiberwise_scaling_invariance(self):
         truth = RNG.uniform(size=(4, 3, 5)) + 0.1
         est = truth * 3.0
-        assert sam(est, truth) < 1e-7
+        assert metrics_report(est, truth).sam_radians < 1e-7
 
     def test_orthogonal_fibers_give_right_angle(self):
-        truth = np.zeros((1, 1, 2))
-        est = np.zeros((1, 1, 2))
-        truth[0, 0, 0] = 1.0
-        est[0, 0, 1] = 1.0
-        np.testing.assert_allclose(sam(est, truth), math.pi / 2, rtol=1e-12)
+        # Two pixels, so that no band is constant and the report has a correlation.
+        truth = np.zeros((1, 2, 2))
+        est = np.zeros((1, 2, 2))
+        truth[0, 0, 0] = est[0, 1, 0] = 1.0
+        est[0, 0, 1] = truth[0, 1, 1] = 1.0
+        np.testing.assert_allclose(
+            metrics_report(est, truth).sam_radians, math.pi / 2, rtol=1e-12
+        )
 
     def test_zero_fibers_skipped(self):
         truth = RNG.uniform(size=(2, 2, 3)) + 0.1
         est = truth.copy()
         truth[0, 0, :] = 0.0
-        value = sam(est, truth)
+        value = metrics_report(est, truth).sam_radians
         assert value < 1e-7
 
     def test_all_fibers_zero_raises(self):
         with pytest.raises(ValueError):
-            sam(np.zeros((2, 2, 3)), np.zeros((2, 2, 3)))
+            metrics_report(np.zeros((2, 2, 3)), np.zeros((2, 2, 3)))
+
+    def test_no_pixel_with_both_fibers_nonzero_raises(self):
+        # No band is constant, so the spectral angle is the one undefined score.
+        est, truth = np.zeros((1, 2, 3)), np.zeros((1, 2, 3))
+        est[0, 0, :], truth[0, 1, :] = 1.0, 2.0
+        with pytest.raises(ValueError, match="every spectral fiber is zero"):
+            metrics_report(est, truth)
 
     @pytest.mark.parametrize("nan_in", ["est", "truth"])
     def test_nan_fiber_gives_nan(self, nan_in):
         # A NaN fiber's norm is NaN, not 0: it is kept, not skipped as zero.
-        est, truth = nan_pair(nan_in)
-        assert math.isnan(sam(est, truth))
+        est, truth = pair_with_entry(nan_in)
+        assert math.isnan(metrics_report(est, truth).sam_radians)
 
     def test_matches_positionwise_oracle(self):
         est = RNG.uniform(size=(3, 4, 5)) + 0.1
@@ -212,7 +219,9 @@ class TestSam:
                 x, y = est[i, j, :], truth[i, j, :]
                 cosine = x @ y / (np.linalg.norm(x) * np.linalg.norm(y))
                 angles.append(math.acos(max(-1.0, min(1.0, cosine))))
-        np.testing.assert_allclose(sam(est, truth), np.mean(angles), rtol=1e-12)
+        np.testing.assert_allclose(
+            metrics_report(est, truth).sam_radians, np.mean(angles), rtol=1e-12
+        )
 
 
 class TestSpatialSmooth:
@@ -284,9 +293,25 @@ class TestMetricsReport:
 
     @pytest.mark.parametrize("nan_in", ["est", "truth"])
     def test_nan_entry_gives_nan_metrics(self, nan_in):
-        report = metrics_report(*nan_pair(nan_in))
+        report = metrics_report(*pair_with_entry(nan_in))
         for value in (report.rmse, report.cc, report.rsnr_db, report.sam_radians):
             assert math.isnan(value)
+        assert report.cc_bands_skipped == 0
+        assert report.sam_fibers_skipped == 0
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, 1e200], ids=["inf", "-inf", "1e200"])
+    @pytest.mark.parametrize("entry_in", ["est", "truth"])
+    def test_infinite_or_overflowing_entry_scores_without_warning(self, entry_in, value):
+        # pyproject turns any RuntimeWarning into a failure.  An infinite sum
+        # gives NaN, never a finite correlation or angle formed from it.
+        report = metrics_report(*pair_with_entry(entry_in, value))
+        assert report.rmse == math.inf
+        if entry_in == "est":
+            assert report.rsnr_db == -math.inf
+        else:
+            assert math.isnan(report.rsnr_db)
+        assert math.isnan(report.cc)
+        assert math.isnan(report.sam_radians)
         assert report.cc_bands_skipped == 0
         assert report.sam_fibers_skipped == 0
 
@@ -296,9 +321,9 @@ class TestMetricsReport:
         truth = np.asfortranarray(rng.uniform(size=(24, 24, 16)))
         est = np.asfortranarray(truth + 0.1 * rng.standard_normal(truth.shape))
         c_est, c_truth = np.ascontiguousarray(est), np.ascontiguousarray(truth)
-        for metric in (metrics_report, rmse, rsnr, sam, cross_correlation):
-            assert metric(c_est, c_truth) == metric(est, truth)
-            assert metric(c_est, truth) == metric(est, c_truth) == metric(est, truth)
+        report = metrics_report(est, truth)
+        assert metrics_report(c_est, c_truth) == report
+        assert metrics_report(c_est, truth) == metrics_report(est, c_truth) == report
 
 
     @pytest.mark.parametrize("est_order", ["C", "F"])
@@ -333,17 +358,6 @@ class TestMetricsReport:
             assert getattr(scaled, name) == getattr(base, name), name
 
 
-@pytest.mark.parametrize(
-    "metric, field",
-    [(rmse, "rmse"), (cross_correlation, "cc"), (rsnr, "rsnr_db"), (sam, "sam_radians")],
-)
-def test_each_metric_equals_its_report_field(metric, field):
-    # Every metric comes from the same pass over the bands.
-    truth = RNG.uniform(size=(9, 7, 5)) + 0.1
-    est = np.ascontiguousarray(truth + 0.05 * RNG.standard_normal(truth.shape))
-    assert metric(est, truth) == getattr(metrics_report(est, truth), field)
-
-
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_metrics_report_forms_no_tensor_sized_array(order):
     # A band at a time: per-fiber accumulators, scratch planes and, for a
@@ -363,7 +377,7 @@ def test_metrics_report_forms_no_tensor_sized_array(order):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda t: rmse(t[:, :, 0], t[:, :, 0]),
+        lambda t: metrics_report(t[:, :, 0], t),
         lambda t: metrics_report(t, t[:, :, 0]),
         lambda t: spatial_smooth(t[:, :, 0], 3),
     ],

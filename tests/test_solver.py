@@ -37,7 +37,7 @@ from cpfuse.solver import (
     trust_region_update,
 )
 from cpfuse.experiment import SceneConfig, simulate_scene
-from cpfuse.metrics import rsnr
+from cpfuse.metrics import metrics_report
 from cpfuse.tensors import cpd_reconstruct
 
 
@@ -997,7 +997,7 @@ class TestSolve:
         assert state.converged
         obs_norm_sq = float(np.sum(prob.hsi**2) + np.sum(prob.msi**2))
         assert math.sqrt(state.f_value / obs_norm_sq) <= 1e-6
-        assert rsnr(reconstruct_sri(model), sri) >= 60.0
+        assert metrics_report(reconstruct_sri(model), sri).rsnr_db >= 60.0
 
     def test_init_at_truth_stops_immediately(self):
         prob, _, truth = make_problem()
