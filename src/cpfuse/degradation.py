@@ -227,22 +227,21 @@ def degrade(sri: np.ndarray, ops: DegradationOperators) -> tuple[np.ndarray, np.
 
     Returns ``(hsi, msi)``: the scene multiplied, mode by mode, by the operator
     of each mode in the image that ``DEGRADED_IN`` names (modes 1 and 2 in the
-    HSI, mode 3 in the MSI), both in Fortran order.  Each product reads the
-    scene through a matricizing view in the scene's own memory order, so a C-
-    or Fortran-ordered scene is not copied: the mode-1 product is one GEMM on
-    the ``(I, J * K)`` view and the spectral product one GEMM on the
-    ``(K, I * J)`` view.  On a Fortran-ordered scene the mode-2 product is
-    one GEMM on the ``(J, K * I_H)`` view of the mode-1 product: the shape of
-    the GEMM on the mode-2 unfolding, with its columns reordered, so where
-    ``I_H * K`` is a multiple of the BLAS kernel's block, each entry matches
-    the product on that unfolding bit for bit.  On a C-ordered scene it is one
-    ``(J_H x J)(J x K)`` product per HSI row.
+    HSI, mode 3 in the MSI), both in Fortran order.  The scene is read in
+    Fortran order, copied if it is held otherwise, so equal scenes give
+    bit-identical images in any layout.  Each product reads it through a
+    matricizing view: the mode-1 product is one GEMM on the ``(I, J * K)``
+    view and the spectral product one GEMM on the ``(K, I * J)`` view.  The
+    mode-2 product is one GEMM on the ``(J, K * I_H)`` view of the mode-1
+    product: the shape of the GEMM on the mode-2 unfolding, with its columns
+    reordered, so where ``I_H * K`` is a multiple of the BLAS kernel's block,
+    each entry matches the product on that unfolding bit for bit.
 
     Both images are checked as ``FusionProblem`` checks them (``_check_images``):
     a scene holding a NaN or an infinity, or entries whose products overflow,
     raises ``ValueError`` naming the image, with no floating-point warning.
     """
-    sri = _as_tensor(sri)
+    sri = np.asfortranarray(_as_tensor(sri))
     for n, q in enumerate(ops.matrices):
         if q.shape[1] != sri.shape[n]:
             raise ValueError(
@@ -251,20 +250,16 @@ def degrade(sri: np.ndarray, ops: DegradationOperators) -> tuple[np.ndarray, np.
             )
     p1, p2, pm = ops.matrices
     i_dim, j_dim, k_dim = sri.shape
-    order = "F" if sri.flags.f_contiguous else "C"
     # A non-finite product is reported by _check_images below, not warned about.
     with np.errstate(invalid="ignore", over="ignore"):
-        blurred = p1 @ sri.reshape(i_dim, j_dim * k_dim, order=order)
-        if order == "F":
-            # Row i of ``blurred`` holds (j, k) with j fastest: transposed, the
-            # C-ordered (I_H, K, J) view is the Fortran-ordered (J, K, I_H) tensor.
-            hsi = p2 @ blurred.reshape(-1, k_dim, j_dim).T.reshape(j_dim, -1, order="F")
-            hsi = hsi.reshape(-1, blurred.shape[0], k_dim).transpose(1, 0, 2)
-        else:
-            hsi = np.matmul(p2, blurred.reshape(-1, j_dim, k_dim))
+        blurred = p1 @ sri.reshape(i_dim, j_dim * k_dim, order="F")
+        # Row i of ``blurred`` holds (j, k) with j fastest: transposed, the
+        # C-ordered (I_H, K, J) view is the Fortran-ordered (J, K, I_H) tensor.
+        hsi = p2 @ blurred.reshape(-1, k_dim, j_dim).T.reshape(j_dim, -1, order="F")
+        hsi = hsi.reshape(-1, blurred.shape[0], k_dim).transpose(1, 0, 2)
         del blurred  # before the HSI's column-major copy, which then outlives no partial product
-        msi = (pm @ sri.reshape(i_dim * j_dim, k_dim, order=order).T).T
-    images = np.asfortranarray(hsi), np.asfortranarray(msi.reshape(i_dim, j_dim, -1, order=order))
+        msi = (pm @ sri.reshape(i_dim * j_dim, k_dim, order="F").T).T
+    images = np.asfortranarray(hsi), msi.reshape(i_dim, j_dim, -1, order="F")
     _check_images(images)
     return images
 
@@ -275,16 +270,16 @@ def add_noise(t: np.ndarray, snr_db: float, rng_seed: int) -> np.ndarray:
     A single standard normal draw is rescaled so that
     ``frobenius_norm(noise) == frobenius_norm(t) * 10**(-snr_db / 20)``.
     ``snr_db == math.inf`` disables the noise and returns a copy of ``t``.
-    The signal norm is summed in one fixed logical order (Fortran order, a
-    view of the package's images), so equal values get equal noise whatever
-    their memory order.  The result keeps the memory order of ``t``.
+    The signal norm is ``frobenius_norm(t)``, summed in Fortran order, so
+    equal values get equal noise whatever their memory order.  The result
+    keeps the memory order of ``t``.
     """
     _check_snr_db("snr_db", snr_db)
     _check_int("rng_seed", rng_seed, minimum=0)
     t = np.asarray(t, dtype=np.float64)
     if snr_db == math.inf:
         return t.copy(order="K")
-    signal_norm = frobenius_norm(t.ravel(order="F"))
+    signal_norm = frobenius_norm(t)
     if signal_norm == 0.0:
         raise ValueError("cannot calibrate noise against an all-zero tensor")
     rng = np.random.default_rng(rng_seed)

@@ -21,6 +21,7 @@ with a NaN entry does.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,9 +140,9 @@ def metrics_report(est: np.ndarray, truth: np.ndarray) -> MetricsReport:
 
     correlations = []
     for sxx, syy, sxy in band_sums.tolist():
-        denom = math.sqrt(sxx * syy)
-        if denom != 0.0:
-            correlations.append(sxy / denom)
+        # Two roots, not the root of the product, which can overflow or underflow.
+        if sxx != 0.0 and syy != 0.0:
+            correlations.append(sxy / (math.sqrt(sxx) * math.sqrt(syy)))
     if not correlations:
         raise ValueError("every spectral band is constant; correlation undefined")
 
@@ -157,8 +158,10 @@ def metrics_report(est: np.ndarray, truth: np.ndarray) -> MetricsReport:
         rsnr_db = math.inf
     elif math.isinf(squared_error):
         rsnr_db = -math.inf
-    else:
+    elif sys.float_info.min <= signal / squared_error < math.inf:
         rsnr_db = 10.0 * math.log10(signal / squared_error)
+    else:  # the quotient of two finite energies underflowed or overflowed
+        rsnr_db = 10.0 * (math.log10(signal) - math.log10(squared_error))
     return MetricsReport(
         rmse=math.sqrt(squared_error) / math.sqrt(est.size),
         cc=float(np.mean(correlations)),

@@ -16,10 +16,9 @@ suite's ``tests/oracles.py`` holds ``unfold``, ``fold``,
 kernels here are checked against.
 
 Layout: tensors are stored column-major (first index fastest), the order of
-the dt3 payload.  ``cpd_reconstruct`` returns a Fortran-ordered tensor and
-``FusionProblem`` keeps both images in Fortran order.  ``mttkrp`` reads a
-C-ordered tensor through its Fortran-ordered transpose ``t.T`` of shape
-``(K, J, I)`` with the modes reversed, so it never copies a contiguous tensor.
+the dt3 payload, of ``cpd_reconstruct``'s result and of ``FusionProblem``'s
+images.  ``mttkrp`` and ``frobenius_norm`` read a tensor in that order, copying
+one held otherwise, so equal values give bit-identical results in any layout.
 
 Contractions are made of BLAS products in a fixed order, so no call plans a
 contraction, and every MTTKRP takes one route.  On a tensor ``(I, J, K)`` with
@@ -136,21 +135,18 @@ def mttkrp(t: np.ndarray, factors, mode: int) -> np.ndarray:
     of the two non-target factors in the unfolding convention (higher mode
     first); for mode 1, ``m[i, r] = sum_jk t[i, j, k] b[j, r] c[k, r]``.  Only
     the non-target factors are read; the target slot must still be present so
-    ``factors`` always has length 3.  A C-ordered ``t`` is read
-    through its Fortran-ordered transpose, so no call copies the tensor.
+    ``factors`` always has length 3.  ``t`` is read in Fortran order and the
+    factors in C order, so the result's bits do not depend on their layouts.
     """
     _check_mode(mode)
-    t = _as_tensor(t)
-    factors = [np.asarray(f, dtype=np.float64) for f in factors]
+    t = np.asfortranarray(_as_tensor(t))
+    factors = [np.ascontiguousarray(f, dtype=np.float64) for f in factors]
     if len(factors) != 3:
         raise ValueError(f"expected 3 factor matrices, got {len(factors)}")
     rank = factors[mode % 3].shape[1]
     for n in range(3):
         if n != mode - 1:
             _check_factor(factors[n], t.shape[n], rank, n + 1)
-    if t.flags.c_contiguous and not t.flags.f_contiguous:
-        # t.T[k, j, i] == t[i, j, k]: the same contraction with the modes reversed.
-        t, factors, mode = t.T, factors[::-1], 4 - mode
     if mode == 1:
         # t.transpose(1, 0, 2)[j, i, k] == t[i, j, k]: mode 1 is mode 2 of the view.
         t, factors, mode = t.transpose(1, 0, 2), [factors[1], factors[0], factors[2]], 2
@@ -188,12 +184,12 @@ def cpd_reconstruct(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def _sum_squares(t: np.ndarray) -> float:
-    """Sum of the squared entries as one dot product, read in memory order so
-    that a C- or Fortran-contiguous array is not copied."""
-    flat = np.asarray(t, dtype=np.float64).ravel(order="K")
+    """Sum of the squared entries as one dot product, read in Fortran order so
+    that equal values give the same bits in any layout."""
+    flat = np.asarray(t, dtype=np.float64).ravel(order="F")
     return float(flat @ flat)
 
 
 def frobenius_norm(t: np.ndarray) -> float:
-    """Frobenius norm of an array of any shape."""
+    """Frobenius norm of an array of any shape, summed in Fortran order."""
     return math.sqrt(_sum_squares(t))

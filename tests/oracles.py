@@ -2,6 +2,7 @@
 and ``khatri_rao`` in the package's unfolding convention (see the
 ``cpfuse.tensors`` docstring).  The package's kernels never form an
 unfolding; the tests check them against these plain reshapes and products.
+``layouts`` holds one tensor's values in the memory layouts the tests pass.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import numpy as np
 
 from cpfuse.tensors import _as_tensor, _check_dims, _check_mode
 
-__all__ = ["unfold", "fold", "mode_n_product", "khatri_rao"]
+__all__ = ["unfold", "fold", "mode_n_product", "khatri_rao", "layouts"]
 
 
 def unfold(t: np.ndarray, mode: int) -> np.ndarray:
@@ -80,3 +81,11 @@ def khatri_rao(mats) -> np.ndarray:
     for m in mats[1:]:
         out = (out[:, None, :] * m[None, :, :]).reshape(-1, out.shape[1])
     return out
+
+
+def layouts(t: np.ndarray) -> dict[str, np.ndarray]:
+    """The values of ``t`` C-ordered, Fortran-ordered and as a strided view."""
+    i_dim, j_dim, k_dim = t.shape
+    padded = np.zeros((i_dim, 2 * j_dim, k_dim + 1))
+    padded[:, ::2, 1:] = t
+    return {"C": np.ascontiguousarray(t), "F": np.asfortranarray(t), "sliced": padded[:, ::2, 1:]}

@@ -59,13 +59,14 @@ def report_by_einsum(est, truth):
     )
 
 
-def pair_with_entry(entry_in, value=math.nan):
+def pair_with_entry(entry_in=None, value=math.nan):
     """A 4x5x6 uniform truth and a nearby estimate, with one entry ``value``
-    in the tensor ``entry_in`` names."""
+    in the tensor ``entry_in`` names, if it names one."""
     rng = np.random.default_rng(0)
     truth = rng.uniform(size=(4, 5, 6))
     est = truth + 0.01 * rng.standard_normal(truth.shape)
-    (est if entry_in == "est" else truth)[1, 2, 3] = value
+    if entry_in is not None:
+        (est if entry_in == "est" else truth)[1, 2, 3] = value
     return est, truth
 
 
@@ -120,6 +121,20 @@ class TestCrossCorrelation:
         with pytest.raises(ValueError):
             metrics_report(RNG.uniform(size=(3, 3, 2)), truth)
 
+    def test_large_scale_does_not_overflow(self):
+        # Each band's centred sums are finite, but their product overflows.
+        est, truth = pair_with_entry()
+        scaled = metrics_report(1e100 * est, 1e100 * truth).cc
+        assert abs(scaled - metrics_report(est, truth).cc) <= 1e-12
+
+    def test_tiny_scale_does_not_underflow(self):
+        # Each band's centred sums are subnormal but nonzero, and their product
+        # underflows to 0: no band is constant, so none is skipped.
+        est, truth = pair_with_entry()
+        report = metrics_report(1e-160 * est, 1e-160 * truth)
+        assert abs(report.cc - metrics_report(est, truth).cc) <= 1e-3
+        assert report.cc_bands_skipped == 0
+
     def test_matches_per_band_pearson_oracle(self):
         est = RNG.uniform(size=(6, 5, 4))
         truth = RNG.uniform(size=(6, 5, 4))
@@ -164,6 +179,29 @@ class TestRsnr:
     def test_zero_truth_raises(self):
         with pytest.raises(ValueError):
             metrics_report(np.ones((2, 2, 2)), np.zeros((2, 2, 2)))
+
+    def test_quotient_underflow_gives_finite_rsnr(self):
+        # signal / squared_error is below the smallest float; both are finite.
+        est, truth = pair_with_entry()
+        est, truth = 1e15 * est, 1e-150 * truth
+        signal = math.fsum((truth**2).ravel())
+        squared_error = math.fsum(((est - truth) ** 2).ravel())
+        assert signal / squared_error == 0.0
+        expected = 10.0 * (math.log10(signal) - math.log10(squared_error))
+        np.testing.assert_allclose(metrics_report(est, truth).rsnr_db, expected, rtol=1e-12)
+
+    def test_quotient_overflow_gives_finite_rsnr(self):
+        # The only error is one subnormal squared entry: signal / squared_error
+        # overflows, but the error is not zero.
+        _, truth = pair_with_entry("truth", 0.0)
+        est = truth.copy()
+        est[1, 2, 3] = 1e-160
+        signal = math.fsum((truth**2).ravel())
+        assert math.isinf(signal / 1e-160**2)
+        rsnr_db = metrics_report(est, truth).rsnr_db
+        expected = 10.0 * (math.log10(signal) - math.log10(1e-160**2))
+        assert 3000.0 < rsnr_db < math.inf
+        np.testing.assert_allclose(rsnr_db, expected, rtol=1e-12)
 
 
 class TestSam:
