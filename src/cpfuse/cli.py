@@ -215,16 +215,15 @@ def _cmd_sweep(args) -> int:
     cfg = ExperimentConfig(
         degradation=_degradation_config(args),
         solver=SolverConfig(**_given(args, ("max_iters",))),
-        scene=scene,
-        sri_path=args.sri,
         master_seed=args.master_seed,
         **grid,
         **_given(args, ("algorithm", "replicates", "smooth_window", "workers")),
     )
-    # Before any replicate runs, so an unusable --out-dir fails at once.
+    # Before the scene is simulated or read, so an unusable --out-dir fails at once.
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows, summary = run_experiment(cfg)
+    sri = simulate_scene(scene) if scene is not None else read_tensor(args.sri)
+    rows, summary = run_experiment(cfg, sri)
     if not args.record_timing:
         rows = [replace(r, wall_time_seconds=0.0) for r in rows]
     emit_results(rows, out_dir / "results.csv")

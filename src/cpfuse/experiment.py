@@ -1,7 +1,8 @@
 """Scene simulation, Monte Carlo sweeps and CSV result emission.
 
-A sweep is a grid over a fixed synthetic (or loaded) scene: it runs every
-observation SNR (the same for both images) at every solver rank, SNR-major.
+A sweep is a grid over one fixed scene tensor, which the caller simulates or
+reads and passes in: it runs every observation SNR (the same for both
+images) at every solver rank, SNR-major.
 Replicates are independent jobs seeded from the master seed plus the
 replicate index, so identical configurations reproduce identical rows, and
 each grid point's rows are those of a one-point sweep at that point; they
@@ -30,7 +31,6 @@ from .degradation import (
     build_operators,
     degrade,
 )
-from .fileio import read_tensor
 from .metrics import metrics_report, spatial_smooth
 from .solver import (
     FusionProblem,
@@ -100,13 +100,12 @@ def simulate_scene(cfg: SceneConfig) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One sweep: scene, degradation operators, solver controls and the grid
-    of SNRs (dB, both images; ``math.inf`` is noiseless) by solver ranks."""
+    """One sweep's settings: degradation operators, solver controls and the
+    grid of SNRs (dB, both images; ``math.inf`` is noiseless) by solver
+    ranks.  The scene is not a setting; :func:`run_experiment` takes it."""
 
     degradation: DegradationConfig
     solver: SolverConfig
-    scene: SceneConfig | None = None
-    sri_path: str | None = None
     algorithm: str = "nn-nls"
     snrs_db: tuple = (math.inf,)
     ranks: tuple = (3,)
@@ -116,8 +115,6 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
-        if (self.scene is None) == (self.sri_path is None):
-            raise ValueError("exactly one of scene and sri_path must be set")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
         if not (self.snrs_db and self.ranks):
@@ -267,13 +264,12 @@ def _median(values) -> float:
     return float(np.median(kept))
 
 
-def run_experiment(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[SummaryRow]]:
-    """Run the sweep and return per-replicate rows plus per-point medians,
-    both SNR-major, then by rank, then (rows) by replicate."""
-    if cfg.scene is not None:
-        sri = simulate_scene(cfg.scene)
-    else:
-        sri = read_tensor(cfg.sri_path)
+def run_experiment(
+    cfg: ExperimentConfig, sri: np.ndarray
+) -> tuple[list[ResultRow], list[SummaryRow]]:
+    """Run the sweep ``cfg`` on the scene tensor ``sri`` and return
+    per-replicate rows plus per-point medians, both SNR-major, then by rank,
+    then (rows) by replicate."""
     ops = build_operators(sri.shape, cfg.degradation)
     hsi_clean, msi_clean = degrade(sri, ops)
 

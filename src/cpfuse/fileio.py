@@ -55,6 +55,9 @@ def _write_array(path, magic: bytes, arr, ndim: int) -> None:
     arr = np.asarray(arr, dtype="<f8")
     if arr.ndim != ndim:
         raise ValueError(f"expected a {ndim}-dimensional array, got ndim={arr.ndim}")
+    # The reader rejects such a file, so none is written.
+    if 0 in arr.shape:
+        raise ValueError(f"zero dimension in header {arr.shape}")
     if any(d > _UINT32_MAX for d in arr.shape):
         raise ValueError(f"dimensions {arr.shape} exceed the uint32 header range")
     with open(path, "wb") as fh:

@@ -76,21 +76,19 @@ def spatial_smooth(t: np.ndarray, window: int) -> np.ndarray:
     ``cpd_reconstruct`` and ``read_tensor``, so it is written to a file without
     a copy.
     """
-    # Imported here: loading scipy.ndimage costs memory that no unsmoothed run needs.
-    from scipy.ndimage import uniform_filter
-
     t = _as_tensor(t)
     _check_int("window", window, odd=True)
     if window == 1:
         return t.copy(order="F")
+    # Imported here: loading scipy.ndimage costs memory that no unsmoothed run needs.
+    from scipy.ndimage import uniform_filter
+
     out = np.empty(t.shape, order="F")
     uniform_filter(t, size=(window, window, 1), output=out, mode="constant", cval=0.0)
     # The divisor is the same for every band: one (I, J) plane.
     den = uniform_filter(np.ones(t.shape[:2]), size=(window, window), mode="constant", cval=0.0)
     out /= den[:, :, None]
     return out
-
-
 
 
 def metrics_report(est: np.ndarray, truth: np.ndarray) -> MetricsReport:

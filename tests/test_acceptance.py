@@ -234,21 +234,20 @@ def test_criterion_7_metric_unit_suite():
 
 def test_criterion_8_noise_trend_vs_baseline():
     start = time.perf_counter()
-    scene = SceneConfig(dims=(24, 24, 16), rank=5, seed=0)
+    scene = simulate_scene(SceneConfig(dims=(24, 24, 16), rank=5, seed=0))
     deg = DegradationConfig(kernel_size=3, sigma=2.0, factor=2, num_msi_bands=4)
     medians = {}
     for algorithm in ("nn-nls", "als"):
         cfg = ExperimentConfig(
             degradation=deg,
             solver=SolverConfig(),
-            scene=scene,
             algorithm=algorithm,
             snrs_db=(5.0,),
             ranks=(5,),
             replicates=10,
             master_seed=100,
         )
-        _, summary = run_experiment(cfg)
+        _, summary = run_experiment(cfg, scene)
         medians[algorithm] = summary[0].median_rsnr_db
     elapsed = time.perf_counter() - start
     ok = medians["nn-nls"] >= medians["als"] and elapsed < 300.0
@@ -260,19 +259,18 @@ def test_criterion_8_noise_trend_vs_baseline():
 
 def test_criterion_9_rank_robustness():
     start = time.perf_counter()
-    scene = SceneConfig(dims=(24, 24, 16), rank=5, seed=0)
+    scene = simulate_scene(SceneConfig(dims=(24, 24, 16), rank=5, seed=0))
     deg = DegradationConfig(kernel_size=3, sigma=2.0, factor=2, num_msi_bands=4)
     cfg = ExperimentConfig(
         degradation=deg,
         solver=SolverConfig(),
-        scene=scene,
         algorithm="nn-nls",
         snrs_db=(5.0,),
         ranks=(5, 10, 20),
         replicates=10,
         master_seed=100,
     )
-    _, summary = run_experiment(cfg)
+    _, summary = run_experiment(cfg, scene)
     medians = [s.median_rsnr_db for s in summary]
     elapsed = time.perf_counter() - start
     ok = (

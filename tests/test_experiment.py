@@ -27,11 +27,14 @@ from cpfuse.metrics import metrics_report, spatial_smooth
 from cpfuse.solver import FusionProblem, SolverConfig, SolverDivergenceError
 
 
+# The scene that small_config's sweeps run on.
+SCENE = simulate_scene(SceneConfig(dims=(10, 10, 6), rank=2, seed=0))
+
+
 def small_config(**overrides):
     defaults = dict(
         degradation=DegradationConfig(kernel_size=3, sigma=2.0, factor=2, num_msi_bands=3),
         solver=SolverConfig(max_iters=100),
-        scene=SceneConfig(dims=(10, 10, 6), rank=2, seed=0),
         algorithm="nn-nls",
         snrs_db=(math.inf,),
         ranks=(2,),
@@ -104,7 +107,7 @@ class TestSimulateScene:
 
 class TestRunExperiment:
     def test_single_replicate_row(self):
-        rows, summary = run_experiment(small_config())
+        rows, summary = run_experiment(small_config(), SCENE)
         assert len(rows) == 1 and len(summary) == 1
         row = rows[0]
         assert row.algorithm == "nn-nls"
@@ -119,7 +122,8 @@ class TestRunExperiment:
     def test_median_is_middle_order_statistic(self):
         rows, summary = run_experiment(
             small_config(replicates=3, degradation=DegradationConfig(
-                kernel_size=3, sigma=2.0, factor=2, num_msi_bands=3), snrs_db=(15.0,))
+                kernel_size=3, sigma=2.0, factor=2, num_msi_bands=3), snrs_db=(15.0,)),
+            SCENE,
         )
         assert len(rows) == 3
         values = sorted(r.rmse for r in rows)
@@ -127,12 +131,12 @@ class TestRunExperiment:
         assert summary[0].replicates == 3
 
     def test_replicates_differ_through_noise_and_init(self):
-        rows, _ = run_experiment(small_config(replicates=2, snrs_db=(10.0,)))
+        rows, _ = run_experiment(small_config(replicates=2, snrs_db=(10.0,)), SCENE)
         assert rows[0].rmse != rows[1].rmse
 
     def test_snr_sweep_median_rsnr_is_nondecreasing(self):
         _, summary = run_experiment(
-            small_config(replicates=3, snrs_db=(0.0, 5.0, 10.0))
+            small_config(replicates=3, snrs_db=(0.0, 5.0, 10.0)), SCENE
         )
         medians = [s.median_rsnr_db for s in summary]
         for lower, higher in zip(medians, medians[1:]):
@@ -140,7 +144,7 @@ class TestRunExperiment:
 
     def test_rank_sweep_axis(self):
         rows, summary = run_experiment(
-            small_config(ranks=(1, 2), replicates=1)
+            small_config(ranks=(1, 2), replicates=1), SCENE
         )
         assert [r.rank for r in rows] == [1, 2]
         assert all(r.snr_db == math.inf for r in rows)
@@ -150,23 +154,23 @@ class TestRunExperiment:
         sri = simulate_scene(SceneConfig(dims=(10, 10, 6), rank=2, seed=3))
         path = tmp_path / "scene.dt3"
         write_tensor(path, sri)
-        rows, _ = run_experiment(small_config(scene=None, sri_path=str(path)))
+        rows, _ = run_experiment(small_config(), read_tensor(path))
         assert rows[0].converged
         assert rows[0].rsnr_db > 60.0
 
     def test_deterministic_rows(self):
         # wall time is the one nondeterministic column
         cfg = small_config(replicates=2, snrs_db=(20.0,))
-        rows_a, _ = run_experiment(cfg)
-        rows_b, _ = run_experiment(cfg)
+        rows_a, _ = run_experiment(cfg, SCENE)
+        rows_b, _ = run_experiment(cfg, SCENE)
         strip = lambda r: replace(r, wall_time_seconds=0.0)  # noqa: E731
         assert [strip(r) for r in rows_a] == [strip(r) for r in rows_b]
 
     def test_worker_pool_matches_serial(self):
         serial = small_config(replicates=2, solver=SolverConfig(max_iters=30))
         pooled = small_config(replicates=2, solver=SolverConfig(max_iters=30), workers=2)
-        rows_s, _ = run_experiment(serial)
-        rows_p, _ = run_experiment(pooled)
+        rows_s, _ = run_experiment(serial, SCENE)
+        rows_p, _ = run_experiment(pooled, SCENE)
         for a, b in zip(rows_s, rows_p):
             assert a.rmse == b.rmse and a.iterations == b.iterations
 
@@ -175,7 +179,7 @@ class TestRunExperiment:
             raise SolverDivergenceError("forced failure")
 
         monkeypatch.setattr(cpfuse.experiment, "solve", explode)
-        rows, summary = run_experiment(small_config())
+        rows, summary = run_experiment(small_config(), SCENE)
         assert len(rows) == 1
         assert not rows[0].converged
         assert math.isnan(rows[0].rmse)
@@ -197,7 +201,9 @@ class TestRunExperiment:
 
         monkeypatch.setattr(cpfuse.experiment, "_add_pair_noise", record_noise)
         monkeypatch.setattr(cpfuse.experiment, "fuse", record_problem)
-        run_experiment(small_config(snrs_db=(10.0,), solver=SolverConfig(max_iters=2)))
+        run_experiment(
+            small_config(snrs_db=(10.0,), solver=SolverConfig(max_iters=2)), SCENE
+        )
         [(hsi, msi)], [prob] = noisy, problems
         assert np.shares_memory(prob.hsi, hsi)
         assert np.shares_memory(prob.msi, msi)
@@ -211,7 +217,6 @@ class TestRunExperiment:
     @pytest.mark.parametrize(
         "overrides",
         [
-            {"scene": None},
             {"algorithm": "newton"},
             {"ranks": ()},
             {"snrs_db": ()},
@@ -231,13 +236,9 @@ class TestRunExperiment:
         ],
     )
     def test_invalid_config_raises(self, overrides):
-        # Rejected when the config is built, before any scene is simulated.
+        # Rejected when the config is built, before any sweep runs.
         with pytest.raises(ValueError):
             small_config(**overrides)
-
-    def test_both_scene_sources_raise(self):
-        with pytest.raises(ValueError):
-            run_experiment(small_config(sri_path="x.dt3"))
 
 
 # Parsers keyed by the (string) field annotations of ResultRow.
@@ -760,10 +761,11 @@ class TestCliPipeline:
 
     @pytest.mark.parametrize("axis", [(), ("--rank", "2")])
     def test_sweep_unset_flags_take_the_config_defaults(self, tmp_path, monkeypatch, axis):
-        built = []
+        built, scenes = [], []
 
-        def capture(cfg):
+        def capture(cfg, sri):
             built.append(cfg)
+            scenes.append(sri)
             return [], []
 
         monkeypatch.setattr(cpfuse.cli, "run_experiment", capture)
@@ -773,10 +775,11 @@ class TestCliPipeline:
         assert built == [ExperimentConfig(
             degradation=DegradationConfig(),
             solver=SolverConfig(),
-            scene=SceneConfig(dims=(10, 10, 6), rank=3),
             master_seed=0,
             **grid,
         )]
+        [sri] = scenes
+        np.testing.assert_array_equal(sri, simulate_scene(SceneConfig((10, 10, 6), rank=3)))
 
     def test_sweep_grid_rows_are_its_one_point_sweeps_snr_major(self, tmp_path):
         def sweep(out, snrs, ranks, extra=()):
@@ -798,9 +801,25 @@ class TestCliPipeline:
         pooled = sweep(tmp_path / "pooled", ("10", "20"), ("1", "2"), ("--workers", "2"))
         assert pooled == [results, summary]
 
+    def test_sweep_scene_routes_agree(self, tmp_path):
+        # A simulated file passed with --sri feeds the same sweep as the
+        # --dims scene it was simulated from.
+        sri = tmp_path / "sri.dt3"
+        assert main(["simulate", "--dims", "10", "10", "6", "--rank", "2", "--seed", "3",
+                     "--out", str(sri)]) == 0
+        settings = ["--rank", "1", "2", "--snr-db", "10", "inf", "--replicates", "2",
+                    "--master-seed", "5", "--kernel-size", "3", "--factor", "2",
+                    "--msi-bands", "3", "--max-iters", "20"]
+        loaded, simulated = tmp_path / "loaded", tmp_path / "simulated"
+        assert main(["sweep", "--sri", str(sri), *settings, "--out-dir", str(loaded)]) == 0
+        assert main(["sweep", "--dims", "10", "10", "6", "--true-rank", "2",
+                     "--scene-seed", "3", *settings, "--out-dir", str(simulated)]) == 0
+        for name in ("results.csv", "summary.csv"):
+            assert (loaded / name).read_bytes() == (simulated / name).read_bytes()
+
     def test_sweep_checks_out_dir_before_any_replicate(self, tmp_path, capsys, monkeypatch):
         calls = []
-        monkeypatch.setattr(cpfuse.cli, "run_experiment", calls.append)
+        monkeypatch.setattr(cpfuse.cli, "run_experiment", lambda cfg, sri: calls.append(cfg))
         taken = tmp_path / "taken"
         taken.write_text("")
         assert main(self.sweep_args(taken)) == 1
@@ -847,6 +866,7 @@ class TestCliPipeline:
         # The SNR is rejected before the scene is read or simulated.
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(cpfuse.experiment, "simulate_scene", None)
+        monkeypatch.setattr(cpfuse.cli, "simulate_scene", None)
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
@@ -870,6 +890,7 @@ class TestCliPipeline:
                                                      argv, name):
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(cpfuse.experiment, "simulate_scene", None)
+        monkeypatch.setattr(cpfuse.cli, "simulate_scene", None)
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: {name} must be nonnegative, got -1\n"
         assert list(tmp_path.iterdir()) == []

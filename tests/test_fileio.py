@@ -158,6 +158,17 @@ class TestWriteErrors:
         with pytest.raises(ValueError):
             write_matrix(tmp_path / "m.dm2", np.ones((2, 2, 2)))
 
+    @pytest.mark.parametrize(
+        "write, shape", [(write_tensor, (0, 2, 2)), (write_tensor, (2, 2, 0)),
+                         (write_matrix, (0, 2)), (write_matrix, (2, 0))]
+    )
+    def test_zero_dimension(self, tmp_path, write, shape):
+        # The readers reject a zero dimension, so no such file is written.
+        path = tmp_path / "empty"
+        with pytest.raises(ValueError, match=r"^zero dimension in header \("):
+            write(path, np.zeros(shape))
+        assert not path.exists()
+
     def test_dimension_above_uint32_range(self, tmp_path):
         # A zero-stride view: no payload is allocated, and none is written.
         huge = np.broadcast_to(np.zeros(1), (2**32, 1, 1))

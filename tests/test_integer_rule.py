@@ -23,14 +23,12 @@ from cpfuse.solver import FusionProblem, SolverConfig, init_latent, pcg
 
 DIMS = (6, 6, 4)
 DEGRADATION = DegradationConfig(kernel_size=3, factor=2, num_msi_bands=2)
-SCENE = SceneConfig(dims=DIMS, rank=2)
 OPS = build_operators(DIMS, DEGRADATION)
 IMAGES = degrade(np.random.default_rng(0).uniform(size=DIMS), OPS)
 
 
 def experiment(**overrides):
-    return ExperimentConfig(degradation=DEGRADATION, solver=SolverConfig(), scene=SCENE,
-                            **overrides)
+    return ExperimentConfig(degradation=DEGRADATION, solver=SolverConfig(), **overrides)
 
 
 # (name in the message, a call that builds with the value, a valid value,

@@ -49,6 +49,7 @@ def test_scipy_ndimage_loads_only_for_smoothing():
                                         max_iters=2)
         for m in (model, als_model):
             cpfuse.metrics_report(cpfuse.reconstruct_sri(m), sri)
+        cpfuse.spatial_smooth(sri, 1)
         assert "scipy.ndimage" not in sys.modules
         cpfuse.spatial_smooth(sri, 3)
         assert "scipy.ndimage" in sys.modules

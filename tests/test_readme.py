@@ -33,7 +33,7 @@ def test_experiments_commands_build_their_sweeps(tmp_path, monkeypatch):
     # being rejected, fails here.
     recorded = []
 
-    def run_experiment(cfg):
+    def run_experiment(cfg, sri):
         recorded.append(cfg)
         return [], []
 
