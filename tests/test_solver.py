@@ -156,13 +156,22 @@ def reference_gramian_apply(gram, z):
 
 
 def ridged_block_systems(gram):
-    """The preconditioner's R x R block systems, with their trace-scaled ridge."""
+    """The preconditioner's R x R block systems, with their trace-scaled ridge.
+
+    Mode n's exact diagonal block maps ``B`` to ``Q^T Q B H_deg + B H_keep``;
+    the system stands in ``||Q||_F^2 / d_n`` times the identity for ``Q^T Q``.
+    """
     rank = gram.block_shapes[0][1]
     u_grams, v_grams = _grams(gram)
+    ops = gram.operators
+    # The HSI degrades the two spatial modes, the MSI the spectral one.
+    weights = [np.sum(q * q) / q.shape[1] for q in (ops.spatial_1, ops.spatial_2, ops.spectral)]
     systems = []
     for n in range(3):
         o = [m for m in range(3) if m != n]
-        g = u_grams[o[0]] * u_grams[o[1]] + v_grams[o[0]] * v_grams[o[1]]
+        hu = u_grams[o[0]] * u_grams[o[1]]
+        hv = v_grams[o[0]] * v_grams[o[1]]
+        g = weights[n] * hu + hv if n < 2 else hu + weights[n] * hv
         eps = 1e-12 * float(np.trace(g))
         systems.append(g + (eps if eps > 0.0 else 1.0) * np.eye(rank))
     return systems
@@ -588,18 +597,21 @@ class TestBlockJacobiPreconditioner:
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_isotropic_case_is_scalar_inverse(self):
-        # Unit latent and identity Grams: each block system is 2 I and the
-        # chain scaling contributes a factor 4, so the preconditioner is I/8.
+        # Unit latent, identity Grams and operators s I: the exact diagonal
+        # block of every mode is (1 + s^2) I, which the block system matches,
+        # and the chain scaling contributes a factor 4, so the preconditioner
+        # is I / (4 (1 + s^2)): I/8 for identity operators.
         dims, rank = (3, 3, 2), 2
         orthonormal = [np.eye(d, rank) for d in dims]
-        gram = GramianOperator(
-            scale=np.full(sum(dims) * rank, 2.0),
-            factors=(orthonormal, orthonormal),
-            operators=identity_operators(dims),
-        )
-        precond = block_jacobi_preconditioner(gram)
-        v = np.random.default_rng(0).standard_normal(gram.size)
-        np.testing.assert_allclose(precond(v), v / 8.0, rtol=1e-9)
+        v = np.random.default_rng(0).standard_normal(sum(dims) * rank)
+        for s in (1.0, 0.5):
+            gram = GramianOperator(
+                scale=np.full(v.size, 2.0),
+                factors=(orthonormal, orthonormal),
+                operators=DegradationOperators(*(s * np.eye(d) for d in dims)),
+            )
+            precond = block_jacobi_preconditioner(gram)
+            np.testing.assert_allclose(precond(v), v / (4.0 * (1.0 + s * s)), rtol=1e-9)
 
     def test_linear_map(self):
         prob, _, _ = make_problem(dims=(4, 3, 3), rank=2, seed=1)
@@ -1114,6 +1126,20 @@ class TestSolve:
         assert after_rejection
         assert len(calls) == 1 + sum(r.accepted for r in trace[:-1])
         assert all(r.cg_iterations == 0 for r in after_rejection)
+
+    def test_step_without_a_newton_point_is_recorded_as_cauchy(self, monkeypatch):
+        # A curvature exit at PCG's first iteration returns a zero step; the
+        # Cauchy point is then taken as it is, and recorded as such.
+        def no_step(hop, g, precond, **kwargs):
+            return PcgResult(np.zeros_like(g), 0, float(np.linalg.norm(g)), True, False)
+
+        monkeypatch.setattr(solver_module, "pcg", no_step)
+        prob, _, _ = make_problem()
+        init = init_latent(prob.sri_dims, prob.rank, rng_seed=1)
+        _, _, trace = solve(prob, init, SolverConfig(max_iters=3))
+        assert trace
+        assert all(r.step_type == "cauchy" for r in trace)
+        assert all(r.cg_iterations == 0 for r in trace)
 
     def test_mismatched_init_raises(self):
         prob, _, _ = make_problem()
