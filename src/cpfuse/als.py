@@ -31,8 +31,9 @@ A solve starts from ``FusionProblem.evaluate`` at the init, the one
 evaluation both solvers share: the projections, their Grams, each image's
 mode-1 MTTKRP and the objective.  Each sweep ends with each image's mode-1
 MTTKRP at the new point, which is also the next sweep's mode-1 right-hand
-side, and its objective is ``FusionProblem.misfit`` from those MTTKRPs and the
-Grams kept current.  So ALS reconstructs an image only when its misfit is
+side, and its objective is ``FusionProblem.misfit`` from those MTTKRPs, the
+Grams kept current and the mode-3 update's Hadamard products.  So ALS
+reconstructs an image only when its misfit is
 below ``solver.GUARD`` times its squared norm.
 """
 
@@ -148,7 +149,8 @@ def solve_als(
     bases = [_gram_eigenbasis(q) for q in ops.matrices]
 
     factors = [f.copy() for f in init.factors]
-    # Each image's CP factors and their Grams, kept current as the scene factors change.
+    # Each image's CP factors and their Grams, stacked (mode, image), kept
+    # current as the scene factors change.
     start = prob.evaluate(factors)
     projected, grams, mode1 = start.projected, start.grams, start.mode1
     objectives = [start.f_value]
@@ -157,21 +159,23 @@ def solve_als(
         for n, (a, b) in enumerate(_OTHER_MODES):
             terms = mode1 if n == 0 else [_partial_mttkrp(z, proj, n + 1)
                                           for z, proj in zip(partials, projected)]
-            gammas = [g[a] * g[b] for g in grams]
+            gammas = grams[a] * grams[b]
             # The image that degrades mode n scales the Sylvester system.
             s = DEGRADED_IN[n]
             rhs = ops.back_project(n, terms)
             factors[n] = _sylvester_rows(*bases[n], gammas[s], gammas[1 - s], rhs, dsygv)
-            for proj, g, f in zip(projected, grams, ops.project_mode(n, factors[n])):
+            for proj, g, f in zip(projected, grams[n], ops.project_mode(n, factors[n])):
                 proj[n] = f
-                g[n] = f.T.dot(f)
+                f.T.dot(f, out=g)
             if n == 0:
                 # Modes 2 and 3 both contract each image with its new mode-1 factor.
                 partials = [_mode1_partial(image, proj[0])
                             for image, proj in zip(prob.images, projected)]
 
         mode1 = [mttkrp(image, proj, 1) for image, proj in zip(prob.images, projected)]
-        objectives.append(prob.misfit(projected, mode1, grams))
+        # The last update's Hadamard products, of modes 1 and 2, are the
+        # misfit's: no Gram changed since.
+        objectives.append(prob.misfit(projected, mode1, grams[2], gammas))
         if _decrease_below(objectives[-2], objectives[-1], cfg.rel_f_tol):
             converged = True
             break

@@ -90,7 +90,10 @@ class DegradationOperators:
 
     Each must be a matrix of finite entries.  ``matrices`` is resolved at
     construction; the fields cannot be rebound, so it always holds the
-    fields' arrays.
+    fields' arrays.  The energy weights ``_energy_weights``, each mode's
+    ``||Q_n||_F^2 / d_n`` (the mean eigenvalue of ``Q_n^T Q_n``, which the
+    solver's preconditioner reads), are formed once, at construction, shaped
+    ``(3, 1, 1)`` to scale a stack of one R x R block per mode.
     """
 
     spatial_1: np.ndarray
@@ -108,6 +111,11 @@ class DegradationOperators:
                 raise ValueError(f"{name} holds a NaN or an infinity")
             object.__setattr__(self, name, m)
         object.__setattr__(self, "matrices", (self.spatial_1, self.spatial_2, self.spectral))
+        # An operator whose squared entries overflow gets an infinite weight,
+        # not a warning; ``degrade`` rejects the images it makes.
+        with np.errstate(over="ignore"):
+            weights = [_sum_squares(q) / q.shape[1] for q in self.matrices]
+        object.__setattr__(self, "_energy_weights", np.array(weights)[:, None, None])
 
     def project_mode(self, n: int, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The HSI's and the MSI's mode-``n`` CP factor for the scene's mode-``n``

@@ -32,29 +32,39 @@ the misfit is instead summed from the reconstructed residual.
 The latent-to-factor chain scaling is frozen per point, so the Gramian
 operator is built once per point and reused by every CG application there;
 after a rejected step the point is unchanged, and so are the operator, the
-preconditioner and the PCG step.  What depends only on the point is formed
-once with it: the chain scaling, the Hadamard products of the Grams, the
-operator's constant rows and coefficients, and, in the preconditioner,
-the symmetrized inverses of the ridged R x R block systems and the packed
-inverse scaling.  The applies that PCG repeats do only the products that
-involve the vector.
+preconditioner, the PCG step and the model.  What depends only on the point
+is formed once with it: the chain scaling, the operator's constant rows and
+coefficients, and, in the preconditioner, the symmetrized inverses of the
+ridged R x R block systems and the packed inverse scaling.  The applies that
+PCG repeats do only the products that involve the vector.  The
+preconditioner's energy weights depend only on the operators, which form
+them once.
 
 A point is its packed vector ``x``.  A ``LatentTriple`` owns that one
 read-only array, and its blocks are views of it.  The chain factor ``2 x``
 of the gradient and the Gramian is one product with ``x``, never formed block
 by block.  Each point is evaluated once, by ``FusionProblem.evaluate``, the
 one place either solver forms an evaluation: each image's projected factors,
-their Grams and mode-1 MTTKRP, and the objective value.  The point keeps it.
-Every trial is ``x + p``, formed once; once the step is accepted the gradient
-reads the trial objective's evaluation and forms only each image's mode-2 and
-mode-3 MTTKRPs, and the Gramian operator reads the projections.
+their Grams and the Hadamard products of each mode's two other Grams, each
+stacked as one ``(mode, image, R, R)`` array, its mode-1 MTTKRP, and the
+objective value.  The point keeps it.  Every trial is ``x + p``, formed
+once; once the step is accepted the gradient reads the trial objective's
+evaluation and forms only each image's mode-2 and mode-3 MTTKRPs.  The
+objective, the gradient, the Gramian operator and the preconditioner read
+the evaluation's Grams and Hadamard products; none forms them again.
 
 The misfit is a plain squared norm, so the model Hessian is ``H = 2 G`` for
 the Gramian ``G``.  PCG runs on ``G`` against half the gradient, which yields
-the same step, since scaling by a power of two is exact; ``p^T H p`` doubles
-the scalar ``p^T G p``, and only the Cauchy point applies ``2 G``.  No CG
-iteration makes a pass to scale a vector.  PCG's curvature exit,
-``d^T G d <= 1e-14 ||d||^2``, is ``2e-14`` against ``H``.
+the same step, since scaling by a power of two is exact.  No CG iteration
+makes a pass to scale a vector.  PCG's curvature exit,
+``d^T G d <= 1e-14 ||d||^2``, is ``2e-14`` against ``H``.  Every trial step
+lies in ``span{g, p_N}`` of the gradient and the Newton point (Byrd,
+Schnabel & Shultz, Math. Prog. 40, 1988), so ``solve`` forms the model there
+once per point (``_SubspaceModel``): ``g^T G g`` from the one Gramian apply
+outside PCG, the Cauchy curvature, and ``g^T G p_N`` and ``p_N^T G p_N`` from
+PCG's final residual ``r``, since ``G p_N = -g / 2 - r``.  A step's
+``p^T H p`` and ``g^T p`` follow from its coefficients on ``g`` and ``p_N``,
+so an iteration after a rejected step makes no Gramian apply.
 
 A packed vector concatenates ``vec_F`` of the three ``(d_n, R)`` blocks, so each
 block is its transpose in C order, and the applies read and write it through
@@ -268,23 +278,27 @@ class FusionProblem:
 
     def evaluate(self, factors) -> _Evaluation:
         """The evaluation at the scene's CP ``factors``: each image's projected
-        factors, their Grams and mode-1 MTTKRP, and the objective ``misfit``
-        formed from them."""
+        factors, their Grams and Hadamard products (``_gram_products``) and
+        mode-1 MTTKRP, and the objective ``misfit`` formed from them."""
         projected = self.operators.project(factors)
-        grams = [[f.T.dot(f) for f in image] for image in projected]
+        grams, hadamards = _gram_products(projected)
         mode1 = [mttkrp(image, proj, 1) for image, proj in zip(self.images, projected)]
-        return _Evaluation(self, projected, grams, mode1, self.misfit(projected, mode1, grams))
+        f_value = self.misfit(projected, mode1, grams[2], hadamards[2])
+        return _Evaluation(self, projected, grams, hadamards, mode1, f_value)
 
-    def misfit(self, projected, mode1, grams) -> float:
+    def misfit(self, projected, mode1, grams3, hadamards3) -> float:
         """The coupled objective, ``sum ||[[F]] - X||^2`` over the ``images``,
         from each image's CP factors ``F`` (``projected``), ``mttkrp(X, F, 1)``
-        (``mode1``) and Grams: the Gram expansion, with ``<X, [[F]]>`` formed
-        here as ``<mttkrp(X, F, 1), F_1>``, or below ``GUARD * ||X||^2``, where
-        it has cancelled too many digits, the reconstructed residual."""
+        (``mode1``), mode-3 Gram ``G_3`` (``grams3``) and Hadamard product
+        ``G_1 * G_2`` (``hadamards3``): the Gram expansion, with
+        ``<X, [[F]]>`` formed here as ``<mttkrp(X, F, 1), F_1>``, or below
+        ``GUARD * ||X||^2``, where it has cancelled too many digits, the
+        reconstructed residual."""
         total = 0.0
-        for image, norm_sq, proj, m, g in zip(self.images, self.norms_sq, projected, mode1, grams):
+        for image, norm_sq, proj, m, g3, h3 in zip(self.images, self.norms_sq, projected, mode1,
+                                                   grams3, hadamards3):
             cross = float(np.vdot(m, proj[0]))
-            misfit = norm_sq - 2.0 * cross + float(np.vdot(g[0] * g[1], g[2]))
+            misfit = norm_sq - 2.0 * cross + float(np.vdot(h3, g3))
             if misfit < GUARD * norm_sq:
                 misfit = _squared_misfit(cpd_reconstruct(*proj), image)
             total += misfit
@@ -351,6 +365,26 @@ class IterationRecord:
 
 # The two other modes of each mode, in the order the Hadamard products use them.
 _OTHER_MODES = ((1, 2), (0, 2), (0, 1))
+# Index arrays into a (mode, image, R, R) stack: per mode, the slot of the
+# image that degrades it and of the image that keeps it.
+_DEGRADING = ([0, 1, 2], list(DEGRADED_IN))
+_KEEPING = ([0, 1, 2], [1 - s for s in DEGRADED_IN])
+
+
+def _gram_products(projected) -> tuple[np.ndarray, np.ndarray]:
+    """Each image's Grams ``G_n = F_n^T F_n`` of its CP factors ``projected``
+    (one list per image, HSI first) and, per mode, the Hadamard product of
+    the two other modes' Grams, each stacked as one ``(mode, image, R, R)``
+    array.  Modes 1 and 2 are repeated after mode 3, so the Hadamard
+    products of all modes are one product of two contiguous slices, equal
+    to ``G_a * G_b`` for ``(a, b)`` in ``_OTHER_MODES`` bit for bit."""
+    rank = projected[0][0].shape[1]
+    cyclic = np.empty((5, 2, rank, rank))
+    for s, image in enumerate(projected):
+        for n, f in enumerate(image):
+            f.T.dot(f, out=cyclic[n, s])
+    cyclic[3:] = cyclic[:2]
+    return cyclic[:3], cyclic[1:4] * cyclic[2:5]
 
 
 def _squared_misfit(model: np.ndarray, image: np.ndarray) -> float:
@@ -368,12 +402,14 @@ def _decrease_below(previous: float, current: float, rel_f_tol: float) -> bool:
 @dataclass(frozen=True, eq=False)
 class _Evaluation:
     """What ``FusionProblem.evaluate`` forms at a point of ``prob``: each
-    image's projected factors, their Grams and its mode-1 MTTKRP, and the
-    objective value."""
+    image's projected factors, their Grams and Hadamard products, stacked
+    ``(mode, image, R, R)`` by ``_gram_products``, its mode-1 MTTKRP, and
+    the objective value."""
 
     prob: FusionProblem
     projected: tuple[list[np.ndarray], ...]
-    grams: list[list[np.ndarray]]
+    grams: np.ndarray
+    hadamards: np.ndarray
     mode1: list[np.ndarray]
     f_value: float
 
@@ -402,16 +438,15 @@ def gradient(latent: LatentTriple, prob: FusionProblem) -> np.ndarray:
 
     The chain rule through the entrywise square contributes a factor of twice
     the latent entry, one product with the packed point, so any zero latent
-    entry yields a zero gradient entry.  The projections, Grams and mode-1
-    MTTKRPs come from the point's evaluation; only modes 2 and 3 are formed
-    here.
+    entry yields a zero gradient entry.  The projections, Hadamard products
+    and mode-1 MTTKRPs come from the point's evaluation; only modes 2 and 3
+    are formed here.
     """
     ev = _evaluate(latent, prob)
     terms = []
-    for image, factors, g, m1 in zip(prob.images, ev.projected, ev.grams, ev.mode1):
+    for s, (image, factors, m1) in enumerate(zip(prob.images, ev.projected, ev.mode1)):
         mttkrps = [m1, mttkrp(image, factors, 2), mttkrp(image, factors, 3)]
-        terms.append([factors[n].dot(g[a] * g[b]) - mttkrps[n]
-                      for n, (a, b) in enumerate(_OTHER_MODES)])
+        terms.append([factors[n].dot(ev.hadamards[n, s]) - mttkrps[n] for n in range(3)])
     # gradients with respect to the squared factors
     grads = [2.0 * prob.operators.back_project(n, t) for n, t in enumerate(zip(*terms))]
     return 2.0 * latent.vec * _pack(grads)
@@ -433,7 +468,11 @@ class GramianOperator:
     other modes' Grams, the mode-``n`` output for ``B = s * z`` sums, over the
     two images, ``P_n H_n + F_n S_n`` mapped back through ``Q_n^T`` where the
     image degrades the mode, with ``P_n`` the projected block, the cross Grams
-    ``W_m = P_m^T F_m`` and ``S_n = W_a * G_b + W_b * G_a``.
+    ``W_m = P_m^T F_m`` and ``S_n = W_a * G_b + W_b * G_a``.  The Grams and
+    Hadamard products are read as given from ``grams`` and ``hadamards``, the
+    ``(mode, image, R, R)`` stacks of ``_gram_products``, which
+    ``from_latent`` takes from the point's evaluation: the operator forms
+    neither.
 
     The packed block ``vec_F(B_n)`` is ``B_n^T`` in C order, so an apply reads
     and writes the packed vectors through ``(R x d_n)`` views and makes no
@@ -456,14 +495,17 @@ class GramianOperator:
       ``out_n^T = [S_n^T | H^deg | H^keep] [K_n^T ; B_n^T Q^T Q ; B_n^T]``.
 
     An apply reads ``scale`` as given and otherwise only arrays formed at
-    construction, including its own copies of the operator matrices, so later
-    changes to ``factors`` or ``operators`` are not seen.  Every apply returns
+    construction, including its own copies of the operator matrices, the
+    Grams and the Hadamard products, so later changes to ``factors``,
+    ``grams``, ``hadamards`` or ``operators`` are not seen.  Every apply returns
     a fresh array; the scratch buffers it overwrites are private to the
     operator.
     """
 
     scale: np.ndarray
     factors: tuple[list[np.ndarray], ...]
+    grams: np.ndarray
+    hadamards: np.ndarray
     operators: DegradationOperators
 
     def __post_init__(self) -> None:
@@ -471,8 +513,6 @@ class GramianOperator:
         # keeps the mode holds.
         self.block_shapes = [self.factors[1 - s][n].shape for n, s in enumerate(DEGRADED_IN)]
         self.size = self.scale.size
-        grams = [[f.T.dot(f) for f in image] for image in self.factors]
-        self.hadamards = [[g[a] * g[b] for a, b in _OTHER_MODES] for g in grams]
 
         rank = self.block_shapes[0][1]
         matrices = self.operators.matrices
@@ -489,7 +529,7 @@ class GramianOperator:
         self._heads_cross = heads[:, height - 2 * rank :].reshape(3, 2, rank, rank)
         self._cross = np.empty((5, 2, rank, rank))
         self._grams = np.empty((5, 2, rank, rank))
-        self._grams[:3] = np.transpose(grams, (1, 0, 3, 2))
+        self._grams[:3] = self.grams.transpose(0, 1, 3, 2)
         self._grams[3:] = self._grams[:2]
         coefficients = np.empty((3, rank, 4 * rank))
         self._s = coefficients[:, :, : 2 * rank].reshape(3, rank, 2, rank).transpose(0, 2, 1, 3)
@@ -508,8 +548,8 @@ class GramianOperator:
             k_t = stack[rows : rows + 2 * rank].reshape(2, rank, -1)
             self.factors[deg][n].T.dot(q, out=k_t[deg])
             k_t[1 - deg] = self.factors[1 - deg][n].T
-            coefficients[n, :, 2 * rank : 3 * rank] = self.hadamards[deg][n].T
-            coefficients[n, :, 3 * rank :] = self.hadamards[1 - deg][n].T
+            coefficients[n, :, 2 * rank : 3 * rank] = self.hadamards[n, deg].T
+            coefficients[n, :, 3 * rank :] = self.hadamards[n, 1 - deg].T
             head = heads[n, height - 2 * rank - rows :]
             self._products.append(
                 (b_t.T, stack[: rows + 2 * rank], head, head[:rows].T, stack[:rows],
@@ -520,8 +560,10 @@ class GramianOperator:
     @classmethod
     def from_latent(cls, latent: LatentTriple, prob: FusionProblem) -> "GramianOperator":
         """The Gramian of ``prob`` at ``latent``: the chain scaling ``2 x`` of
-        the packed point and the projections of the point's evaluation."""
-        return cls(2.0 * latent.vec, _evaluate(latent, prob).projected, prob.operators)
+        the packed point and the projections, Grams and Hadamard products of
+        the point's evaluation."""
+        ev = _evaluate(latent, prob)
+        return cls(2.0 * latent.vec, ev.projected, ev.grams, ev.hadamards, prob.operators)
 
     def apply(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=np.float64)
@@ -556,7 +598,9 @@ def block_jacobi_preconditioner(gram: GramianOperator):
     The weight ``c_n = ||Q_n||_F^2 / d_n``, the mean eigenvalue of the
     ``d_n x d_n`` matrix ``Q_n^T Q_n``, is its closest multiple of the
     identity; the identity itself would overweight the degrading image by
-    ``1 / c_n``.  The weights are read from the operator matrices here.
+    ``1 / c_n``.  The weights are the operators' ``_energy_weights``, formed
+    with the operators, and the Hadamard products are the Gramian's, formed
+    once per point by its evaluation.
 
     The scaling is applied symmetrically (square roots on both sides), so the
     returned map is linear and symmetric positive definite even where latent
@@ -566,16 +610,15 @@ def block_jacobi_preconditioner(gram: GramianOperator):
     block with no pack, and returns a fresh array; its scratch is private to
     the closure.
     """
-    g = np.stack([_sum_squares(q) / q.shape[1] * hs[deg] + hs[1 - deg]
-                  for q, deg, hs in zip(gram.operators.matrices, DEGRADED_IN,
-                                        zip(*gram.hadamards))])
+    g = gram.operators._energy_weights * gram.hadamards[_DEGRADING] + gram.hadamards[_KEEPING]
     eps = 1e-12 * np.trace(g, axis1=1, axis2=2)
     eps[eps <= 0.0] = 1.0
     inv = np.linalg.inv(g + eps[:, None, None] * np.eye(g.shape[1]))
     inverses = 0.5 * (inv + inv.transpose(0, 2, 1))
 
     lam_sq = gram.scale * gram.scale
-    eps_lam = 1e-8 * float(np.mean(lam_sq))
+    # The mean of lam_sq: np.mean's sum and division, without its dispatch.
+    eps_lam = 1e-8 * (float(lam_sq.sum()) / lam_sq.size)
     if eps_lam <= 0.0:
         eps_lam = 1.0
     inv_scale = 1.0 / np.sqrt(np.maximum(lam_sq, eps_lam))
@@ -597,7 +640,13 @@ def block_jacobi_preconditioner(gram: GramianOperator):
 
 @dataclass(frozen=True)
 class PcgResult:
+    """What ``pcg`` returns: the ``step`` ``p`` and its ``residual``
+    ``-g - H p``, as PCG updated it, after ``iterations`` iterations, the
+    residual's norm, and the exit flags.  The residual spares the caller an
+    apply: ``H p = -g - residual``."""
+
     step: np.ndarray
+    residual: np.ndarray
     iterations: int
     residual_norm: float
     curvature_exit: bool
@@ -615,10 +664,11 @@ def pcg(hop, g: np.ndarray, precond, max_iters: int = CG_MAX_ITERS,
     returning the current iterate flagged ``curvature_exit``.  The iterate,
     residual and direction are updated in place, and the steps along ``d``
     and ``H d`` go through one scratch vector; ``hop`` and ``precond`` may
-    return their argument.  A call that ends at iteration k, whichever exit
-    ends it, calls each of ``hop`` and ``precond`` k times: no preconditioner
-    apply follows the last iteration.  ``max_iters`` below 1 raises
-    ``ValueError``.
+    return their argument.  The residual returned is the one the iteration
+    updated, equal to ``-g - H p`` up to rounding.  A call that ends at
+    iteration k, whichever exit ends it, calls each of ``hop`` and
+    ``precond`` k times: no preconditioner apply follows the last iteration.
+    ``max_iters`` below 1 raises ``ValueError``.
     """
     _check_int("max_iters", max_iters)
     g = np.asarray(g, dtype=np.float64)
@@ -626,7 +676,7 @@ def pcg(hop, g: np.ndarray, precond, max_iters: int = CG_MAX_ITERS,
     r = -g
     g_norm = _norm(g)
     if g_norm == 0.0:
-        return PcgResult(p, 0, 0.0, False, False)
+        return PcgResult(p, r, 0, 0.0, False, False)
     y = precond(r)
     d = y.copy()
     rz = float(r.dot(y))
@@ -637,14 +687,14 @@ def pcg(hop, g: np.ndarray, precond, max_iters: int = CG_MAX_ITERS,
         hd = hop(d)
         curvature = float(d.dot(hd))
         if curvature <= 1e-14 * float(d.dot(d)):
-            return PcgResult(p, k - 1, res_norm, True, False)
+            return PcgResult(p, r, k - 1, res_norm, True, False)
         alpha = rz / curvature
         p += np.multiply(alpha, d, out=step)
         r -= np.multiply(alpha, hd, out=step)
         res_norm = _norm(r)
         norm_exit = _norm(p) > max_norm
         if norm_exit or res_norm <= tol or k == max_iters:
-            return PcgResult(p, k, res_norm, False, norm_exit)
+            return PcgResult(p, r, k, res_norm, False, norm_exit)
         y = precond(r)
         rz_new = float(r.dot(y))
         d *= rz_new / rz
@@ -652,29 +702,30 @@ def pcg(hop, g: np.ndarray, precond, max_iters: int = CG_MAX_ITERS,
         rz = rz_new
 
 
-def cauchy_point(g: np.ndarray, curvature: float, delta: float) -> np.ndarray:
-    """Minimizer of the quadratic model along the steepest descent direction.
+def cauchy_point(g_norm: float, curvature: float, delta: float) -> float:
+    """Minimizer of the quadratic model along the steepest descent direction,
+    as its coefficient ``t`` on the gradient: the point is ``t g``.
 
-    ``curvature`` is the model's ``g^T H g``.  Returns
-    ``-tau * (delta / ||g||) * g`` with ``tau = 1`` under nonpositive
-    curvature and ``min(1, ||g||^3 / (delta g^T H g))`` otherwise; the zero
-    vector when ``g`` is zero.
+    ``g_norm`` is ``||g||`` and ``curvature`` the model's ``g^T H g``.  Returns
+    ``t = -tau * delta / ||g||`` with ``tau = 1`` under nonpositive curvature
+    and ``min(1, ||g||^3 / (delta g^T H g))`` otherwise; 0 when ``g`` is zero.
     """
-    g = np.asarray(g, dtype=np.float64)
-    g_norm = _norm(g)
     if g_norm == 0.0:
-        return np.zeros_like(g)
+        return 0.0
     if curvature <= 0.0:
         tau = 1.0
     else:
         tau = min(1.0, g_norm**3 / (delta * curvature))
-    return (-tau * delta / g_norm) * g
+    return -tau * delta / g_norm
 
 
-def dogleg_step(p_c: np.ndarray, p_n: np.ndarray, delta: float) -> tuple[np.ndarray, str]:
+def dogleg_step(p_c: np.ndarray, p_n: np.ndarray, norm_n: float,
+                delta: float) -> tuple[np.ndarray, str, tuple[float, float]]:
     """Combine Cauchy and Newton points into a step of norm at most ``delta``.
 
-    Returns the step and its kind: the Newton point when it fits inside the
+    ``norm_n`` is ``||p_n||``, which the caller forms once per point.
+    Returns the step, its kind and its coefficients ``(a, b)``, with the step
+    ``a p_c + b p_n``: the Newton point ``(0, 1)`` when it fits inside the
     region, the Cauchy point scaled to the boundary when it already fills the
     region, else the unique boundary point on the segment between the two.
     """
@@ -682,18 +733,61 @@ def dogleg_step(p_c: np.ndarray, p_n: np.ndarray, delta: float) -> tuple[np.ndar
     p_n = np.asarray(p_n, dtype=np.float64)
     if not delta > 0:
         raise ValueError(f"trust radius must be positive, got {delta}")
-    norm_n = _norm(p_n)
     if norm_n <= delta:
-        return p_n, "newton"
+        return p_n, "newton", (0.0, 1.0)
     norm_c = _norm(p_c)
     if norm_c >= delta:
-        return (delta / norm_c) * p_c, "cauchy"
+        return (delta / norm_c) * p_c, "cauchy", (delta / norm_c, 0.0)
     seg = p_n - p_c
     a = float(seg.dot(seg))
     b = 2.0 * float(p_c.dot(seg))
     c = norm_c**2 - delta**2
     theta = (-b + math.sqrt(max(b * b - 4.0 * a * c, 0.0))) / (2.0 * a)
-    return p_c + theta * seg, "dogleg"
+    return p_c + theta * seg, "dogleg", (1.0 - theta, theta)
+
+
+@dataclass(frozen=True, eq=False)
+class _SubspaceModel:
+    """The Gauss-Newton model at a point on ``span{g, p_N}``, formed once per
+    point: every step ``solve`` takes there is ``a g + b p_N``.
+
+    From the gradient ``g``, the Cauchy apply ``G g`` and the Newton point
+    ``p_N`` of PCG on ``G p = -g / 2``, whose residual ``r`` gives
+    ``G p_N = -g / 2 - r``, three dot products form the Gramian on the
+    subspace: ``g^T G g``, ``g^T G p_N = -||g||^2 / 2 - g^T r`` and
+    ``p_N^T G p_N = -g^T p_N / 2 - p_N^T r``.  A step's ``g^T p`` and
+    ``p^T H p = 2 p^T G p`` are then scalar sums, with no Gramian apply.
+    """
+
+    g: np.ndarray
+    newton: np.ndarray
+    g_sq: float
+    g_norm: float
+    newton_norm: float
+    g_newton: float
+    gramian: tuple[float, float, float]
+
+    @classmethod
+    def at(cls, g: np.ndarray, gram_g: np.ndarray, cg: PcgResult) -> "_SubspaceModel":
+        """The model at gradient ``g`` from ``G g`` and PCG's result on ``G p = -g / 2``."""
+        p_n, r = cg.step, cg.residual
+        g_sq, g_newton = float(g.dot(g)), float(g.dot(p_n))
+        gramian = (float(g.dot(gram_g)), -0.5 * g_sq - float(g.dot(r)),
+                   -0.5 * g_newton - float(p_n.dot(r)))
+        return cls(g, p_n, g_sq, math.sqrt(g_sq), _norm(p_n), g_newton, gramian)
+
+    def step(self, delta: float) -> tuple[np.ndarray, str, float, float]:
+        """The trial step at radius ``delta``, its kind, ``g^T p`` and ``p^T H p``."""
+        g_g_g, g_g_n, n_g_n = self.gramian
+        t = cauchy_point(self.g_norm, 2.0 * g_g_g, delta)
+        if self.newton_norm > 0.0:
+            p, kind, (a, b) = dogleg_step(t * self.g, self.newton, self.newton_norm, delta)
+        else:
+            # PCG made no step (a curvature exit at its first iteration).
+            p, kind, (a, b) = t * self.g, "cauchy", (1.0, 0.0)
+        a *= t
+        p_g_p = a * a * g_g_g + 2.0 * a * b * g_g_n + b * b * n_g_n
+        return p, kind, a * self.g_sq + b * self.g_newton, 2.0 * p_g_p
 
 
 def trust_region_update(
@@ -770,37 +864,31 @@ def solve(
     trace: list[IterationRecord] = []
 
     for it in range(cfg.max_iters):
-        grad_inf = float(np.max(np.abs(state.gradient)))
+        # A rejected step leaves the point and gradient unchanged, so what
+        # was formed there is reused: the largest gradient entry, the radius
+        # floor, the Newton point and the subspace model, and so no Gramian
+        # apply.
+        rebuilt = it == 0 or accepted
+        if rebuilt:
+            g = state.gradient
+            grad_inf = float(np.max(np.abs(g)))
+            # No step inside a radius this small changes the iterate in floating point.
+            delta_floor = np.finfo(np.float64).eps * _norm(state.latent.vec)
         if grad_inf < cfg.grad_tol:
             state.converged = True
             state.reason = "gradient norm below grad_tol"
             break
-        # No step inside a radius this small changes the iterate in floating point.
-        if state.delta <= np.finfo(np.float64).eps * _norm(state.latent.vec):
+        if state.delta <= delta_floor:
             state.reason = "trust radius below machine precision"
             break
 
-        # A rejected step leaves the point and gradient unchanged, so the
-        # Gramian, preconditioner, Newton point and Cauchy curvature formed
-        # there are reused.
-        rebuilt = it == 0 or accepted
-        g = state.gradient
         if rebuilt:
             gram = GramianOperator.from_latent(state.latent, prob)
-            precond = block_jacobi_preconditioner(gram)
             # The model Hessian is twice the Gramian: PCG solves G p = -g / 2.
-            cg = pcg(gram.apply, 0.5 * g, precond,
+            cg = pcg(gram.apply, 0.5 * g, block_jacobi_preconditioner(gram),
                      max_norm=CG_RADIUS_FACTOR * state.delta)
-            g_h_g = 2.0 * float(g.dot(gram.apply(g)))
-        p_c = cauchy_point(g, g_h_g, state.delta)
-        if _norm(cg.step) > 0.0:
-            p, step_type = dogleg_step(p_c, cg.step, state.delta)
-        else:
-            # PCG made no step (a curvature exit at its first iteration).
-            p, step_type = p_c, "cauchy"
-
-        g_dot_p = float(g.dot(p))
-        p_h_p = 2.0 * float(p.dot(gram.apply(p)))
+            model = _SubspaceModel.at(g, gram.apply(g), cg)
+        p, step_type, g_dot_p, p_h_p = model.step(state.delta)
         previous = state.f_value
         accepted = trust_region_update(state, p, g_dot_p, p_h_p, lambda t: objective(t, prob))
         if accepted:

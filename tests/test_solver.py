@@ -141,6 +141,12 @@ def identity_operators(dims):
     return DegradationOperators(*(np.eye(d) for d in dims))
 
 
+def gramian_from_factors(scale, factors, operators):
+    """A Gramian built from its fields, with the Grams and Hadamard products
+    that an evaluation forms from the same factors."""
+    return GramianOperator(scale, factors, *solver_module._gram_products(factors), operators)
+
+
 def reference_gramian_apply(gram, z):
     """Oracle for ``GramianOperator.apply`` built from its fields alone, with
     the coupling written out by hand."""
@@ -220,7 +226,7 @@ def random_gramian(seed, rank, dims, zero_frac, direct):
         return GramianOperator.from_latent(latent, FusionProblem(hsi, msi, ops, rank))
     u = [rng.uniform(0.0, 1.0, (d, rank)) for d in dims]
     v = [rng.uniform(0.0, 1.0, (d, rank)) for d in dims]
-    return GramianOperator(2.0 * latent.vec, (u, v), identity_operators(dims))
+    return gramian_from_factors(2.0 * latent.vec, (u, v), identity_operators(dims))
 
 
 random_gramians = st.builds(
@@ -518,7 +524,7 @@ class TestGramianOperator:
         dims, rank = (3, 2, 2), 2
         rng = np.random.default_rng(12)
         factors = [rng.uniform(0.1, 1.0, (d, rank)) for d in dims]
-        gram = GramianOperator(
+        gram = gramian_from_factors(
             scale=np.ones(sum(dims) * rank),
             factors=(factors, [np.zeros((d, rank)) for d in dims]),
             operators=identity_operators(dims),
@@ -605,7 +611,7 @@ class TestBlockJacobiPreconditioner:
         orthonormal = [np.eye(d, rank) for d in dims]
         v = np.random.default_rng(0).standard_normal(sum(dims) * rank)
         for s in (1.0, 0.5):
-            gram = GramianOperator(
+            gram = gramian_from_factors(
                 scale=np.full(v.size, 2.0),
                 factors=(orthonormal, orthonormal),
                 operators=DegradationOperators(*(s * np.eye(d) for d in dims)),
@@ -813,6 +819,50 @@ class TestPcg:
         assert unbounded.iterations == plain.iterations == 8
         assert not unbounded.norm_exit and not plain.norm_exit
 
+    @staticmethod
+    def spd_system():
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal((12, 12))
+        return a @ a.T + np.diag(np.arange(1.0, 13.0)), rng.standard_normal(12)
+
+    @pytest.mark.parametrize("exit_kind", ["tolerance", "budget", "norm", "curvature", "zero"])
+    def test_residual_is_minus_g_minus_h_p_at_every_exit(self, exit_kind):
+        if exit_kind == "tolerance":
+            rng = np.random.default_rng(10)
+            q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+            h, g = q @ np.diag([1.0, 1.0, 2.0, 2.0, 3.0, 3.0]) @ q.T, rng.standard_normal(6)
+            budget = dict(max_iters=10, rel_tol=1e-10)
+        elif exit_kind == "curvature":
+            h, g, budget = np.diag([1.0, 2.0, 3.0, -1.0]), np.array([1.0, 1.0, 1.0, 0.1]), {}
+        else:
+            h, g = self.spd_system()
+            budget = {"budget": dict(max_iters=5, rel_tol=1e-14), "norm": dict(max_norm=1e-3),
+                      "zero": {}}[exit_kind]
+            if exit_kind == "zero":
+                g = np.zeros_like(g)
+        result, _ = self.counted_pcg(h, g, **budget)
+        assert {"tolerance": result.residual_norm <= 1e-10 * np.linalg.norm(g)
+                and result.iterations < 10,
+                "budget": result.iterations == 5, "norm": result.norm_exit,
+                "curvature": result.curvature_exit and result.iterations > 0,
+                "zero": result.iterations == 0}[exit_kind]
+        expected = -g - h @ result.step
+        assert np.linalg.norm(result.residual - expected) <= 1e-10 * max(np.linalg.norm(g), 1.0)
+        assert result.residual_norm == np.linalg.norm(result.residual)
+
+    @given(gram=random_gramians, seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_residual_on_a_gramian_with_zeroed_latent_entries(self, gram, seed):
+        # On a singular Gramian the iterate can be 1e8 times longer than b,
+        # and both the recursion and this oracle round at about
+        # eps ||G|| ||p||, so that, not ||b|| alone, sets the scale.
+        b = gram.scale * np.random.default_rng(seed).standard_normal(gram.size)
+        result = pcg(gram.apply, b, block_jacobi_preconditioner(gram))
+        expected = -b - gram.apply(result.step)
+        norm_g = np.linalg.norm(dense_operator(gram.apply, gram.size), 2)
+        scale = np.linalg.norm(b) + norm_g * np.linalg.norm(result.step)
+        assert np.linalg.norm(result.residual - expected) <= 1e-10 * scale
+
     @pytest.mark.parametrize("max_iters", [0, -1])
     def test_budget_below_one_raises(self, max_iters):
         calls = []
@@ -824,18 +874,16 @@ class TestPcg:
 class TestCauchyPoint:
     def test_interior_minimizer_with_identity_hessian(self):
         g = np.array([0.6, 0.8])  # unit norm
-        p = cauchy_point(g, float(g @ g), delta=10.0)
+        p = cauchy_point(np.linalg.norm(g), float(g @ g), delta=10.0) * g
         np.testing.assert_allclose(p, -g, rtol=1e-14)
 
     def test_negative_curvature_goes_to_boundary(self):
         g = np.array([1.0, 2.0])
-        p = cauchy_point(g, -float(g @ g), delta=0.7)
+        p = cauchy_point(np.linalg.norm(g), -float(g @ g), delta=0.7) * g
         np.testing.assert_allclose(np.linalg.norm(p), 0.7, rtol=1e-14)
 
     def test_zero_gradient_gives_zero(self):
-        np.testing.assert_array_equal(
-            cauchy_point(np.zeros(3), 0.0, 1.0), np.zeros(3)
-        )
+        assert cauchy_point(0.0, 0.0, 1.0) == 0.0
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -845,7 +893,7 @@ class TestCauchyPoint:
         g = rng.standard_normal(n)
         m = rng.standard_normal((n, n))
         delta = float(rng.uniform(0.1, 5.0))
-        p = cauchy_point(g, float(g @ (m @ g + m.T @ g)), delta)
+        p = cauchy_point(np.linalg.norm(g), float(g @ (m @ g + m.T @ g)), delta) * g
         assert np.linalg.norm(p) <= delta * (1.0 + 1e-12)
 
 
@@ -853,23 +901,27 @@ class TestDoglegStep:
     def test_interior_newton_point_returned_unchanged(self):
         p_c = np.array([0.5, 0.0])
         p_n = np.array([1.0, 1.0])
-        step, kind = dogleg_step(p_c, p_n, delta=5.0)
+        step, kind, coefficients = dogleg_step(p_c, p_n, np.linalg.norm(p_n), delta=5.0)
         np.testing.assert_array_equal(step, p_n)
-        assert kind == "newton"
+        assert kind == "newton" and coefficients == (0.0, 1.0)
 
     def test_collinear_segment_hits_boundary(self):
-        step, kind = dogleg_step(np.array([1.0, 0.0]), np.array([3.0, 0.0]), delta=2.0)
+        step, kind, (a, b) = dogleg_step(np.array([1.0, 0.0]), np.array([3.0, 0.0]), 3.0,
+                                         delta=2.0)
         np.testing.assert_allclose(step, np.array([2.0, 0.0]), rtol=1e-14)
         assert kind == "dogleg"
+        np.testing.assert_allclose([a, b], [0.5, 0.5], rtol=1e-14)
 
     def test_long_cauchy_point_is_rescaled(self):
-        step, kind = dogleg_step(np.array([3.0, 0.0]), np.array([0.0, 4.0]), delta=1.0)
+        step, kind, (a, b) = dogleg_step(np.array([3.0, 0.0]), np.array([0.0, 4.0]), 4.0,
+                                         delta=1.0)
         np.testing.assert_allclose(step, np.array([1.0, 0.0]), rtol=1e-14)
         assert kind == "cauchy"
+        np.testing.assert_allclose([a, b], [1.0 / 3.0, 0.0], rtol=1e-14)
 
     def test_nonpositive_radius_raises(self):
         with pytest.raises(ValueError):
-            dogleg_step(np.zeros(2), np.ones(2), 0.0)
+            dogleg_step(np.zeros(2), np.ones(2), math.sqrt(2.0), 0.0)
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=50, deadline=None)
@@ -881,9 +933,58 @@ class TestDoglegStep:
         delta = float(rng.uniform(0.05, 4.0))
         if np.linalg.norm(p_c) >= np.linalg.norm(p_n):
             p_c, p_n = 0.4 * p_n, p_c  # keep the Cauchy point the shorter leg
-        step, kind = dogleg_step(p_c, p_n, delta)
+        step, kind, (a, b) = dogleg_step(p_c, p_n, np.linalg.norm(p_n), delta)
         assert kind in ("newton", "cauchy", "dogleg")
         assert np.linalg.norm(step) <= delta * (1.0 + 1e-9)
+        np.testing.assert_allclose(step, a * p_c + b * p_n, rtol=1e-12, atol=1e-12 * delta)
+
+
+def subspace_model(gram, seed, no_step=False):
+    """The model ``solve`` forms at a point of ``gram`` with trust radius 1,
+    for a gradient that, like the true one, vanishes where the latent entry
+    does.  With ``no_step`` PCG meets zero curvature at its first iteration."""
+    g = gram.scale * np.random.default_rng(seed).standard_normal(gram.size)
+    hop = (lambda z: 0.0 * z) if no_step else gram.apply
+    cg = pcg(hop, 0.5 * g, block_jacobi_preconditioner(gram),
+             max_norm=solver_module.CG_RADIUS_FACTOR)
+    return solver_module._SubspaceModel.at(g, gram.apply(g), cg)
+
+
+def assert_model_matches_the_apply(gram, model, delta):
+    """The model's g^T p and p^T H p against the vectors; returns the step kind."""
+    p, kind, g_dot_p, p_h_p = model.step(delta)
+    expected = 2.0 * float(p @ gram.apply(p))
+    assert abs(p_h_p - expected) <= 1e-10 * abs(expected)
+    assert abs(g_dot_p - float(model.g @ p)) <= 1e-10 * abs(float(model.g @ p))
+    return kind
+
+
+class TestSubspaceModel:
+    """Every step is a g + b p_N, so its curvature is a sum of the three
+    scalars formed once per point, with no Gramian apply."""
+
+    # Radii from well inside the Cauchy point to far outside it.
+    RADII = np.geomspace(1e-3, 1e4, 57)
+
+    @given(gram=random_gramians, seed=st.integers(min_value=0, max_value=2**32 - 1),
+           no_step=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_curvature_matches_the_gramian_apply(self, gram, seed, no_step):
+        model = subspace_model(gram, seed, no_step)
+        for delta in [*self.RADII, model.newton_norm or 1.0]:
+            assert_model_matches_the_apply(gram, model, delta)
+
+    def test_every_step_kind_is_covered(self):
+        kinds = set()
+        for seed in range(4):
+            gram = random_gramian(seed, 3, (5, 4, 3), 0.3, direct=False)
+            model = subspace_model(gram, seed)
+            kinds |= {assert_model_matches_the_apply(gram, model, delta)
+                      for delta in [*self.RADII, model.newton_norm]}
+            model = subspace_model(gram, seed, no_step=True)
+            assert model.newton_norm == 0.0
+            assert assert_model_matches_the_apply(gram, model, 1.0) == "cauchy"
+        assert kinds == {"newton", "dogleg", "cauchy"}
 
 
 def make_state(x0, delta, delta_max=1e6):
@@ -1127,11 +1228,46 @@ class TestSolve:
         assert len(calls) == 1 + sum(r.accepted for r in trace[:-1])
         assert all(r.cg_iterations == 0 for r in after_rejection)
 
+    def test_gramian_applies_are_cg_iterations_curvature_exits_and_points(self, monkeypatch):
+        # Every Gramian apply in a solve is PCG's, one per iteration and one
+        # per curvature exit, or the Cauchy curvature g^T G g, one per point
+        # built; an iteration after a rejected step makes none.
+        applies, exits, per_iteration = [], [], []
+        real_apply, real_pcg = GramianOperator.apply, solver_module.pcg
+        real_update = solver_module.trust_region_update
+
+        def counted_apply(self, z):
+            applies.append(1)
+            return real_apply(self, z)
+
+        def counted_pcg(*args, **kwargs):
+            result = real_pcg(*args, **kwargs)
+            exits.append(result.curvature_exit)
+            return result
+
+        def counted_update(*args):
+            per_iteration.append(len(applies))
+            return real_update(*args)
+
+        monkeypatch.setattr(GramianOperator, "apply", counted_apply)
+        monkeypatch.setattr(solver_module, "pcg", counted_pcg)
+        monkeypatch.setattr(solver_module, "trust_region_update", counted_update)
+        prob = noisy_problem()
+        _, _, trace = solve(prob, init_latent(prob.sri_dims, prob.rank, 0),
+                            SolverConfig(max_iters=30))
+        assert len(per_iteration) == len(trace)
+        assert len(applies) == sum(r.cg_iterations for r in trace) + sum(exits) + len(exits)
+        after_rejection = [i for i, prev in enumerate(trace[:-1], 1) if not prev.accepted]
+        assert after_rejection
+        for i in after_rejection:
+            assert trace[i].cg_iterations == 0
+            assert per_iteration[i] == per_iteration[i - 1]
+
     def test_step_without_a_newton_point_is_recorded_as_cauchy(self, monkeypatch):
         # A curvature exit at PCG's first iteration returns a zero step; the
         # Cauchy point is then taken as it is, and recorded as such.
         def no_step(hop, g, precond, **kwargs):
-            return PcgResult(np.zeros_like(g), 0, float(np.linalg.norm(g)), True, False)
+            return PcgResult(np.zeros_like(g), -g, 0, float(np.linalg.norm(g)), True, False)
 
         monkeypatch.setattr(solver_module, "pcg", no_step)
         prob, _, _ = make_problem()
@@ -1258,15 +1394,30 @@ class TestEvaluationAtAPoint:
         kept = GramianOperator.from_latent(latent, prob)
         fresh = GramianOperator.from_latent(copy, prob)
         assert copy._evaluation is not None
-        built = GramianOperator(2.0 * copy.vec,
-                                prob.operators.project(square_params(copy).factors),
-                                prob.operators)
+        built = gramian_from_factors(2.0 * copy.vec,
+                                     prob.operators.project(square_params(copy).factors),
+                                     prob.operators)
         z = np.random.default_rng(3).standard_normal(latent.vec.size)
         for gram in (fresh, built):
             assert kept.scale.tobytes() == gram.scale.tobytes()
             assert kept.apply(z).tobytes() == gram.apply(z).tobytes()
             assert (block_jacobi_preconditioner(kept)(z).tobytes()
                     == block_jacobi_preconditioner(gram)(z).tobytes())
+
+    def test_one_set_of_grams_and_hadamards_per_point(self):
+        # The evaluation forms each image's Grams and Hadamard products once;
+        # they equal the plain formulas bit for bit, and the Gramian, and
+        # through it the preconditioner, reads those very arrays.
+        prob = noisy_problem(2)
+        latent = init_latent(prob.sri_dims, prob.rank, 2)
+        ev = solver_module._evaluate(latent, prob)
+        for s, factors in enumerate(ev.projected):
+            grams = [f.T @ f for f in factors]
+            for n, (a, b) in enumerate([(1, 2), (0, 2), (0, 1)]):
+                assert ev.grams[n, s].tobytes() == grams[n].tobytes()
+                assert ev.hadamards[n, s].tobytes() == (grams[a] * grams[b]).tobytes()
+        gram = GramianOperator.from_latent(latent, prob)
+        assert gram.grams is ev.grams and gram.hadamards is ev.hadamards
 
     def test_a_solver_point_is_read_only(self):
         prob = noisy_problem()
