@@ -53,18 +53,18 @@ evaluation and forms only each image's mode-2 and mode-3 MTTKRPs.  The
 objective, the gradient, the Gramian operator and the preconditioner read
 the evaluation's Grams and Hadamard products; none forms them again.
 
-The misfit is a plain squared norm, so the model Hessian is ``H = 2 G`` for
-the Gramian ``G``.  PCG runs on ``G`` against half the gradient, which yields
-the same step, since scaling by a power of two is exact.  No CG iteration
-makes a pass to scale a vector.  PCG's curvature exit,
-``d^T G d <= 1e-14 ||d||^2``, is ``2e-14`` against ``H``.  Every trial step
-lies in ``span{g, p_N}`` of the gradient and the Newton point (Byrd,
-Schnabel & Shultz, Math. Prog. 40, 1988), so ``solve`` forms the model there
-once per point (``_SubspaceModel``): ``g^T G g`` from the one Gramian apply
-outside PCG, the Cauchy curvature, and ``g^T G p_N`` and ``p_N^T G p_N`` from
-PCG's final residual ``r``, since ``G p_N = -g / 2 - r``.  A step's
-``p^T H p`` and ``g^T p`` follow from its coefficients on ``g`` and ``p_N``,
-so an iteration after a rejected step makes no Gramian apply.
+The misfit is a plain squared norm, so the Gauss-Newton model of a step
+``p`` is ``f + g^T p + p^T G p`` for the Gramian ``G``, and its Newton point
+``p_N`` solves ``G p = -g / 2``.  Every trial step lies in ``span{g, p_N}``
+(Byrd, Schnabel & Shultz, Math. Prog. 40, 1988), so ``solve`` forms the
+model there once per point (``_SubspaceModel``): ``g^T G g`` from the one
+Gramian apply outside PCG, the Cauchy curvature, and ``g^T G p_N`` and
+``p_N^T G p_N`` from PCG's final residual ``r``, since
+``G p_N = -g / 2 - r``.  ``cauchy_point`` and ``dogleg_step`` choose each
+step from these and ``||g||``, ``g^T p_N`` and ``||p_N||``, as coefficients
+on ``g`` and ``p_N``; its predicted decrease is a sum of scalars, and its
+vector is formed once, after the choice.  So an iteration after a rejected
+step makes no Gramian apply.
 
 A packed vector concatenates ``vec_F`` of the three ``(d_n, R)`` blocks, so each
 block is its transpose in C order, and the applies read and write it through
@@ -350,8 +350,8 @@ class IterationRecord:
 
     ``cg_iterations`` counts the PCG iterations run in this iteration: 0 when
     it follows a rejected step and reuses the previous Newton point.
-    ``step_type`` is the kind ``dogleg_step`` returns, or ``"cauchy"`` when
-    PCG made no step and the Cauchy point is taken as it is.
+    ``step_type`` is the kind ``dogleg_step`` returns: ``"newton"``,
+    ``"cauchy"`` (also when PCG made no step) or ``"dogleg"``.
     """
 
     f_value: float
@@ -703,47 +703,50 @@ def pcg(hop, g: np.ndarray, precond, max_iters: int = CG_MAX_ITERS,
 
 
 def cauchy_point(g_norm: float, curvature: float, delta: float) -> float:
-    """Minimizer of the quadratic model along the steepest descent direction,
-    as its coefficient ``t`` on the gradient: the point is ``t g``.
+    """The Cauchy point's share ``tau`` of the radius: the point is
+    ``-tau delta g / ||g||``, the minimizer of the model ``g^T p + p^T G p``
+    along ``-g`` in the region.
 
-    ``g_norm`` is ``||g||`` and ``curvature`` the model's ``g^T H g``.  Returns
-    ``t = -tau * delta / ||g||`` with ``tau = 1`` under nonpositive curvature
-    and ``min(1, ||g||^3 / (delta g^T H g))`` otherwise; 0 when ``g`` is zero.
+    ``g_norm`` is ``||g||`` and ``curvature`` is ``g^T G g``.  ``tau`` is
+    ``min(1, ||g|| / (2 lam delta))`` for the Rayleigh quotient
+    ``lam = (g^T G g / ||g||) / ||g||``, so no power of ``||g||`` is formed;
+    1 under nonpositive curvature and 0 when ``g`` is zero.
     """
     if g_norm == 0.0:
         return 0.0
-    if curvature <= 0.0:
-        tau = 1.0
-    else:
-        tau = min(1.0, g_norm**3 / (delta * curvature))
-    return -tau * delta / g_norm
+    rayleigh = curvature / g_norm / g_norm
+    return 1.0 if rayleigh <= 0.0 else min(1.0, g_norm / delta / (2.0 * rayleigh))
 
 
-def dogleg_step(p_c: np.ndarray, p_n: np.ndarray, norm_n: float,
-                delta: float) -> tuple[np.ndarray, str, tuple[float, float]]:
-    """Combine Cauchy and Newton points into a step of norm at most ``delta``.
+def dogleg_step(tau: float, metric: tuple[float, float, float],
+                delta: float) -> tuple[str, float, float]:
+    """The step at radius ``delta`` on ``span{g, p_N}``, chosen from scalars.
 
-    ``norm_n`` is ``||p_n||``, which the caller forms once per point.
-    Returns the step, its kind and its coefficients ``(a, b)``, with the step
-    ``a p_c + b p_n``: the Newton point ``(0, 1)`` when it fits inside the
-    region, the Cauchy point scaled to the boundary when it already fills the
-    region, else the unique boundary point on the segment between the two.
+    ``tau`` is the Cauchy point's share of the radius and ``metric`` is
+    ``(||g||, g^T p_N, ||p_N||)``.  Returns the kind and the coefficients
+    ``(a, b)`` of the step ``a g + b p_N``: the Newton point when
+    ``0 < ||p_N|| <= delta``, the Cauchy point ``p_c`` when ``tau`` is 1 or
+    ``p_N`` is zero, else the boundary point on the segment from ``p_c`` to
+    ``p_N``, by the cancellation-free root, with the segment's squared length
+    bounded below by ``(||p_N|| - tau delta)^2``.
     """
-    p_c = np.asarray(p_c, dtype=np.float64)
-    p_n = np.asarray(p_n, dtype=np.float64)
     if not delta > 0:
         raise ValueError(f"trust radius must be positive, got {delta}")
-    if norm_n <= delta:
-        return p_n, "newton", (0.0, 1.0)
-    norm_c = _norm(p_c)
-    if norm_c >= delta:
-        return (delta / norm_c) * p_c, "cauchy", (delta / norm_c, 0.0)
-    seg = p_n - p_c
-    a = float(seg.dot(seg))
-    b = 2.0 * float(p_c.dot(seg))
-    c = norm_c**2 - delta**2
-    theta = (-b + math.sqrt(max(b * b - 4.0 * a * c, 0.0))) / (2.0 * a)
-    return p_c + theta * seg, "dogleg", (1.0 - theta, theta)
+    g_norm, g_newton, newton_norm = metric
+    if 0.0 < newton_norm <= delta:
+        return "newton", 0.0, 1.0
+    t = -tau * delta / g_norm if tau else 0.0
+    if tau == 1.0 or newton_norm == 0.0:
+        return "cauchy", t, 0.0
+    # In units of delta: ||p_N||, p_c^T p_N, ||p_N - p_c||^2 and p_c^T (p_N - p_c).
+    n = newton_norm / delta
+    cross = (t / delta) * (g_newton / delta)
+    seg = max(n * n - 2.0 * cross + tau * tau, (n - tau) ** 2)
+    h = cross - tau * tau
+    e = (1.0 - tau) * (1.0 + tau)
+    root = math.sqrt(h * h + seg * e)
+    theta = e / (h + root) if h > 0.0 else (root - h) / seg
+    return "dogleg", (1.0 - theta) * t, theta
 
 
 @dataclass(frozen=True, eq=False)
@@ -755,16 +758,13 @@ class _SubspaceModel:
     ``p_N`` of PCG on ``G p = -g / 2``, whose residual ``r`` gives
     ``G p_N = -g / 2 - r``, three dot products form the Gramian on the
     subspace: ``g^T G g``, ``g^T G p_N = -||g||^2 / 2 - g^T r`` and
-    ``p_N^T G p_N = -g^T p_N / 2 - p_N^T r``.  A step's ``g^T p`` and
-    ``p^T H p = 2 p^T G p`` are then scalar sums, with no Gramian apply.
+    ``p_N^T G p_N = -g^T p_N / 2 - p_N^T r``.
     """
 
     g: np.ndarray
     newton: np.ndarray
     g_sq: float
-    g_norm: float
-    newton_norm: float
-    g_newton: float
+    metric: tuple[float, float, float]
     gramian: tuple[float, float, float]
 
     @classmethod
@@ -774,47 +774,44 @@ class _SubspaceModel:
         g_sq, g_newton = float(g.dot(g)), float(g.dot(p_n))
         gramian = (float(g.dot(gram_g)), -0.5 * g_sq - float(g.dot(r)),
                    -0.5 * g_newton - float(p_n.dot(r)))
-        return cls(g, p_n, g_sq, math.sqrt(g_sq), _norm(p_n), g_newton, gramian)
+        return cls(g, p_n, g_sq, (math.sqrt(g_sq), g_newton, _norm(p_n)), gramian)
 
-    def step(self, delta: float) -> tuple[np.ndarray, str, float, float]:
-        """The trial step at radius ``delta``, its kind, ``g^T p`` and ``p^T H p``."""
+    def step(self, delta: float) -> tuple[np.ndarray, str, float]:
+        """The trial step at radius ``delta``, its kind and its predicted
+        decrease ``-(g^T p + p^T G p)``."""
         g_g_g, g_g_n, n_g_n = self.gramian
-        t = cauchy_point(self.g_norm, 2.0 * g_g_g, delta)
-        if self.newton_norm > 0.0:
-            p, kind, (a, b) = dogleg_step(t * self.g, self.newton, self.newton_norm, delta)
-        else:
-            # PCG made no step (a curvature exit at its first iteration).
-            p, kind, (a, b) = t * self.g, "cauchy", (1.0, 0.0)
-        a *= t
-        p_g_p = a * a * g_g_g + 2.0 * a * b * g_g_n + b * b * n_g_n
-        return p, kind, a * self.g_sq + b * self.g_newton, 2.0 * p_g_p
+        kind, a, b = dogleg_step(cauchy_point(self.metric[0], g_g_g, delta), self.metric, delta)
+        p = self.newton if kind == "newton" else a * self.g
+        if kind == "dogleg":
+            p += b * self.newton
+        return p, kind, -(a * self.g_sq + b * self.metric[1]
+                          + (a * a * g_g_g + 2.0 * a * b * g_g_n + b * b * n_g_n))
 
 
 def trust_region_update(
     state: SolverState,
     p: np.ndarray,
-    g_dot_p: float,
-    p_h_p: float,
+    predicted: float,
     objective_fn,
 ) -> bool:
     """Evaluate a trial step, accept or reject it, rescale the trust radius.
 
-    ``objective_fn`` maps a ``LatentTriple`` to the objective value.  The
-    point, objective, ratio and radius of ``state`` are updated in place and
-    the acceptance decision is returned: a nonpositive model reduction (ratio
-    ``-inf``, no trial evaluated), a non-finite trial objective or a gain
-    ratio below ``ACCEPT_RATIO`` rejects the step.  Whether to stop is left
-    to ``solve``.
+    ``predicted`` is the model's decrease ``-(g^T p + p^T G p)`` for the step
+    ``p``, and ``objective_fn`` maps a ``LatentTriple`` to the objective
+    value.  The point, objective, ratio and radius of ``state`` are updated
+    in place and the acceptance decision is returned: a nonpositive
+    predicted decrease (ratio ``-inf``, no trial evaluated), a non-finite
+    trial objective or a gain ratio below ``ACCEPT_RATIO`` rejects the step.
+    Whether to stop is left to ``solve``.
     """
-    model_decrease = -(g_dot_p + 0.5 * p_h_p)
     accepted = False
-    if model_decrease <= 0.0:
+    if predicted <= 0.0:
         state.rho = -math.inf
     else:
         latent = state.latent
         trial = LatentTriple.from_vector(latent.vec + p, latent.dims, latent.rank)
         f_trial = float(objective_fn(trial))
-        state.rho = (state.f_value - f_trial) / model_decrease
+        state.rho = (state.f_value - f_trial) / predicted
         accepted = state.rho >= ACCEPT_RATIO and math.isfinite(f_trial)
         if accepted:
             state.latent = trial
@@ -884,13 +881,13 @@ def solve(
 
         if rebuilt:
             gram = GramianOperator.from_latent(state.latent, prob)
-            # The model Hessian is twice the Gramian: PCG solves G p = -g / 2.
+            # The model's Newton point solves G p = -g / 2.
             cg = pcg(gram.apply, 0.5 * g, block_jacobi_preconditioner(gram),
                      max_norm=CG_RADIUS_FACTOR * state.delta)
             model = _SubspaceModel.at(g, gram.apply(g), cg)
-        p, step_type, g_dot_p, p_h_p = model.step(state.delta)
+        p, step_type, predicted = model.step(state.delta)
         previous = state.f_value
-        accepted = trust_region_update(state, p, g_dot_p, p_h_p, lambda t: objective(t, prob))
+        accepted = trust_region_update(state, p, predicted, lambda t: objective(t, prob))
         if accepted:
             state.gradient = gradient(state.latent, prob)
             _check_finite(state.f_value, state.gradient, it)

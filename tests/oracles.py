@@ -3,15 +3,19 @@ and ``khatri_rao`` in the package's unfolding convention (see the
 ``cpfuse.tensors`` docstring).  The package's kernels never form an
 unfolding; the tests check them against these plain reshapes and products.
 ``layouts`` holds one tensor's values in the memory layouts the tests pass.
+``dogleg_vectors`` is the dogleg step formed from its two points as vectors,
+the reference for the solver's choice of the step from scalars.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from cpfuse.tensors import _as_tensor, _check_dims, _check_mode
 
-__all__ = ["unfold", "fold", "mode_n_product", "khatri_rao", "layouts"]
+__all__ = ["unfold", "fold", "mode_n_product", "khatri_rao", "layouts", "dogleg_vectors"]
 
 
 def unfold(t: np.ndarray, mode: int) -> np.ndarray:
@@ -89,3 +93,22 @@ def layouts(t: np.ndarray) -> dict[str, np.ndarray]:
     padded = np.zeros((i_dim, 2 * j_dim, k_dim + 1))
     padded[:, ::2, 1:] = t
     return {"C": np.ascontiguousarray(t), "F": np.asfortranarray(t), "sliced": padded[:, ::2, 1:]}
+
+
+def dogleg_vectors(p_c: np.ndarray, p_n: np.ndarray, delta: float) -> tuple[np.ndarray, str]:
+    """The dogleg step of norm at most ``delta`` from the Cauchy point ``p_c``
+    and the Newton point ``p_n``, and its kind: ``p_n`` when it fits inside
+    the region, ``p_c`` scaled to the boundary when it reaches it, else the
+    boundary point on the segment between the two, by the textbook root."""
+    norm_n = float(np.linalg.norm(p_n))
+    if norm_n <= delta:
+        return p_n, "newton"
+    norm_c = float(np.linalg.norm(p_c))
+    if norm_c >= delta:
+        return (delta / norm_c) * p_c, "cauchy"
+    seg = p_n - p_c
+    a = float(seg @ seg)
+    b = 2.0 * float(p_c @ seg)
+    c = norm_c**2 - delta**2
+    theta = (-b + math.sqrt(max(b * b - 4.0 * a * c, 0.0))) / (2.0 * a)
+    return p_c + theta * seg, "dogleg"

@@ -39,6 +39,7 @@ from cpfuse.solver import (
 from cpfuse.experiment import SceneConfig, simulate_scene
 from cpfuse.metrics import metrics_report
 from cpfuse.tensors import cpd_reconstruct
+from oracles import dogleg_vectors
 
 
 def make_problem(dims=(6, 5, 4), rank=2, seed=0, kernel_size=3, factor=2, num_msi_bands=2):
@@ -871,15 +872,22 @@ class TestPcg:
         assert not calls
 
 
+def cauchy_vector(g, curvature, delta):
+    """The Cauchy point ``-tau delta g / ||g||`` for the model's ``g^T G g``."""
+    g_norm = float(np.linalg.norm(g))
+    return -cauchy_point(g_norm, curvature, delta) * delta / g_norm * g
+
+
 class TestCauchyPoint:
     def test_interior_minimizer_with_identity_hessian(self):
         g = np.array([0.6, 0.8])  # unit norm
-        p = cauchy_point(np.linalg.norm(g), float(g @ g), delta=10.0) * g
+        # The Hessian 2 G is the identity.
+        p = cauchy_vector(g, 0.5 * float(g @ g), delta=10.0)
         np.testing.assert_allclose(p, -g, rtol=1e-14)
 
     def test_negative_curvature_goes_to_boundary(self):
         g = np.array([1.0, 2.0])
-        p = cauchy_point(np.linalg.norm(g), -float(g @ g), delta=0.7) * g
+        p = cauchy_vector(g, -0.5 * float(g @ g), delta=0.7)
         np.testing.assert_allclose(np.linalg.norm(p), 0.7, rtol=1e-14)
 
     def test_zero_gradient_gives_zero(self):
@@ -893,35 +901,57 @@ class TestCauchyPoint:
         g = rng.standard_normal(n)
         m = rng.standard_normal((n, n))
         delta = float(rng.uniform(0.1, 5.0))
-        p = cauchy_point(np.linalg.norm(g), float(g @ (m @ g + m.T @ g)), delta) * g
+        p = cauchy_vector(g, 0.5 * float(g @ (m @ g + m.T @ g)), delta)
         assert np.linalg.norm(p) <= delta * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("curvature, delta", [(1e300, 1.0), (1e-300, 1.0), (1e308, 1e-10),
+                                                  (-1e300, 1.0), (1e300, 1e300)])
+    def test_huge_gradient_gives_a_finite_share(self, curvature, delta):
+        # ||g||^3 would overflow a float; the share is formed without it.
+        tau = cauchy_point(1e200, curvature, delta)
+        assert math.isfinite(tau) and 0.0 <= tau <= 1.0
+
+    def test_huge_gradient_keeps_an_interior_minimizer(self):
+        # Rayleigh quotient 1: the minimizer lies at ||g|| / 2, half the radius.
+        assert cauchy_point(1e150, 1e300, 1e150) == 0.5
+
+
+def dogleg_of_points(p_c, p_n, delta):
+    """``dogleg_step`` for the Cauchy point ``p_c`` (the gradient is ``-p_c``,
+    the share ``min(1, ||p_c|| / delta)``) and the Newton point ``p_n``:
+    the step, its kind and its coefficients on ``p_c`` and ``p_n``."""
+    g = -p_c
+    g_norm = float(np.linalg.norm(g))
+    tau = min(1.0, g_norm / delta)
+    kind, a, b = dogleg_step(tau, (g_norm, float(g @ p_n), float(np.linalg.norm(p_n))), delta)
+    return a * g + b * p_n, kind, (-a, b)
 
 
 class TestDoglegStep:
     def test_interior_newton_point_returned_unchanged(self):
         p_c = np.array([0.5, 0.0])
         p_n = np.array([1.0, 1.0])
-        step, kind, coefficients = dogleg_step(p_c, p_n, np.linalg.norm(p_n), delta=5.0)
+        step, kind, coefficients = dogleg_of_points(p_c, p_n, delta=5.0)
         np.testing.assert_array_equal(step, p_n)
         assert kind == "newton" and coefficients == (0.0, 1.0)
 
     def test_collinear_segment_hits_boundary(self):
-        step, kind, (a, b) = dogleg_step(np.array([1.0, 0.0]), np.array([3.0, 0.0]), 3.0,
-                                         delta=2.0)
+        step, kind, (a, b) = dogleg_of_points(np.array([1.0, 0.0]), np.array([3.0, 0.0]),
+                                              delta=2.0)
         np.testing.assert_allclose(step, np.array([2.0, 0.0]), rtol=1e-14)
         assert kind == "dogleg"
         np.testing.assert_allclose([a, b], [0.5, 0.5], rtol=1e-14)
 
     def test_long_cauchy_point_is_rescaled(self):
-        step, kind, (a, b) = dogleg_step(np.array([3.0, 0.0]), np.array([0.0, 4.0]), 4.0,
-                                         delta=1.0)
+        step, kind, (a, b) = dogleg_of_points(np.array([3.0, 0.0]), np.array([0.0, 4.0]),
+                                              delta=1.0)
         np.testing.assert_allclose(step, np.array([1.0, 0.0]), rtol=1e-14)
         assert kind == "cauchy"
         np.testing.assert_allclose([a, b], [1.0 / 3.0, 0.0], rtol=1e-14)
 
     def test_nonpositive_radius_raises(self):
         with pytest.raises(ValueError):
-            dogleg_step(np.zeros(2), np.ones(2), math.sqrt(2.0), 0.0)
+            dogleg_step(0.0, (0.0, -math.sqrt(2.0), math.sqrt(2.0)), 0.0)
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=50, deadline=None)
@@ -933,10 +963,46 @@ class TestDoglegStep:
         delta = float(rng.uniform(0.05, 4.0))
         if np.linalg.norm(p_c) >= np.linalg.norm(p_n):
             p_c, p_n = 0.4 * p_n, p_c  # keep the Cauchy point the shorter leg
-        step, kind, (a, b) = dogleg_step(p_c, p_n, np.linalg.norm(p_n), delta)
+        step, kind, (a, b) = dogleg_of_points(p_c, p_n, delta)
         assert kind in ("newton", "cauchy", "dogleg")
         assert np.linalg.norm(step) <= delta * (1.0 + 1e-9)
         np.testing.assert_allclose(step, a * p_c + b * p_n, rtol=1e-12, atol=1e-12 * delta)
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           n=st.integers(min_value=1, max_value=6),
+           tau=st.floats(min_value=0.0, max_value=1.0 - 1e-9),
+           log_delta=st.floats(min_value=-3.0, max_value=3.0),
+           log_newton=st.floats(min_value=-3.0, max_value=3.0))
+    @settings(max_examples=200, deadline=None)
+    def test_coefficients_reproduce_the_vector_dogleg(self, seed, n, tau, log_delta, log_newton):
+        # Away from tau = 1, where the vector form decides by the rounding of
+        # ||p_c|| whether the Cauchy point reaches the boundary, the scalar
+        # choice gives the vector form's kind and step.
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0)
+        p_n = rng.standard_normal(n)
+        p_n *= 10.0**log_newton / np.linalg.norm(p_n)
+        delta = 10.0**log_delta
+        g_norm = float(np.linalg.norm(g))
+        kind, a, b = dogleg_step(tau, (g_norm, float(g @ p_n), float(np.linalg.norm(p_n))),
+                                 delta)
+        expected, expected_kind = dogleg_vectors(-tau * delta / g_norm * g, p_n, delta)
+        assert kind == expected_kind
+        assert np.linalg.norm(a * g + b * p_n - expected) <= 1e-10 * delta
+
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 1.0 - 1e-9, 1.0 - 2.0**-52])
+    @pytest.mark.parametrize("angle", [0.0, 1e-8, 2.0, math.pi])
+    @pytest.mark.parametrize("delta", [1e-6, 1e6])
+    def test_near_degenerate_segment_lands_on_the_boundary(self, tau, angle, delta):
+        # ||p_N|| = delta (1 + 1e-9).  At angle 0 and tau near 1 the segment
+        # runs along the Cauchy point and its squared length, about
+        # 1e-18 delta^2, is below the rounding of its expanded form.
+        g = np.array([-1.0, 0.0])
+        p_n = delta * (1.0 + 1e-9) * np.array([math.cos(angle), math.sin(angle)])
+        kind, a, b = dogleg_step(tau, (1.0, float(g @ p_n), float(np.linalg.norm(p_n))), delta)
+        assert kind == "dogleg"
+        assert math.isfinite(a) and math.isfinite(b) and 0.0 <= b <= 1.0
+        assert abs(np.linalg.norm(a * g + b * p_n) - delta) <= 1e-12 * delta
 
 
 def subspace_model(gram, seed, no_step=False):
@@ -951,16 +1017,16 @@ def subspace_model(gram, seed, no_step=False):
 
 
 def assert_model_matches_the_apply(gram, model, delta):
-    """The model's g^T p and p^T H p against the vectors; returns the step kind."""
-    p, kind, g_dot_p, p_h_p = model.step(delta)
-    expected = 2.0 * float(p @ gram.apply(p))
-    assert abs(p_h_p - expected) <= 1e-10 * abs(expected)
-    assert abs(g_dot_p - float(model.g @ p)) <= 1e-10 * abs(float(model.g @ p))
+    """The model's predicted decrease against the vectors, each of its terms
+    g^T p and p^T G p to 1e-10; returns the step kind."""
+    p, kind, predicted = model.step(delta)
+    g_p, p_g_p = float(model.g @ p), float(p @ gram.apply(p))
+    assert abs(predicted + g_p + p_g_p) <= 1e-10 * (abs(g_p) + abs(p_g_p))
     return kind
 
 
 class TestSubspaceModel:
-    """Every step is a g + b p_N, so its curvature is a sum of the three
+    """Every step is a g + b p_N, so its predicted decrease is a sum of the
     scalars formed once per point, with no Gramian apply."""
 
     # Radii from well inside the Cauchy point to far outside it.
@@ -971,7 +1037,7 @@ class TestSubspaceModel:
     @settings(max_examples=40, deadline=None)
     def test_curvature_matches_the_gramian_apply(self, gram, seed, no_step):
         model = subspace_model(gram, seed, no_step)
-        for delta in [*self.RADII, model.newton_norm or 1.0]:
+        for delta in [*self.RADII, model.metric[2] or 1.0]:
             assert_model_matches_the_apply(gram, model, delta)
 
     def test_every_step_kind_is_covered(self):
@@ -980,11 +1046,28 @@ class TestSubspaceModel:
             gram = random_gramian(seed, 3, (5, 4, 3), 0.3, direct=False)
             model = subspace_model(gram, seed)
             kinds |= {assert_model_matches_the_apply(gram, model, delta)
-                      for delta in [*self.RADII, model.newton_norm]}
+                      for delta in [*self.RADII, model.metric[2]]}
             model = subspace_model(gram, seed, no_step=True)
-            assert model.newton_norm == 0.0
+            assert model.metric[2] == 0.0
             assert assert_model_matches_the_apply(gram, model, 1.0) == "cauchy"
         assert kinds == {"newton", "dogleg", "cauchy"}
+
+    def test_kind_is_cauchy_exactly_at_a_full_share(self):
+        # At radii at and below the unconstrained Cauchy length the Cauchy
+        # point fills the region; the kind is "cauchy" exactly when tau is 1,
+        # never by the rounding of a vector norm.
+        kinds = []
+        for seed in range(4):
+            gram = random_gramian(seed, 3, (5, 4, 3), 0.3, direct=False)
+            model = subspace_model(gram, seed)
+            g_norm, g_g_g = model.metric[0], model.gramian[0]
+            length = g_norm / (2.0 * g_g_g / g_norm / g_norm)
+            assert model.metric[2] > length
+            for delta in length * np.linspace(0.5, 1.0, 301):
+                _, kind, _ = model.step(delta)
+                assert (kind == "cauchy") == (cauchy_point(g_norm, g_g_g, delta) == 1.0)
+                kinds.append(kind)
+        assert kinds.count("cauchy") >= 4 * 300
 
 
 def make_state(x0, delta, delta_max=1e6):
@@ -1003,16 +1086,19 @@ def quadratic_objective(latent):
     return float(np.sum(latent.vec ** 2))
 
 
+def predicted_decrease(state, p):
+    """The model's decrease -(g^T p + p^T G p) for the objective ||x||^2, whose Gramian is I."""
+    return -float(state.gradient @ p + p @ p)
+
+
 class TestTrustRegionUpdate:
     def test_perfect_quadratic_step_has_unit_ratio_and_grows(self):
         x0 = np.array([1.0, -2.0, 0.5, 1.5, -0.5, 2.0])
         delta = float(np.linalg.norm(x0))
         state = make_state(x0, delta)
         p = -state.latent.vec
-        g_dot_p = float(state.gradient @ p)
-        p_h_p = float(2.0 * p @ p)
         assert trust_region_update(
-            state, p, g_dot_p, p_h_p, quadratic_objective
+            state, p, predicted_decrease(state, p), quadratic_objective
         )
         np.testing.assert_allclose(state.rho, 1.0, rtol=1e-12)
         assert state.f_value < 1e-20
@@ -1023,10 +1109,8 @@ class TestTrustRegionUpdate:
         x0 = np.ones(6)
         state = make_state(x0, delta=1.0)
         p = x0.copy()  # ascent direction
-        g_dot_p = float(state.gradient @ p)
-        p_h_p = float(2.0 * p @ p)
         assert not trust_region_update(
-            state, p, g_dot_p, p_h_p, quadratic_objective
+            state, p, predicted_decrease(state, p), quadratic_objective
         )
         assert state.rho == -math.inf
         assert state.delta == 0.25
@@ -1037,11 +1121,9 @@ class TestTrustRegionUpdate:
         state = make_state(x0, delta=1.0)
         f0 = state.f_value
         p = -0.1 * x0
-        g_dot_p = float(state.gradient @ p)
-        p_h_p = float(2.0 * p @ p)
         # the trial "objective" goes up even though the model predicts descent
         assert not trust_region_update(
-            state, p, g_dot_p, p_h_p, lambda t: f0 + 5.0
+            state, p, predicted_decrease(state, p), lambda t: f0 + 5.0
         )
         assert state.rho < 0.0
         assert state.delta == 0.25
@@ -1052,10 +1134,8 @@ class TestTrustRegionUpdate:
         x0 = np.ones(6)
         state = make_state(x0, delta=1.0)
         p = -0.1 * x0
-        g_dot_p = float(state.gradient @ p)
-        p_h_p = float(2.0 * p @ p)
         assert not trust_region_update(
-            state, p, g_dot_p, p_h_p, lambda t: math.nan
+            state, p, predicted_decrease(state, p), lambda t: math.nan
         )
         assert state.delta == 0.25
         np.testing.assert_array_equal(state.latent.vec, x0)
@@ -1068,7 +1148,7 @@ class TestTrustRegionUpdate:
         f_trial = state.f_value - 1.0
         p = np.full(6, 1e-3)
         assert trust_region_update(
-            state, p, -1e-320, 0.0, lambda t: f_trial
+            state, p, 1e-320, lambda t: f_trial
         )
         assert state.rho == math.inf
         assert state.f_value == f_trial
@@ -1082,9 +1162,8 @@ class TestTrustRegionUpdate:
         f0 = state.f_value
         f_trial = f0 * (1.0 - 1e-12)
         p = np.full(6, 1e-9)
-        g_dot_p = -(f0 - f_trial)
         assert trust_region_update(
-            state, p, g_dot_p, 0.0, lambda t: f_trial
+            state, p, f0 - f_trial, lambda t: f_trial
         )
         assert not state.converged
         assert state.reason is None
@@ -1094,9 +1173,7 @@ class TestTrustRegionUpdate:
         x0 = np.array([1.0, -2.0, 0.5, 1.5, -0.5, 2.0])
         state = make_state(x0, delta=100.0)
         p = -state.latent.vec  # well inside the region
-        g_dot_p = float(state.gradient @ p)
-        p_h_p = float(2.0 * p @ p)
-        trust_region_update(state, p, g_dot_p, p_h_p, quadratic_objective)
+        trust_region_update(state, p, predicted_decrease(state, p), quadratic_objective)
         assert state.delta == 100.0
 
 
@@ -1276,6 +1353,19 @@ class TestSolve:
         assert trace
         assert all(r.step_type == "cauchy" for r in trace)
         assert all(r.cg_iterations == 0 for r in trace)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e120, 1e140])
+    def test_huge_images_stop_for_a_stated_reason(self, scale):
+        # The gradient's norm passes 1e120; its cube would overflow a float.
+        base, _, _ = make_problem(dims=(8, 8, 6), rank=2, seed=0, kernel_size=3, factor=2,
+                                  num_msi_bands=3)
+        prob = FusionProblem(scale * base.hsi, scale * base.msi, base.operators, base.rank)
+        _, state, trace = solve(prob, init_latent(prob.sri_dims, prob.rank, 0))
+        assert trace and trace[0].grad_inf_norm > 1e-2 * scale
+        assert state.reason in ("gradient norm below grad_tol", "objective decrease below rel_f_tol",
+                                "trust radius below machine precision", "max_iters reached")
+        assert math.isfinite(state.f_value)
 
     def test_mismatched_init_raises(self):
         prob, _, _ = make_problem()
