@@ -30,7 +30,7 @@ The expansion cancels digits as the misfit shrinks, so below ``GUARD * ||X||^2``
 the misfit is instead summed from the reconstructed residual.
 
 The latent-to-factor chain scaling is frozen per point, so the Gramian
-operator is built once per point and reused by every CG application there;
+operator is formed once per point and reused by every CG application there;
 after a rejected step the point is unchanged, and so are the operator, the
 preconditioner, the PCG step and the model.  What depends only on the point
 is formed once with it: the chain scaling, the operator's constant rows and
@@ -38,7 +38,10 @@ coefficients, and, in the preconditioner, the symmetrized inverses of the
 ridged R x R block systems and the packed inverse scaling.  The applies that
 PCG repeats do only the products that involve the vector.  The
 preconditioner's energy weights depend only on the operators, which form
-them once.
+them once.  A solve builds one Gramian operator, with its stacks and scratch,
+at its first point, and ``from_latent(..., out=gram)`` moves it to each new
+point by rewriting only the point's data in those stacks; each
+preconditioner shares the operator's scratch.
 
 A point is its packed vector ``x``.  A ``LatentTriple`` owns that one
 read-only array, and its blocks are views of it.  The chain factor ``2 x``
@@ -48,10 +51,12 @@ one place either solver forms an evaluation: each image's projected factors,
 their Grams and the Hadamard products of each mode's two other Grams, each
 stacked as one ``(mode, image, R, R)`` array, its mode-1 MTTKRP, and the
 objective value.  The point keeps it.  Every trial is ``x + p``, formed
-once; once the step is accepted the gradient reads the trial objective's
-evaluation and forms only each image's mode-2 and mode-3 MTTKRPs.  The
-objective, the gradient, the Gramian operator and the preconditioner read
-the evaluation's Grams and Hadamard products; none forms them again.
+once and already packed, so ``from_vector`` takes a copy of it as the point
+without unpacking it.  Once the step is accepted the gradient reads the
+trial objective's evaluation and forms only each image's mode-2 and mode-3
+MTTKRPs.  The objective, the gradient, the Gramian operator and the
+preconditioner read the evaluation's Grams and Hadamard products; none forms
+them again.
 
 The misfit is a plain squared norm, so the Gauss-Newton model of a step
 ``p`` is ``f + g^T p + p^T G p`` for the Gramian ``G``, and its Newton point
@@ -199,11 +204,15 @@ class LatentTriple:
 
     def __post_init__(self) -> None:
         mats = _check_triple(self.mats, "latent")
-        vec = _pack(mats)
+        self._own(_pack(mats), [m.shape for m in mats])
+
+    def _own(self, vec: np.ndarray, shapes) -> None:
+        """The constructor's finishing step: take ``vec``, a packed vector no
+        one else holds, as the point's, read-only, with its ``(d, R)`` block
+        views of ``shapes`` as ``mats``."""
         vec.flags.writeable = False
         object.__setattr__(self, "vec", vec)
-        object.__setattr__(self, "mats",
-                           tuple(b.T for b in _block_views(vec, [m.shape for m in mats])))
+        object.__setattr__(self, "mats", tuple(b.T for b in _block_views(vec, shapes)))
 
     @property
     def rank(self) -> int:
@@ -217,12 +226,25 @@ class LatentTriple:
     def from_vector(
         cls, vec: np.ndarray, dims: tuple[int, int, int], rank: int
     ) -> "LatentTriple":
-        vec = np.asarray(vec, dtype=np.float64)
+        """The point whose packed vector is a float64 copy of ``vec``.
+
+        The copy is already packed, so it goes straight to the constructor's
+        finishing step: it is not unpacked, re-checked and packed again.  The
+        caller's ``vec`` stays writeable and shares no memory with the point.
+        A ``vec`` that is not one-dimensional of size ``sum(dims) * rank``, or
+        ``dims`` that are not three, raise ``ValueError``.
+        """
+        vec = np.array(vec, dtype=np.float64)
         shapes = [(d, rank) for d in dims]
         expected = sum(d * rank for d in dims)
         if vec.ndim != 1 or vec.size != expected:
             raise ValueError(f"latent vector has size {vec.size}, expected {expected}")
-        return cls(tuple(b.T for b in _block_views(vec, shapes)))
+        if len(shapes) != 3:
+            raise ValueError("expected 3 two-dimensional latent matrices")
+        latent = object.__new__(cls)
+        object.__setattr__(latent, "_evaluation", None)
+        latent._own(vec, shapes)
+        return latent
 
 
 def square_params(latent: LatentTriple) -> CpdModel:
@@ -365,10 +387,9 @@ class IterationRecord:
 
 # The two other modes of each mode, in the order the Hadamard products use them.
 _OTHER_MODES = ((1, 2), (0, 2), (0, 1))
-# Index arrays into a (mode, image, R, R) stack: per mode, the slot of the
-# image that degrades it and of the image that keeps it.
-_DEGRADING = ([0, 1, 2], list(DEGRADED_IN))
-_KEEPING = ([0, 1, 2], [1 - s for s in DEGRADED_IN])
+# Flat indices into a (mode, image, R, R) stack viewed as (6, R, R): per mode,
+# the slot of the image that degrades it, then of the image that keeps it.
+_SLOTS = np.array([2 * n + s for n, deg in enumerate(DEGRADED_IN) for s in (deg, 1 - deg)])
 
 
 def _gram_products(projected) -> tuple[np.ndarray, np.ndarray]:
@@ -494,12 +515,21 @@ class GramianOperator:
       output view:
       ``out_n^T = [S_n^T | H^deg | H^keep] [K_n^T ; B_n^T Q^T Q ; B_n^T]``.
 
-    An apply reads ``scale`` as given and otherwise only arrays formed at
-    construction, including its own copies of the operator matrices, the
-    Grams and the Hadamard products, so later changes to ``factors``,
-    ``grams``, ``hadamards`` or ``operators`` are not seen.  Every apply returns
-    a fresh array; the scratch buffers it overwrites are private to the
-    operator.
+    Construction allocates the stacks, scratch and views once, copies the
+    operator matrices into the stacks, and then writes the point's data
+    (``_write_point``): the ``K_n^T`` rows, the ``H^deg`` and ``H^keep``
+    coefficient blocks and the transposed Grams.  ``from_latent`` with
+    ``out=`` rebinds ``scale``, ``factors``, ``grams`` and ``hadamards`` to
+    another point of the same operators and runs that step again, so an
+    operator moves between points without allocating its stacks or scratch.
+
+    An apply reads ``scale`` as given and otherwise only arrays the operator
+    wrote, including its own copies of the operator matrices, the Grams and
+    the Hadamard products, so later changes to ``factors``, ``grams``,
+    ``hadamards`` or ``operators`` are not seen until it moves.  Every apply
+    returns a fresh array.  The operator owns its scratch buffers; each apply
+    overwrites them, and so does each apply of a preconditioner built on the
+    operator, which shares them.
     """
 
     scale: np.ndarray
@@ -518,52 +548,90 @@ class GramianOperator:
         matrices = self.operators.matrices
         height = max(q.shape[0] for q in matrices) + 2 * rank
         # Scratch overwritten by every apply: B and the unscaled output, read
-        # through per-block views, and per mode [Q B ; W^T].  The transposed
-        # cross Grams W^T, the transposed Grams and S^T are indexed (mode,
-        # image, row, column); the combination runs on contiguous copies,
-        # with modes 0 and 1 repeated in slots 3 and 4 so that the two other
-        # modes of every mode are the slices 1:4 and 2:5.
+        # through per-block views, which the preconditioners built on the
+        # operator share, and per mode [Q B ; W^T].  The transposed cross
+        # Grams W^T, the transposed Grams and S^T are indexed (mode, image,
+        # row, column); the combination runs on contiguous copies, with modes
+        # 0 and 1 repeated in slots 3 and 4 so that the two other modes of
+        # every mode are the slices 1:4 and 2:5.
         self._scaled = np.empty(self.size)
         self._unscaled = np.empty(self.size)
+        self._blocks = list(zip(_block_views(self._scaled, self.block_shapes),
+                                _block_views(self._unscaled, self.block_shapes)))
+        self._eye = np.eye(rank)
         heads = np.empty((3, height, rank))
         self._heads_cross = heads[:, height - 2 * rank :].reshape(3, 2, rank, rank)
         self._cross = np.empty((5, 2, rank, rank))
         self._grams = np.empty((5, 2, rank, rank))
-        self._grams[:3] = self.grams.transpose(0, 1, 3, 2)
-        self._grams[3:] = self._grams[:2]
         coefficients = np.empty((3, rank, 4 * rank))
         self._s = coefficients[:, :, : 2 * rank].reshape(3, rank, 2, rank).transpose(0, 2, 1, 3)
+        # The H^deg and H^keep blocks of the coefficients, viewed (mode, slot,
+        # column, row), so that the (mode, slot) stack of Hadamard products is
+        # written into them transposed.
+        self._hadamards_t = (coefficients[:, :, 2 * rank :].reshape(3, rank, 2, rank)
+                             .transpose(0, 2, 3, 1))
         self._s_sum = np.empty((3, 2, rank, rank))
         self._s_term = np.empty((3, 2, rank, rank))
+        self._k_rows = []
         self._products = []
         self._outputs = []
-        blocks = zip(_block_views(self._scaled, self.block_shapes),
-                     _block_views(self._unscaled, self.block_shapes))
-        for n, (q, (b_t, out_t)) in enumerate(zip(matrices, blocks)):
+        for n, (q, (b_t, out_t)) in enumerate(zip(matrices, self._blocks)):
             deg, rows = DEGRADED_IN[n], q.shape[0]
-            # [Q ; K_n^T ; B^T Q^T Q ; B^T]: a copy of Q and the constant
+            # [Q ; K_n^T ; B^T Q^T Q ; B^T]: a copy of Q and the point's
             # K_n^T, then the two blocks that each apply writes.
             stack = np.empty((rows + 4 * rank, q.shape[1]))
             stack[:rows] = q
             k_t = stack[rows : rows + 2 * rank].reshape(2, rank, -1)
-            self.factors[deg][n].T.dot(q, out=k_t[deg])
-            k_t[1 - deg] = self.factors[1 - deg][n].T
-            coefficients[n, :, 2 * rank : 3 * rank] = self.hadamards[n, deg].T
-            coefficients[n, :, 3 * rank :] = self.hadamards[n, 1 - deg].T
+            self._k_rows.append((n, deg, stack[:rows], k_t[deg], k_t[1 - deg]))
             head = heads[n, height - 2 * rank - rows :]
             self._products.append(
                 (b_t.T, stack[: rows + 2 * rank], head, head[:rows].T, stack[:rows],
                  stack[rows + 2 * rank : rows + 3 * rank], stack[rows + 3 * rank :])
             )
             self._outputs.append((coefficients[n], stack[rows:], out_t))
+        self._write_point()
+
+    def _write_point(self) -> None:
+        """Write what depends on the point, read from ``factors``, ``grams``
+        and ``hadamards``, into the stacks: each mode's ``K_n^T`` rows, the
+        ``H^deg`` and ``H^keep`` coefficient blocks and the transposed Grams."""
+        factors = self.factors
+        for n, deg, q, k_deg, k_keep in self._k_rows:
+            factors[deg][n].T.dot(q, out=k_deg)
+            k_keep[...] = factors[1 - deg][n].T
+        rank = self.block_shapes[0][1]
+        self._hadamards_t[...] = self.hadamards.reshape(6, rank, rank)[_SLOTS].reshape(
+            3, 2, rank, rank)
+        self._grams[:3] = self.grams.transpose(0, 1, 3, 2)
+        self._grams[3:] = self._grams[:2]
 
     @classmethod
-    def from_latent(cls, latent: LatentTriple, prob: FusionProblem) -> "GramianOperator":
+    def from_latent(cls, latent: LatentTriple, prob: FusionProblem,
+                    out: GramianOperator | None = None) -> "GramianOperator":
         """The Gramian of ``prob`` at ``latent``: the chain scaling ``2 x`` of
         the packed point and the projections, Grams and Hadamard products of
-        the point's evaluation."""
+        the point's evaluation.
+
+        With ``out``, an operator built earlier on the same operators and
+        block shapes, no new operator is built: ``out`` is moved to the point
+        and returned.  Its fields are rebound to the point's scaling and
+        evaluation and ``_write_point`` rewrites its stacks; its scratch, views
+        and copies of the operator matrices stay.  Its applies then return
+        what a fresh operator's would, bit for bit.  An ``out`` of other
+        operators or block shapes raises ``ValueError``."""
         ev = _evaluate(latent, prob)
-        return cls(2.0 * latent.vec, ev.projected, ev.grams, ev.hadamards, prob.operators)
+        scale = 2.0 * latent.vec
+        if out is None:
+            return cls(scale, ev.projected, ev.grams, ev.hadamards, prob.operators)
+        shapes = [m.shape for m in latent.mats]
+        if out.operators is not prob.operators:
+            raise ValueError("out is an operator on other degradation operators")
+        if out.block_shapes != shapes:
+            raise ValueError(f"out has block shapes {out.block_shapes}, the point needs {shapes}")
+        out.scale, out.factors, out.grams, out.hadamards = (scale, ev.projected, ev.grams,
+                                                            ev.hadamards)
+        out._write_point()
+        return out
 
     def apply(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=np.float64)
@@ -602,18 +670,24 @@ def block_jacobi_preconditioner(gram: GramianOperator):
     with the operators, and the Hadamard products are the Gramian's, formed
     once per point by its evaluation.
 
-    The scaling is applied symmetrically (square roots on both sides), so the
-    returned map is linear and symmetric positive definite even where latent
-    entries vanish.  The symmetrized block inverses ``M_n`` and the packed
-    inverse scaling ``D`` are formed here.  An apply writes ``M_n (D x)_n^T``
-    through the ``(R x d_n)`` views of the packed vectors, one product per
-    block with no pack, and returns a fresh array; its scratch is private to
-    the closure.
+    The Hadamard blocks are gathered from the ``(mode, image, R, R)`` stack
+    by the integer indices ``_SLOTS``.  The scaling is applied symmetrically
+    (square roots on both sides), so the returned map is linear and symmetric
+    positive definite even where latent entries vanish.  The symmetrized
+    block inverses ``M_n`` and the packed inverse scaling ``D`` are formed
+    here and kept by the closure, so moving ``gram`` to another point later
+    does not change it.  An apply writes ``M_n (D x)_n^T`` through the
+    ``(R x d_n)`` views of the packed vectors, one product per block with no
+    pack, and returns a fresh array.  Its packed scratch, block views and
+    R x R identity are the operator's, which the operator's applies also
+    overwrite.
     """
-    g = gram.operators._energy_weights * gram.hadamards[_DEGRADING] + gram.hadamards[_KEEPING]
+    rank = gram.block_shapes[0][1]
+    h = gram.hadamards.reshape(6, rank, rank)[_SLOTS]
+    g = gram.operators._energy_weights * h[0::2] + h[1::2]
     eps = 1e-12 * np.trace(g, axis1=1, axis2=2)
     eps[eps <= 0.0] = 1.0
-    inv = np.linalg.inv(g + eps[:, None, None] * np.eye(g.shape[1]))
+    inv = np.linalg.inv(g + eps[:, None, None] * gram._eye)
     inverses = 0.5 * (inv + inv.transpose(0, 2, 1))
 
     lam_sq = gram.scale * gram.scale
@@ -622,9 +696,8 @@ def block_jacobi_preconditioner(gram: GramianOperator):
     if eps_lam <= 0.0:
         eps_lam = 1.0
     inv_scale = 1.0 / np.sqrt(np.maximum(lam_sq, eps_lam))
-    scaled, unscaled = np.empty_like(inv_scale), np.empty_like(inv_scale)
-    blocks = list(zip(inverses, _block_views(scaled, gram.block_shapes),
-                      _block_views(unscaled, gram.block_shapes)))
+    scaled, unscaled = gram._scaled, gram._unscaled
+    blocks = [(m, x_t, out_t) for m, (x_t, out_t) in zip(inverses, gram._blocks)]
 
     def apply(vec: np.ndarray) -> np.ndarray:
         vec = np.asarray(vec, dtype=np.float64)
@@ -859,6 +932,7 @@ def solve(
         latent=init, delta=delta0, delta_max=1e3 * delta0, f_value=f, gradient=g
     )
     trace: list[IterationRecord] = []
+    gram = None
 
     for it in range(cfg.max_iters):
         # A rejected step leaves the point and gradient unchanged, so what
@@ -880,7 +954,8 @@ def solve(
             break
 
         if rebuilt:
-            gram = GramianOperator.from_latent(state.latent, prob)
+            # One operator per solve, moved to each new point.
+            gram = GramianOperator.from_latent(state.latent, prob, out=gram)
             # The model's Newton point solves G p = -g / 2.
             cg = pcg(gram.apply, 0.5 * g, block_jacobi_preconditioner(gram),
                      max_norm=CG_RADIUS_FACTOR * state.delta)
